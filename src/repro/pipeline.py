@@ -47,8 +47,9 @@ from .core.display import TypeDisplay, location_sort_key
 from .core.labels import InLabel, OutLabel
 from .core.lattice import TypeLattice
 from .core.schemes import TypeScheme
-from .core.solver import ProcedureResult, ProcedureTypingInput, SolverConfig
+from .core.solver import ProcedureResult, SolverConfig
 from .ir.program import Program
+from .typegen.abstract_interp import Formals
 from .typegen.externs import ExternSignature
 
 
@@ -302,13 +303,15 @@ def analyze_program(
 
 def _function_types(
     name: str,
-    typing_input: ProcedureTypingInput,
+    formals: Formals,
     result: ProcedureResult,
     display: TypeDisplay,
 ) -> FunctionTypes:
+    """Display one procedure from its formals (a typing input, or the stored
+    summary of a procedure the summary store served) and solved result."""
     in_sketches = []
     param_locations = []
-    for dtv in typing_input.formal_ins:
+    for dtv in formals.formal_ins:
         label = dtv.labels[0]
         location = label.location if isinstance(label, InLabel) else str(label)
         sketch = result.formal_in_sketches.get(dtv)
@@ -319,7 +322,7 @@ def _function_types(
         in_sketches.append((location, sketch))
         param_locations.append(location)
     out_sketches = []
-    for dtv in typing_input.formal_outs:
+    for dtv in formals.formal_outs:
         sketch = result.formal_out_sketches.get(dtv)
         if sketch is not None:
             out_label = next(

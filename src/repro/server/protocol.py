@@ -257,6 +257,7 @@ def stats_payload(types, program_id: str) -> Dict[str, object]:
         "sccs_solved": stats.get("sccs_solved"),
         "sccs_cached": stats.get("sccs_cached"),
         "constraints": stats.get("constraints"),
+        "generated_procedures": stats.get("generated_procedures", []),
         "instructions": stats.get("instructions"),
         # Wave-executor accounting: which strategy solved this program, the
         # per-worker (by pid) SolveStats merge when it was the process

@@ -9,7 +9,9 @@ so that three things become possible:
 * **summary reuse** -- every solved SCC is published to a content-addressed
   :class:`~repro.service.store.SummaryStore`; any SCC whose key (procedure IR
   + transitive callee keys + environment) is already present is loaded instead
-  of solved, exactly the separate-compilation reuse of function summaries;
+  of solved -- and its constraints are never generated, since the stored
+  formals are all its callers and the display layer need -- exactly the
+  separate-compilation reuse of function summaries;
 * **incremental re-analysis** -- editing a procedure changes its SCC's key and
   the keys of its transitive callers, so precisely that invalidation cone is
   re-solved (:class:`IncrementalSession` reports the cone explicitly, computed
@@ -97,6 +99,18 @@ class ServiceConfig:
     #: chunks per worker per wave for the process backend (>1 lets the pool
     #: rebalance skewed waves at the cost of more IPC messages).
     procpool_chunks_per_worker: int = 2
+
+
+@dataclass
+class _StoreProbe:
+    """One run's call graph and summary-store lookups (see ``_probe``)."""
+
+    callgraph: CallGraph
+    sccs: List[List[str]]
+    #: content-transitive store key per SCC (empty with the cache off).
+    keys: Dict[Tuple[str, ...], str] = dc_field(default_factory=dict)
+    #: the SCCs the store served, with their summaries.
+    cached: Dict[Tuple[str, ...], SCCSummary] = dc_field(default_factory=dict)
 
 
 class AnalysisService:
@@ -207,11 +221,24 @@ class AnalysisService:
     ):
         """Analyze one program; returns :class:`repro.pipeline.ProgramTypes`.
 
-        ``inputs`` optionally supplies precomputed typing inputs (skipping
-        constraint generation); the corpus fan-out path uses it with inputs a
-        worker generated and shipped back, paired with a store pre-warmed by
-        that worker's summaries, so this call reduces to decode + display.
+        Stages: parse, call graph, store probe, constraint generation for the
+        SCCs the store cannot serve, solve, display.  ``inputs`` optionally
+        supplies precomputed typing inputs (skipping constraint generation);
+        the corpus fan-out path uses it with inputs a worker generated and
+        shipped back, paired with a store pre-warmed by that worker's
+        summaries, so this call reduces to decode + display.
         """
+        return self._analyze(source, inputs)
+
+    def _analyze(
+        self,
+        source: Union[str, "Program"],
+        inputs: Optional[Mapping[str, ProcedureTypingInput]] = None,
+        fingerprints: Optional[Mapping[str, str]] = None,
+        callgraph: Optional[CallGraph] = None,
+    ):
+        """:meth:`analyze`, reusing fingerprints and a call graph the caller
+        (an :class:`IncrementalSession`) already computed for ``source``."""
         from ..pipeline import ProgramTypes, _function_types
         from ..core.display import TypeDisplay
 
@@ -221,30 +248,36 @@ class AnalysisService:
                 program = parse_program(source) if isinstance(source, str) else source
             root.set("procedures", len(program.procedures))
 
+            with tracer.span("service.probe"):
+                probe = self._probe(program, fingerprints, callgraph)
+            # A store-served procedure is known by its summary's formals alone:
+            # they display it and give its callers their CalleeInfo.
+            known = {
+                name: summary.procedures[name]
+                for members, summary in probe.cached.items()
+                for name in members
+            }
+
             start = time.perf_counter()
             if inputs is None:
                 with tracer.span("service.constraint_gen"):
-                    inputs = generate_program_constraints(program, self.extern_table)
-            else:
-                # Re-impose program order: supplied inputs may arrive in wire
-                # order (JSON objects are shipped with sorted keys) and the
-                # display layer's struct numbering follows SCC enumeration
-                # order, which follows this dict's order.
-                inputs = {
-                    name: inputs[name] for name in program.procedures if name in inputs
-                }
+                    inputs = generate_program_constraints(
+                        program, self.extern_table, known=known
+                    )
             constraint_time = time.perf_counter() - start
 
             solve_start = time.perf_counter()
             with tracer.span("service.solve"):
-                results, stats = self.solve_inputs(program, inputs)
+                results, stats = self.solve_inputs(program, inputs, probe)
             solve_time = time.perf_counter() - solve_start
 
-        display = TypeDisplay(self.lattice)
-        functions = {
-            name: _function_types(name, inputs[name], result, display)
-            for name, result in results.items()
-        }
+            with tracer.span("service.display"):
+                display = TypeDisplay(self.lattice)
+                formals = ChainMap(inputs, known)
+                functions = {
+                    name: _function_types(name, formals[name], result, display)
+                    for name, result in results.items()
+                }
         stats.update(
             {
                 "constraint_generation_seconds": constraint_time,
@@ -260,37 +293,53 @@ class AnalysisService:
 
     # -- the driver ------------------------------------------------------------
 
+    def _probe(
+        self,
+        program: Program,
+        fingerprints: Optional[Mapping[str, str]] = None,
+        callgraph: Optional[CallGraph] = None,
+    ) -> _StoreProbe:
+        """Call graph, SCC keys and one store lookup per SCC, before generation.
+
+        Keys are content-transitive, so a hit is valid regardless of what
+        happens to other SCCs this run.
+        """
+        if callgraph is None:
+            callgraph = CallGraph.from_program(program)
+        probe = _StoreProbe(callgraph, callgraph.sccs_bottom_up())
+        if self.store is None or not self.config.use_cache:
+            return probe
+        # Recomputed per call (a few cheap hashes) so that mutating the solver
+        # config, lattice or extern table between calls can never serve
+        # summaries keyed under the old environment.
+        environment = environment_fingerprint(
+            self.lattice, self.extern_table, self.config.solver
+        )
+        if fingerprints is None:
+            fingerprints = program_fingerprints(program)
+        probe.keys = scc_summary_keys(
+            probe.sccs, callgraph.edges, fingerprints, environment
+        )
+        for scc in probe.sccs:
+            summary = self.store.get(probe.keys[tuple(scc)], self.lattice)
+            if summary is not None:
+                probe.cached[tuple(scc)] = summary
+        return probe
+
     def solve_inputs(
         self,
         program: Program,
         inputs: Mapping[str, ProcedureTypingInput],
+        probe: _StoreProbe,
     ) -> Tuple[Dict[str, ProcedureResult], Dict[str, object]]:
-        """Solve all procedures, reusing cached SCC summaries where possible.
+        """Solve every SCC the store cannot serve; reuse the rest.
 
-        Returns (results in bottom-up SCC order, service statistics).
+        ``inputs`` must cover the SCCs ``probe`` found missing.  Returns
+        (results in bottom-up SCC order, service statistics).
         """
-        callgraph = CallGraph.from_typing_inputs(inputs)
-        sccs = callgraph.sccs_bottom_up()
-        waves = callgraph.scc_waves()
+        sccs, keys, cached = probe.sccs, probe.keys, probe.cached
+        waves = probe.callgraph.scc_waves()
         solver = Solver(self.lattice, self.extern_schemes, self.config.solver)
-
-        # Probe the store for every SCC (keys are content-transitive, so a hit
-        # is valid regardless of what happens to other SCCs this run).
-        cached: Dict[Tuple[str, ...], SCCSummary] = {}
-        keys: Dict[Tuple[str, ...], str] = {}
-        if self.store is not None and self.config.use_cache:
-            # Recomputed per call (a few cheap hashes) so that mutating the
-            # solver config, lattice or extern table between calls can never
-            # serve summaries keyed under the old environment.
-            environment = environment_fingerprint(
-                self.lattice, self.extern_table, self.config.solver
-            )
-            fingerprints = program_fingerprints(program)
-            keys = scc_summary_keys(sccs, callgraph.edges, fingerprints, environment)
-            for scc in sccs:
-                summary = self.store.get(keys[tuple(scc)], self.lattice)
-                if summary is not None:
-                    cached[tuple(scc)] = summary
 
         working: Dict[str, ProcedureResult] = {}
         contributions_of: Dict[str, List[RefinementContribution]] = {}
@@ -337,7 +386,7 @@ class AnalysisService:
                     else:
                         self.store.put(
                             keys[tuple(scc)],
-                            summarize_scc(scc, scc_results, contributions),
+                            summarize_scc(scc, inputs, scc_results, contributions),
                         )
 
         missing_waves = [
@@ -378,15 +427,18 @@ class AnalysisService:
 
         if refine:
             ordered_contributions: List[RefinementContribution] = []
-            for name in inputs:  # the solver's caller order
+            for name in program.procedures:  # the solver's caller order
                 ordered_contributions.extend(contributions_of.get(name, ()))
             apply_refinement(results, ordered_contributions)
 
         solved = [name for scc in sccs if tuple(scc) not in cached for name in scc]
         reused = [name for scc in sccs if tuple(scc) in cached for name in scc]
         stats: Dict[str, object] = {
+            # Generation work this run: only SCCs the store could not serve
+            # (on the corpus fan-out path, the inputs a worker generated).
             "constraints": sum(len(proc.constraints) for proc in inputs.values()),
-            "procedures": len(inputs),
+            "generated_procedures": sorted(inputs),
+            "procedures": len(program.procedures),
             "scc_count": len(sccs),
             "sccs_solved": len(sccs) - len(cached),
             "sccs_cached": len(cached),
@@ -442,7 +494,9 @@ class IncrementalSession:
     def analyze(self, source: Union[str, Program]):
         """Analyze the (possibly edited) program, annotating invalidation stats."""
         program = parse_program(source) if isinstance(source, str) else source
+        # Both feed the service too (SCC keys, SCC order): computed once here.
         fingerprints = program_fingerprints(program)
+        callgraph = CallGraph.from_program(program)
         invalidated: Optional[Set[str]] = None
         if self._previous is not None:
             changed = {
@@ -458,12 +512,13 @@ class IncrementalSession:
                     if deleted & set(procedure.direct_callees()):
                         changed.add(name)
             with get_tracer().span("service.invalidate", changed=len(changed)) as span:
-                callgraph = CallGraph.from_program(program)
                 invalidated = callgraph.transitive_callers(changed)
                 span.set("invalidated", len(invalidated))
         self._previous = dict(fingerprints)
 
-        types = self.service.analyze(program)
+        types = self.service._analyze(
+            program, fingerprints=fingerprints, callgraph=callgraph
+        )
         if invalidated is not None:
             types.stats["invalidated_procedures"] = sorted(invalidated)
         return types

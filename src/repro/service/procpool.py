@@ -570,7 +570,9 @@ def _worker_solve_chunk(task_json: str) -> str:
                     }
                 else:
                     contributions = {}
-                payload = serialize_summary(summarize_scc(scc, scc_results, contributions))
+                payload = serialize_summary(
+                    summarize_scc(scc, scc_inputs, scc_results, contributions)
+                )
             if key and state.store is not None:
                 state.store.admit_payload(key, payload, write_disk=True)
             results.append(
@@ -678,7 +680,9 @@ def _worker_analyze_programs(state: "_WorkerState", task: Mapping[str, object]) 
                 else:
                     contributions = {}
                 working.update(scc_results)
-                payload = serialize_summary(summarize_scc(scc, scc_results, contributions))
+                payload = serialize_summary(
+                    summarize_scc(scc, inputs, scc_results, contributions)
+                )
                 if state.store is not None:
                     state.store.admit_payload(key, payload, write_disk=True)
             summaries.append([key, payload])

@@ -37,7 +37,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..core.lattice import TypeLattice
 from ..core.schemes import TypeScheme
 from ..core.sketches import Sketch
-from ..core.solver import ProcedureResult, RefinementContribution, SolverConfig
+from ..core.solver import (
+    ProcedureResult,
+    ProcedureTypingInput,
+    RefinementContribution,
+    SolverConfig,
+)
 from ..core.variables import DerivedTypeVariable, parse_dtv
 from ..ir.program import Procedure, Program
 from ..obs.metrics import get_registry
@@ -48,8 +53,10 @@ from ..typegen.externs import ExternSignature
 # Content addressing
 # ---------------------------------------------------------------------------
 
-#: bump when the summary payload layout changes so stale disk tiers never load.
-STORE_FORMAT = "retypd-summary-v1"
+#: bump when the summary payload layout changes so stale disk tiers never load
+#: (v2 added each procedure's formal variables).  The environment fingerprint
+#: hashes it, so entries of another format are never even looked up.
+STORE_FORMAT = "retypd-summary-v2"
 
 
 def stable_hash(*parts: object) -> str:
@@ -155,18 +162,26 @@ def scc_summary_keys(
 
 @dataclass
 class ProcedureSummary:
-    """The reusable result of typing one procedure: scheme + formal sketches.
+    """The reusable result of typing one procedure: scheme, formals, sketches.
 
-    ``contributions`` carries the REFINEPARAMETERS inputs this procedure (as a
-    *caller*) feeds to its callees' formals; refinement is re-applied as pure
-    sketch arithmetic on every run, so cached and freshly-solved procedures
-    compose into exactly the results a cold whole-program run would produce.
+    ``formal_ins``/``formal_outs`` are the procedure's formal variables in
+    interface order (the same tuples its typing input carries): a cached
+    procedure needs nothing else to be displayed or to give its callers a
+    :class:`~repro.typegen.abstract_interp.CalleeInfo`, so a store hit skips
+    constraint generation entirely.  The sketch maps cover only the formals
+    the solver could type.  ``contributions`` carries the REFINEPARAMETERS
+    inputs this procedure (as a *caller*) feeds to its callees' formals;
+    refinement is re-applied as pure sketch arithmetic on every run, so
+    cached and freshly-solved procedures compose into exactly the results a
+    cold whole-program run would produce.
     """
 
     name: str
     scheme: TypeScheme
-    formal_ins: Dict[DerivedTypeVariable, Sketch]
-    formal_outs: Dict[DerivedTypeVariable, Sketch]
+    formal_ins: Tuple[DerivedTypeVariable, ...]
+    formal_outs: Tuple[DerivedTypeVariable, ...]
+    formal_in_sketches: Dict[DerivedTypeVariable, Sketch]
+    formal_out_sketches: Dict[DerivedTypeVariable, Sketch]
     contributions: List[RefinementContribution] = dc_field(default_factory=list)
 
     def to_result(self) -> ProcedureResult:
@@ -174,8 +189,8 @@ class ProcedureSummary:
         return ProcedureResult(
             name=self.name,
             scheme=self.scheme,
-            formal_in_sketches=dict(self.formal_ins),
-            formal_out_sketches=dict(self.formal_outs),
+            formal_in_sketches=dict(self.formal_in_sketches),
+            formal_out_sketches=dict(self.formal_out_sketches),
             shapes=None,
         )
 
@@ -190,6 +205,7 @@ class SCCSummary:
 
 def summarize_scc(
     scc: Sequence[str],
+    inputs: Mapping[str, ProcedureTypingInput],
     results: Mapping[str, ProcedureResult],
     contributions: Mapping[str, List[RefinementContribution]],
 ) -> SCCSummary:
@@ -200,11 +216,37 @@ def summarize_scc(
         out[name] = ProcedureSummary(
             name=name,
             scheme=result.scheme,
-            formal_ins=dict(result.formal_in_sketches),
-            formal_outs=dict(result.formal_out_sketches),
+            formal_ins=tuple(inputs[name].formal_ins),
+            formal_outs=tuple(inputs[name].formal_outs),
+            formal_in_sketches=dict(result.formal_in_sketches),
+            formal_out_sketches=dict(result.formal_out_sketches),
             contributions=list(contributions.get(name, ())),
         )
     return SCCSummary(members=tuple(scc), procedures=out)
+
+
+def _formal_entries(
+    formals: Sequence[DerivedTypeVariable], sketches: Mapping[DerivedTypeVariable, Sketch]
+) -> List[List[object]]:
+    """``[variable, sketch JSON or None]`` per formal, in interface order."""
+    return [
+        [str(dtv), sketches[dtv].to_json() if dtv in sketches else None]
+        for dtv in formals
+    ]
+
+
+def _parse_formal_entries(
+    entries: Sequence[Sequence[object]], lattice: TypeLattice
+) -> Tuple[Tuple[DerivedTypeVariable, ...], Dict[DerivedTypeVariable, Sketch]]:
+    """Inverse of :func:`_formal_entries`: the formals and their sketch map."""
+    formals: List[DerivedTypeVariable] = []
+    sketches: Dict[DerivedTypeVariable, Sketch] = {}
+    for text, data in entries:
+        dtv = parse_dtv(text)
+        formals.append(dtv)
+        if data is not None:
+            sketches[dtv] = Sketch.from_json(data, lattice)
+    return tuple(formals), sketches
 
 
 def serialize_summary(summary: SCCSummary) -> Dict[str, object]:
@@ -215,12 +257,8 @@ def serialize_summary(summary: SCCSummary) -> Dict[str, object]:
         "procedures": {
             name: {
                 "scheme": proc.scheme.to_json(),
-                "formal_ins": [
-                    [str(dtv), sketch.to_json()] for dtv, sketch in proc.formal_ins.items()
-                ],
-                "formal_outs": [
-                    [str(dtv), sketch.to_json()] for dtv, sketch in proc.formal_outs.items()
-                ],
+                "formal_ins": _formal_entries(proc.formal_ins, proc.formal_in_sketches),
+                "formal_outs": _formal_entries(proc.formal_outs, proc.formal_out_sketches),
                 "contributions": [
                     {
                         "caller": c.caller,
@@ -241,17 +279,17 @@ def deserialize_summary(payload: Mapping[str, object], lattice: TypeLattice) -> 
     """JSON payload -> SCC summary (inverse of :func:`serialize_summary`)."""
     procedures: Dict[str, ProcedureSummary] = {}
     for name, entry in payload["procedures"].items():
+        formal_ins, formal_in_sketches = _parse_formal_entries(entry["formal_ins"], lattice)
+        formal_outs, formal_out_sketches = _parse_formal_entries(
+            entry["formal_outs"], lattice
+        )
         procedures[name] = ProcedureSummary(
             name=name,
             scheme=TypeScheme.from_json(entry["scheme"]),
-            formal_ins={
-                parse_dtv(text): Sketch.from_json(data, lattice)
-                for text, data in entry["formal_ins"]
-            },
-            formal_outs={
-                parse_dtv(text): Sketch.from_json(data, lattice)
-                for text, data in entry["formal_outs"]
-            },
+            formal_ins=formal_ins,
+            formal_outs=formal_outs,
+            formal_in_sketches=formal_in_sketches,
+            formal_out_sketches=formal_out_sketches,
             contributions=[
                 RefinementContribution(
                     caller=c["caller"],

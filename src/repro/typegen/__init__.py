@@ -10,8 +10,6 @@ from .externs import (
 from .abstract_interp import (
     CalleeInfo,
     ProcedureConstraintGenerator,
-    callee_table,
-    generate_procedure_constraints,
     generate_program_constraints,
 )
 
@@ -20,10 +18,8 @@ __all__ = [
     "ExternSignature",
     "ProcedureConstraintGenerator",
     "STANDARD_EXTERNS",
-    "callee_table",
     "ensure_lattice_tags",
     "extern_schemes",
-    "generate_procedure_constraints",
     "generate_program_constraints",
     "standard_externs",
 ]

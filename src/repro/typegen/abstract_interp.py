@@ -21,11 +21,11 @@ constraints over derived type variables:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple, Union
 
 from ..core.constraints import AddConstraint, ConstraintSet, SubConstraint
 from ..core.labels import FieldLabel, InLabel, Label, LoadLabel, OutLabel, StoreLabel
-from ..core.solver import Callsite, ProcedureTypingInput
+from ..core.solver import Callsite, ProcedureTypingInput, tarjan_sccs
 from ..core.variables import DerivedTypeVariable
 from ..obs.trace import get_tracer
 from ..ir.dataflow import ENTRY, Location, ReachingDefinitions, analyze_reaching_definitions
@@ -68,6 +68,14 @@ _BITSTEAL_OR_MASKS = {1, 2, 3}
 _MAX_OBJECT_EXTENT = 64
 
 
+class Formals(Protocol):
+    """A procedure's formal variables, in interface order: carried by a typing
+    input and by the stored summary of a procedure the summary store serves."""
+
+    formal_ins: Sequence[DerivedTypeVariable]
+    formal_outs: Sequence[DerivedTypeVariable]
+
+
 @dataclass
 class CalleeInfo:
     """What the constraint generator needs to know about a call target."""
@@ -84,32 +92,33 @@ class CalleeInfo:
         locations.extend(self.register_params)
         return locations
 
-
-def callee_table(
-    program: Program,
-    interfaces: Mapping[str, ProcedureInterface],
-    externs: Mapping[str, ExternSignature],
-) -> Dict[str, CalleeInfo]:
-    """Combine internal interfaces and extern signatures into one lookup table."""
-    table: Dict[str, CalleeInfo] = {}
-    for name, interface in interfaces.items():
-        table[name] = CalleeInfo(
-            name=name,
+    @classmethod
+    def from_interface(cls, interface: ProcedureInterface) -> "CalleeInfo":
+        """A program procedure whose interface was discovered from its IR."""
+        return cls(
+            name=interface.name,
             stack_params=len(interface.stack_args),
             register_params=tuple(interface.register_args),
             has_return=interface.has_return,
             known=True,
         )
-    for name, signature in externs.items():
-        if name not in table:
-            table[name] = CalleeInfo(
-                name=name,
-                stack_params=signature.stack_params,
-                register_params=(),
-                has_return=signature.has_return,
-                known=True,
-            )
-    return table
+
+    @classmethod
+    def from_formals(cls, name: str, formals: Formals) -> "CalleeInfo":
+        """A program procedure known only by its formals (a store-served one).
+
+        Formal-ins follow :attr:`ProcedureInterface.input_locations`: the
+        ``stack*`` arguments first, then the register parameters in order.
+        """
+        locations = [dtv.labels[0].location for dtv in formals.formal_ins]
+        registers = tuple(loc for loc in locations if not loc.startswith("stack"))
+        return cls(
+            name=name,
+            stack_params=len(locations) - len(registers),
+            register_params=registers,
+            has_return=bool(formals.formal_outs),
+            known=True,
+        )
 
 
 class ProcedureConstraintGenerator:
@@ -466,32 +475,53 @@ class ProcedureConstraintGenerator:
         self.constraints.add_subtype(self.use_var("eax", index), self.formal_out())
 
 
-def generate_procedure_constraints(
-    procedure: Procedure,
-    interfaces: Mapping[str, ProcedureInterface],
-    callees: Mapping[str, CalleeInfo],
-) -> ProcedureTypingInput:
-    generator = ProcedureConstraintGenerator(
-        procedure, interfaces[procedure.name], callees
-    )
-    return generator.generate()
-
-
 def generate_program_constraints(
     program: Program,
     externs: Optional[Mapping[str, ExternSignature]] = None,
+    known: Optional[Mapping[str, Formals]] = None,
 ) -> Dict[str, ProcedureTypingInput]:
-    """Generate constraints for every procedure of a program (Algorithm F.1's CONSTRAINTS)."""
+    """Generate constraints for a program's procedures (Algorithm F.1's CONSTRAINTS).
+
+    ``known`` names procedures to skip -- those a summary store already
+    serves -- mapped to their :class:`Formals`; their callers see them
+    through :meth:`CalleeInfo.from_formals`.  The rest are generated SCC by
+    SCC, bottom-up, so every callee's interface exists before its callers
+    are visited: reaching definitions run once per procedure, feed both
+    interface discovery and the generator, and are dropped when the SCC is
+    done.  Returns the generated inputs in program order.
+    """
     externs = externs if externs is not None else standard_externs()
-    interfaces = {
-        name: discover_interface(procedure) for name, procedure in program.procedures.items()
+    known = known or {}
+    callees: Dict[str, CalleeInfo] = {
+        name: CalleeInfo(
+            name=name,
+            stack_params=signature.stack_params,
+            has_return=signature.has_return,
+            known=True,
+        )
+        for name, signature in externs.items()
+        if name not in program.procedures
     }
-    callees = callee_table(program, interfaces, externs)
+    for name, formals in known.items():
+        callees[name] = CalleeInfo.from_formals(name, formals)
     tracer = get_tracer()
-    results: Dict[str, ProcedureTypingInput] = {}
-    for name, procedure in program.procedures.items():
-        with tracer.span("typegen.constraints", function=name) as span:
-            generator = ProcedureConstraintGenerator(procedure, interfaces[name], callees)
-            results[name] = generator.generate()
-            span.set("constraints", len(results[name].constraints))
-    return results
+    generated: Dict[str, ProcedureTypingInput] = {}
+    for scc in tarjan_sccs(program.call_edges()):
+        reaching: Dict[str, ReachingDefinitions] = {}
+        interfaces: Dict[str, ProcedureInterface] = {}
+        for name in scc:
+            if name in known:
+                continue
+            with tracer.span("typegen.interface", function=name):
+                procedure = program.procedures[name]
+                reaching[name] = analyze_reaching_definitions(procedure)
+                interfaces[name] = discover_interface(procedure, reaching[name])
+            callees[name] = CalleeInfo.from_interface(interfaces[name])
+        for name, interface in interfaces.items():
+            with tracer.span("typegen.constraints", function=name) as span:
+                generator = ProcedureConstraintGenerator(
+                    program.procedures[name], interface, callees, reaching[name]
+                )
+                generated[name] = generator.generate()
+                span.set("constraints", len(generated[name].constraints))
+    return {name: generated[name] for name in program.procedures if name in generated}

@@ -5,7 +5,8 @@
 * every repo-relative path mentioned in any ``docs/*.md`` or the README must
   exist;
 * every intra-repo markdown link (``[text](target)``) must resolve;
-* the docs the README promises actually exist and are linked.
+* the docs the README promises actually exist and are linked;
+* every span name the code opens has a row in ``docs/observability.md``.
 """
 
 import importlib
@@ -27,6 +28,10 @@ _CODE_REF = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
 _PATH_REF = re.compile(r"`((?:tests|benchmarks|src|docs|examples)/[^`]+\.(?:py|md|txt|json))`")
 #: markdown links, excluding external schemes and anchors
 _LINK = re.compile(r"\[[^\]]*\]\(([^)#][^)]*)\)")
+#: literal span names opened in the code: ``.span("name"`` (possibly wrapped)
+_SPAN_OPEN = re.compile(r"\.span\(\s*\"([a-z_]+\.[a-z_]+)\"")
+#: first-column span names of the observability span table
+_SPAN_ROW = re.compile(r"^\| `([a-z_]+\.[a-z_<>]+)` \|", re.MULTILINE)
 
 
 def _read(path):
@@ -105,3 +110,14 @@ def test_readme_links_the_docs():
     text = _read(os.path.join(REPO, "README.md"))
     for name in ("docs/paper-map.md", "docs/protocol.md", "docs/operations.md"):
         assert name in text, f"README does not link {name}"
+
+
+def test_every_span_the_code_opens_is_in_the_span_table():
+    documented = set(_SPAN_ROW.findall(_read(os.path.join(DOCS, "observability.md"))))
+    opened = set()
+    for root, _, names in os.walk(os.path.join(REPO, "src", "repro")):
+        for name in names:
+            if name.endswith(".py"):
+                opened.update(_SPAN_OPEN.findall(_read(os.path.join(root, name))))
+    assert {"service.display", "typegen.interface"} <= opened
+    assert opened <= documented, f"undocumented spans: {sorted(opened - documented)}"

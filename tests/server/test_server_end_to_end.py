@@ -483,7 +483,10 @@ def test_stats_per_program_stage_timings(server, suite):
         # This analysis solved at least one SCC cold somewhere in the server's
         # lifetime; the record reflects real structure, not zeros.
         assert stage["graph_nodes"] >= 0 and stats["solve_seconds"] > 0.0
-        assert stats["constraints"] > 0
+        # Constraints count generation this run, which skips every SCC the
+        # store served: zero exactly when nothing was generated.
+        assert (stats["constraints"] > 0) == bool(stats["generated_procedures"])
+        assert set(stats["generated_procedures"]) <= set(stats["procedures"])
 
         # Unknown programs get the typed error, same as query.
         with pytest.raises(TypeQueryError) as err:

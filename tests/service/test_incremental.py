@@ -4,6 +4,7 @@ import pytest
 
 from repro import analyze_program
 from repro.frontend import compile_c
+from repro.gen import GenProfile, generate_edit, generate_program
 from repro.ir.instructions import Nop
 from repro.ir.program import Procedure, Program
 from repro.service import AnalysisService, IncrementalSession, ServiceConfig
@@ -209,3 +210,34 @@ def test_analyze_program_accepts_service_objects():
 
     configured = analyze_program(program, service=ServiceConfig(parallel=True, use_cache=False))
     assert configured.report() == baseline.report()
+
+
+def test_edit_sweep_generates_only_what_it_solves():
+    """Generation is lazy: an edit generates exactly the SCCs it re-solves, and
+    reopening an earlier version (every SCC in the store) generates nothing."""
+    base = generate_program(20160613, GenProfile.default())
+    session = IncrementalSession(AnalysisService())
+    first = session.analyze(compile_c(base.source).program)
+    assert first.stats["generated_procedures"] == sorted(first.functions)
+    assert first.stats["generated_procedures"] == first.stats["solved_procedures"]
+
+    versions = [base.source]
+    generated = set()
+    for edit_seed in range(1, 7):
+        edit = generate_edit(base, edit_seed=edit_seed)
+        types = session.analyze(compile_c(edit.source).program)
+        stats = types.stats
+        assert stats["generated_procedures"] == stats["solved_procedures"]
+        assert set(stats["generated_procedures"]) <= set(stats["invalidated_procedures"])
+        assert (stats["constraints"] > 0) == bool(stats["generated_procedures"])
+        generated.update(stats["generated_procedures"])
+        assert types.report() == analyze_program(compile_c(edit.source).program).report()
+
+        earlier = versions[(edit_seed * 7919) % len(versions)]
+        reopened = session.analyze(compile_c(earlier).program)
+        assert reopened.stats["generated_procedures"] == []
+        assert reopened.stats["solved_procedures"] == []
+        assert reopened.stats["constraints"] == 0
+        assert reopened.report() == analyze_program(compile_c(earlier).program).report()
+        versions.append(edit.source)
+    assert 0 < len(generated) < len(first.functions)

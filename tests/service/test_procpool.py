@@ -217,7 +217,7 @@ def test_solve_scc_results_round_trip_byte_identical(proc):
     lattice = ensure_lattice_tags(default_lattice())
     solver = Solver(lattice, extern_schemes(standard_externs()), SolverConfig())
     results = solver.solve_scc(["f"], {"f": proc}, {}, stats=SolveStats())
-    payload = serialize_summary(summarize_scc(["f"], results, {}))
+    payload = serialize_summary(summarize_scc(["f"], {"f": proc}, results, {}))
     wire = json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     summary = deserialize_summary(json.loads(wire), lattice)
@@ -226,7 +226,9 @@ def test_solve_scc_results_round_trip_byte_identical(proc):
     )
     assert json.dumps(re_serialized, sort_keys=True, separators=(",", ":")) == wire
 
-    # And the decoded result is semantically the solved result.
+    # And the decoded result is semantically the solved result, formals and all.
+    assert summary.procedures["f"].formal_ins == proc.formal_ins
+    assert summary.procedures["f"].formal_outs == proc.formal_outs
     rebuilt = summary.procedures["f"].to_result()
     assert str(rebuilt.scheme) == str(results["f"].scheme)
     assert {str(d): s.to_json() for d, s in rebuilt.formal_in_sketches.items()} == {

@@ -22,6 +22,7 @@ from repro.service.store import (
     deserialize_summary,
     summarize_scc,
 )
+from repro.typegen.abstract_interp import generate_program_constraints
 from repro.typegen.externs import ensure_lattice_tags, standard_externs
 
 ALLOCATOR = """
@@ -130,22 +131,59 @@ def test_scc_keys_invalidate_transitively():
 
 
 def _summary_for(analyzed, name):
+    inputs = generate_program_constraints(analyzed.program)
     results = {name: analyzed.functions[name].result}
-    return summarize_scc([name], results, {})
+    return summarize_scc([name], inputs, results, {})
 
 
 def test_summary_round_trip(analyzed):
     lattice = analyzed.display.lattice
     summary = _summary_for(analyzed, "total")
     payload = json.loads(json.dumps(serialize_summary(summary)))
+    assert payload["format"] == "retypd-summary-v2"
     rebuilt = deserialize_summary(payload, lattice)
     assert rebuilt.members == summary.members
     original = summary.procedures["total"]
     restored = rebuilt.procedures["total"]
     assert str(restored.scheme) == str(original.scheme)
-    assert set(restored.formal_ins) == set(original.formal_ins)
-    for dtv, sketch in original.formal_ins.items():
-        assert str(restored.formal_ins[dtv]) == str(sketch)
+    assert set(restored.formal_in_sketches) == set(original.formal_in_sketches)
+    for dtv, sketch in original.formal_in_sketches.items():
+        assert str(restored.formal_in_sketches[dtv]) == str(sketch)
+
+
+def test_v2_summary_carries_the_formals(analyzed):
+    """The formals ride in the payload in interface order, sketched or not."""
+    inputs = generate_program_constraints(analyzed.program)
+    summary = _summary_for(analyzed, "push_front")
+    payload = json.loads(json.dumps(serialize_summary(summary)))
+    entry = payload["procedures"]["push_front"]
+    assert [text for text, _ in entry["formal_ins"]] == [
+        str(d) for d in inputs["push_front"].formal_ins
+    ]
+    assert [text for text, _ in entry["formal_outs"]] == [
+        str(d) for d in inputs["push_front"].formal_outs
+    ]
+    restored = deserialize_summary(payload, analyzed.display.lattice).procedures["push_front"]
+    assert restored.formal_ins == inputs["push_front"].formal_ins
+    assert restored.formal_outs == inputs["push_front"].formal_outs
+    assert [str(d) for d in restored.formal_ins] == [
+        "push_front.in_stack0",
+        "push_front.in_stack4",
+    ]
+    assert [str(d) for d in restored.formal_outs] == ["push_front.out_eax"]
+
+
+def test_v2_summary_keeps_unsketched_formals(analyzed):
+    """A formal the solver could not type keeps its place with a null sketch."""
+    summary = _summary_for(analyzed, "push_front")
+    proc = summary.procedures["push_front"]
+    untyped = proc.formal_ins[1]
+    del proc.formal_in_sketches[untyped]
+    payload = json.loads(json.dumps(serialize_summary(summary)))
+    assert payload["procedures"]["push_front"]["formal_ins"][1] == [str(untyped), None]
+    restored = deserialize_summary(payload, analyzed.display.lattice).procedures["push_front"]
+    assert restored.formal_ins == proc.formal_ins
+    assert set(restored.formal_in_sketches) == set(proc.formal_in_sketches)
 
 
 def test_lru_eviction(analyzed):
