@@ -21,6 +21,7 @@ labels is the product of the variances of its letters.
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -207,8 +208,12 @@ _LABEL_RE = re.compile(
 )
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_label(text: str) -> Label:
     """Parse the textual form of a label (inverse of ``str``).
+
+    Pure, and labels are immutable, so equal texts share one (bounded-cache)
+    instance: decoding stored sketches re-reads the same few labels.
 
     >>> parse_label("load")
     LoadLabel()

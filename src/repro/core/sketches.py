@@ -23,32 +23,42 @@ The set of sketches forms a lattice (Figure 18):
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
+import sys
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .labels import Label, Variance, parse_label, path_variance
 from .lattice import BOTTOM, TOP, TypeLattice
 
 
-@dataclass
 class SketchNode:
     """A state of the sketch automaton."""
 
-    ident: int
-    lower: str = BOTTOM
-    upper: str = TOP
+    __slots__ = ("ident", "lower", "upper")
+
+    def __init__(self, ident: int, lower: str = BOTTOM, upper: str = TOP) -> None:
+        self.ident = ident
+        self.lower = lower
+        self.upper = upper
+
+    def __repr__(self) -> str:
+        return f"SketchNode(ident={self.ident!r}, lower={self.lower!r}, upper={self.upper!r})"
 
     def copy(self) -> "SketchNode":
         return SketchNode(self.ident, self.lower, self.upper)
 
 
 class Sketch:
-    """A deterministic finite automaton over field labels with decorated states."""
+    """A deterministic finite automaton over field labels with decorated states.
+
+    Slotted, and a node gets an entry in ``edges`` only once it has an
+    outgoing edge, so leaves cost no dict: summary stores keep many decoded
+    sketches alive.  Read edges with ``self.edges.get(node, {})``.
+    """
+
+    __slots__ = ("lattice", "nodes", "edges", "root")
 
     def __init__(self, lattice: TypeLattice) -> None:
         self.lattice = lattice
-        self._counter = itertools.count()
         self.nodes: Dict[int, SketchNode] = {}
         self.edges: Dict[int, Dict[Label, int]] = {}
         self.root: int = self.add_node()
@@ -56,19 +66,18 @@ class Sketch:
     # -- construction ----------------------------------------------------------
 
     def add_node(self, lower: str = BOTTOM, upper: str = TOP) -> int:
-        ident = next(self._counter)
+        ident = len(self.nodes)  # nodes are never removed
         self.nodes[ident] = SketchNode(ident, lower, upper)
-        self.edges[ident] = {}
         return ident
 
     def add_edge(self, src: int, label: Label, dst: int) -> None:
-        self.edges[src][label] = dst
+        self.edges.setdefault(src, {})[label] = dst
 
     def add_path(self, labels: Sequence[Label]) -> int:
         """Ensure a path with the given labels exists from the root; return its end node."""
         current = self.root
         for label in labels:
-            nxt = self.edges[current].get(label)
+            nxt = self.edges.get(current, {}).get(label)
             if nxt is None:
                 nxt = self.add_node()
                 self.add_edge(current, label, nxt)
@@ -309,6 +318,8 @@ class Sketch:
         sketch = cls(lattice)
         mapping: Dict[int, int] = {}
         for ident, lower, upper in data.get("nodes", ()):
+            # A lattice has few elements: share one string per name.
+            lower, upper = sys.intern(lower), sys.intern(upper)
             if not mapping:
                 mapping[ident] = sketch.root
                 root = sketch.nodes[sketch.root]

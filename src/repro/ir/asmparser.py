@@ -80,7 +80,18 @@ def parse_program(text: str) -> Program:
         current_name = None
         current_instructions = []
 
+    # Generated and compiled code repeats a few hundred distinct instruction
+    # lines thousands of times; instructions are immutable, so each distinct
+    # raw line is parsed once per call and its instruction shared.  A hit
+    # needs no outside-procedure check: lines are only memoized inside a
+    # procedure, and every later line is inside one too.
+    parsed: Dict[str, Instruction] = {}
+
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
+        instruction = parsed.get(raw_line)
+        if instruction is not None:
+            current_instructions.append(instruction)
+            continue
         line = _strip_comment(raw_line).strip()
         if not line:
             continue
@@ -112,9 +123,11 @@ def parse_program(text: str) -> Program:
         if current_name is None:
             raise AsmSyntaxError("instruction outside procedure", line_number, raw_line)
         try:
-            current_instructions.append(parse_instruction(line))
+            instruction = parse_instruction(line)
         except ValueError as error:
             raise AsmSyntaxError(str(error), line_number, raw_line) from error
+        parsed[raw_line] = instruction
+        current_instructions.append(instruction)
     flush()
     return program
 

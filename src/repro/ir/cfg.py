@@ -110,5 +110,22 @@ def build_cfg(procedure: Procedure) -> ControlFlowGraph:
 
 
 def cfg_node_count(procedure: Procedure) -> int:
-    """Number of basic blocks; the program-size unit used in Figures 11 and 12."""
-    return len(build_cfg(procedure))
+    """Number of basic blocks; the program-size unit used in Figures 11 and 12.
+
+    Counts the block leaders :func:`build_cfg` would split at, without
+    building the blocks or the successor map.
+    """
+    instructions = procedure.instructions
+    count = len(instructions)
+    leaders: Set[int] = {0}
+    for index, instruction in enumerate(instructions):
+        if isinstance(instruction, LabelPseudo):
+            leaders.add(index)
+        elif isinstance(instruction, (Jmp, Jcc, Ret)):
+            if index + 1 < count:
+                leaders.add(index + 1)
+            if not isinstance(instruction, Ret):
+                target = procedure.label_target(instruction.target)
+                if target is not None:
+                    leaders.add(target)
+    return len(leaders)

@@ -77,9 +77,10 @@ class ServiceConfig:
     #: configuration forwarded to the core solver.
     solver: SolverConfig = dc_field(default_factory=SolverConfig)
     #: probe and populate the summary store (set False for one-shot analyses
-    #: where serialization overhead buys nothing).
+    #: where summarizing every SCC buys nothing).
     use_cache: bool = True
-    #: capacity (entries) of the store's in-memory LRU tier.
+    #: capacity (entries) of the store's in-memory LRU tier; an entry is one
+    #: SCC's decoded summary (or its payload until the first lookup decodes it).
     cache_capacity: int = 4096
     #: optional directory for the store's persistent on-disk JSON tier.
     cache_dir: Optional[str] = None

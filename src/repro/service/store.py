@@ -15,10 +15,16 @@ which is exactly the re-analysis cone of the incremental driver.  Two different
 programs that share identically-compiled procedures (the statically-linked
 clusters of Figure 10) produce identical keys and share summaries.
 
-The store itself is two-tiered: a bounded in-memory LRU of raw JSON payloads
-(already serialized, so cached entries are immune to the refinement pass
-mutating live sketches) and an optional on-disk JSON tier for persistence
-across processes.
+The store itself is two-tiered: a bounded in-memory LRU and an optional
+persistent tier (a directory or the fleet's store daemon) for reuse across
+processes.  The memory tier keeps *decoded* summaries: a JSON payload that
+arrives from a backend or a worker process is decoded on its first
+:meth:`SummaryStore.get` and replaced in place, so a warm analysis pays no
+per-SCC decode.  JSON exists only at the disk, socket and process-pool
+boundaries.  Sharing one decoded summary between analyses is safe because
+nothing mutates a summary once it is built: ``ProcedureSummary.to_result``
+copies the sketch maps, refinement replaces map entries with fresh
+``meet``/``join`` sketches, and display only reads.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..core.lattice import TypeLattice
 from ..core.schemes import TypeScheme
@@ -46,6 +52,7 @@ from ..core.solver import (
 from ..core.variables import DerivedTypeVariable, parse_dtv
 from ..ir.program import Procedure, Program
 from ..obs.metrics import get_registry
+from ..obs.trace import get_tracer
 from ..typegen.externs import ExternSignature
 
 
@@ -322,6 +329,8 @@ class StoreStats:
     puts: int = 0
     evictions: int = 0
     quarantined: int = 0
+    #: memory-tier payloads decoded into summaries (once per admitted payload)
+    decodes: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -339,6 +348,7 @@ class StoreStats:
             "puts": self.puts,
             "evictions": self.evictions,
             "quarantined": self.quarantined,
+            "decodes": self.decodes,
             "hit_rate": self.hit_rate,
         }
 
@@ -641,13 +651,21 @@ def make_backend(
     return None
 
 
+#: one memory-tier entry: a decoded summary, or a payload not yet decoded.
+_Entry = Union[SCCSummary, Dict[str, object]]
+
+
 class SummaryStore:
     """Two-tier summary cache: LRU memory plus a pluggable persistent backend.
 
-    The store holds raw JSON payloads, not live objects: entries are serialized
-    on :meth:`put` and deserialized on every :meth:`get`, which both keeps the
-    memory tier compact and guarantees cached summaries cannot be corrupted by
-    later in-place refinement of the sketches handed out.
+    Each memory-tier key holds one form: an :class:`SCCSummary` or its JSON
+    payload.  :meth:`put` admits the summary itself (serialized only for a
+    backend write); payloads admitted from a backend, a worker process or
+    :meth:`admit_payload` are decoded by the first :meth:`get` and replaced
+    by the decoded summary, so a repeat hit decodes nothing.
+    :meth:`get_payload` -- the form procpool workers and the store daemon
+    use -- serializes a decoded entry on demand.  Cached summaries are shared,
+    never copied: callers must not mutate them (see the module docstring).
 
     The persistent tier is a :class:`StoreBackend`: ``cache_dir`` selects the
     on-disk JSON tier (:class:`DiskStoreBackend`, today's default),
@@ -667,7 +685,7 @@ class SummaryStore:
         if capacity < 1:
             raise ValueError("summary store capacity must be at least 1")
         self.capacity = capacity
-        self._memory: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = StoreStats()
         if backend is None:
@@ -688,86 +706,105 @@ class SummaryStore:
         """``"memory"`` when no persistent tier, else the backend's kind."""
         return self.backend.kind if self.backend is not None else "memory"
 
-    # -- raw payload tier ------------------------------------------------------
+    # -- tiers -----------------------------------------------------------------
 
     def _disk_path(self, key: str) -> str:
         assert isinstance(self.backend, DiskStoreBackend), "no disk tier configured"
         return self.backend.path(key)
 
-    def _get_payload(self, key: str) -> Optional[Dict[str, object]]:
+    def _lookup(self, key: str) -> Optional[_Entry]:
+        """Memory tier, then the backend; records the hit or miss."""
+        entry: Optional[_Entry] = None
         with self._lock:
             if key in self._memory:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
-                return self._memory[key]
-        if self.backend is not None:
-            payload = self.backend.get(key)
-            if payload is not None:
+                entry = self._memory[key]
+        if entry is None and self.backend is not None:
+            entry = self.backend.get(key)
+            if entry is not None:
                 with self._lock:
                     if self.backend.kind == "socket":
                         self.stats.remote_hits += 1
                     else:
                         self.stats.disk_hits += 1
-                self._admit(key, payload, write_disk=False)
-                return payload
-        return None
-
-    def _admit(self, key: str, payload: Dict[str, object], write_disk: bool) -> None:
+                self._admit(key, entry)
         with self._lock:
-            self._memory[key] = payload
-            self._memory.move_to_end(key)
-            while len(self._memory) > self.capacity:
-                self._memory.popitem(last=False)
-                self.stats.evictions += 1
-        if write_disk and self.backend is not None:
-            self.backend.put(key, payload)
-
-    # -- public API ------------------------------------------------------------
-
-    def get(self, key: str, lattice: TypeLattice) -> Optional[SCCSummary]:
-        """Look a summary up by content key, recording a hit or a miss."""
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        return deserialize_summary(payload, lattice)
-
-    def get_payload(self, key: str) -> Optional[Dict[str, object]]:
-        """Look up the *raw JSON payload* of a summary, recording hit/miss.
-
-        This is the transfer format of the process-pool backend: a worker that
-        finds the key in the shared disk tier returns the payload verbatim, so
-        a hit never pays deserialize-then-reserialize on its way to the parent.
-        """
-        payload = self._get_payload(key)
-        with self._lock:
-            if payload is None:
+            if entry is None:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
         registry = get_registry()
-        if payload is None:
+        if entry is None:
             registry.counter("store_misses_total").inc()
         else:
             registry.counter("store_hits_total").inc()
-        return payload
+        return entry
+
+    def _admit(self, key: str, entry: _Entry) -> None:
+        with self._lock:
+            self._memory[key] = entry
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.capacity:
+                self._memory.popitem(last=False)
+                self.stats.evictions += 1
+
+    # -- public API ------------------------------------------------------------
+
+    def get(self, key: str, lattice: TypeLattice) -> Optional[SCCSummary]:
+        """Look a summary up by content key, recording a hit or a miss.
+
+        A payload entry is decoded against ``lattice`` once and replaced by
+        the summary; later hits return that same (shared) object.
+        """
+        entry = self._lookup(key)
+        if entry is None or isinstance(entry, SCCSummary):
+            return entry
+        with get_tracer().span("store.decode"):
+            summary = deserialize_summary(entry, lattice)
+        with self._lock:
+            self.stats.decodes += 1
+            # Unless a racing reader already decoded it, or it was evicted.
+            if self._memory.get(key) is entry:
+                self._memory[key] = summary
+        return summary
+
+    def get_payload(self, key: str) -> Optional[Dict[str, object]]:
+        """Look up the *JSON payload* of a summary, recording hit/miss.
+
+        This is the transfer format of the process-pool backend and the store
+        daemon: a worker that finds the key in the shared disk tier returns
+        the payload verbatim, so a hit never pays deserialize-then-reserialize
+        on its way to the parent.  A decoded entry is serialized on demand.
+        """
+        entry = self._lookup(key)
+        if isinstance(entry, SCCSummary):
+            return serialize_summary(entry)
+        return entry
 
     def put(self, key: str, summary: SCCSummary) -> None:
-        """Serialize and admit a freshly-solved SCC summary."""
-        self.admit_payload(key, serialize_summary(summary), write_disk=True)
+        """Admit a freshly-solved SCC summary (serialized only for a backend)."""
+        with self._lock:
+            self.stats.puts += 1
+        self._admit(key, summary)
+        if self.backend is not None:
+            self.backend.put(key, serialize_summary(summary))
 
     def admit_payload(
         self, key: str, payload: Dict[str, object], write_disk: bool = True
     ) -> None:
         """Admit an already-serialized summary payload.
 
-        ``write_disk=False`` skips the disk tier: the process-pool parent uses
-        it for summaries its workers solved, because the worker already
+        ``write_disk=False`` skips the persistent tier: the process-pool parent
+        uses it for summaries its workers solved, because the worker already
         published the entry to the shared directory and a second atomic write
         would only burn I/O.
         """
         with self._lock:
             self.stats.puts += 1
-        self._admit(key, payload, write_disk=write_disk)
+        self._admit(key, payload)
+        if write_disk and self.backend is not None:
+            self.backend.put(key, payload)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:

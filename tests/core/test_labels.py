@@ -109,3 +109,22 @@ def test_labels_are_hashable_and_orderable():
     labels = {LoadLabel(), StoreLabel(), FieldLabel(32, 0), FieldLabel(32, 4)}
     assert len(labels) == 4
     assert sorted([FieldLabel(32, 4), FieldLabel(32, 0)]) == [FieldLabel(32, 0), FieldLabel(32, 4)]
+
+
+@given(st.sampled_from(["load", "store", "in_stack0", "in_ecx", "out_eax", "sigma32@4", "sigma8@-4"]))
+def test_interned_labels_equal_fresh_ones(text):
+    """parse_label is cached: repeated parses share one instance, which must
+    compare and hash exactly like a freshly constructed label."""
+    interned = parse_label(text)
+    assert parse_label(text) is interned
+    fresh = {
+        "load": LoadLabel(),
+        "store": StoreLabel(),
+        "in_stack0": InLabel("stack0"),
+        "in_ecx": InLabel("ecx"),
+        "out_eax": OutLabel("eax"),
+        "sigma32@4": FieldLabel(32, 4),
+        "sigma8@-4": FieldLabel(8, -4),
+    }[text]
+    assert interned == fresh and hash(interned) == hash(fresh)
+    assert {fresh: 1}[interned] == 1

@@ -191,3 +191,47 @@ def test_meet_is_a_lower_bound_in_sketch_order(paths_a, paths_b):
     met = a.meet(b)
     assert met.leq(a)
     assert met.leq(b)
+
+
+def _leafy_sketch():
+    """root -load-> p; p -sigma32@0-> leaf; p -sigma32@4-> leaf2 (leaves have no edge dict)."""
+    sketch = Sketch(_lattice())
+    pointee = sketch.add_path([LOAD])
+    first = sketch.add_path([LOAD, F0])
+    second = sketch.add_node(upper="int")
+    sketch.add_edge(pointee, F4, second)
+    return sketch, pointee, first, second
+
+
+def test_leaf_nodes_have_no_edge_dict():
+    sketch, pointee, first, second = _leafy_sketch()
+    assert set(sketch.edges) == {sketch.root, pointee}
+    assert sketch.follow([LOAD, F0]) == first
+    assert sketch.follow([LOAD, F0, LOAD]) is None
+    assert sketch.successors(first) == {}
+    assert sketch.reachable(first) == {first}
+    assert sketch.reachable() == {sketch.root, pointee, first, second}
+    assert sketch.add_path([LOAD, F0]) == first  # no new node, no new edge dict
+    assert set(sketch.edges) == {sketch.root, pointee}
+
+
+def test_leaf_nodes_copy_and_serialize():
+    sketch, _, _, _ = _leafy_sketch()
+    copied = sketch.copy()
+    assert copied.to_json() == sketch.to_json()
+    assert str(copied) == str(sketch)
+    rebuilt = Sketch.from_json(sketch.to_json(), sketch.lattice)
+    assert rebuilt.to_json() == sketch.to_json()
+    assert len(rebuilt.edges) == 2, "decoding keeps leaves edge-dict free"
+    assert sketch.to_json()["nodes"][-1][2] == "int"
+    single = Sketch(_lattice())
+    assert single.edges == {}
+    assert single.to_json() == {"nodes": [[0, BOTTOM, TOP]], "edges": []}
+    assert single.copy().to_json() == single.to_json()
+    assert single.reachable() == {single.root} and single.successors(single.root) == {}
+
+
+def test_sketches_are_slotted():
+    sketch, pointee, _, _ = _leafy_sketch()
+    for obj in (sketch, sketch.node(pointee)):
+        assert not hasattr(obj, "__dict__")

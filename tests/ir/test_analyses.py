@@ -1,5 +1,7 @@
 """Tests for the IR analyses: CFG, stack tracking, reaching definitions, interfaces."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.ir import (
     ENTRY,
     CallGraph,
@@ -12,6 +14,8 @@ from repro.ir import (
     frame_offset,
     parse_program,
 )
+from repro.ir.instructions import Imm, Jcc, Jmp, LabelPseudo, Mov, Nop, Reg, Ret
+from repro.ir.program import Procedure
 
 
 EXAMPLE = """
@@ -146,3 +150,22 @@ def test_callgraph_sccs():
     ab = next(s for s in sccs if set(s) == {"a", "b"})
     assert set(ab) == {"a", "b"}
     assert graph.callers("a") == {"b", "c"}
+
+
+_TARGETS = [".a", ".b", ".c", ".missing"]
+_INSTRUCTIONS = st.one_of(
+    st.sampled_from([Nop(), Ret(), Mov(Reg("eax"), Imm(1))]),
+    st.builds(Jmp, st.sampled_from(_TARGETS)),
+    st.builds(Jcc, st.sampled_from(["z", "nz"]), st.sampled_from(_TARGETS)),
+    st.builds(LabelPseudo, st.sampled_from(_TARGETS[:3])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_INSTRUCTIONS, max_size=24))
+def test_cfg_node_count_counts_the_blocks_build_cfg_builds(instructions):
+    """Figures 11/12 size programs in CFG nodes: the leader count must agree
+    with the full basic-block partition (labels, fall-throughs, jumps to
+    undefined labels and empty procedures included)."""
+    procedure = Procedure("p", list(instructions))
+    assert cfg_node_count(procedure) == len(build_cfg(procedure))

@@ -121,3 +121,49 @@ def test_roundtrip_str_reparses():
     program = parse_program(text)
     reparsed = parse_program(str(program))
     assert reparsed.procedure("f").size == program.procedure("f").size
+
+
+REPEATED = """
+f:
+    push ebp
+    mov ebp, esp
+    mov eax, [ebp+8]   ; repeated verbatim below
+.again:
+    mov eax, [ebp+8]   ; repeated verbatim below
+    add eax, 1
+    jnz .again
+    leave
+    ret
+g:
+    push ebp
+    mov ebp, esp
+    mov eax, [ebp+8]   ; repeated verbatim below
+    add eax, 1
+    leave
+    ret
+"""
+
+
+def test_repeated_lines_parse_like_line_by_line():
+    program = parse_program(REPEATED)
+    expected = {
+        "f": ["push ebp", "mov ebp, esp", "mov eax, [ebp+8]", None, "mov eax, [ebp+8]",
+              "add eax, 1", "jnz .again", "leave", "ret"],
+        "g": ["push ebp", "mov ebp, esp", "mov eax, [ebp+8]", "add eax, 1", "leave", "ret"],
+    }
+    for name, lines in expected.items():
+        instructions = program.procedure(name).instructions
+        assert len(instructions) == len(lines)
+        for instruction, line in zip(instructions, lines):
+            if line is not None:
+                assert instruction == parse_instruction(line)
+    assert str(parse_program(str(program))) == str(program)
+
+
+def test_repeated_bad_line_reports_its_first_occurrence():
+    text = "f:\n    mov eax, 1\n    bogus eax\n    ret\ng:\n    bogus eax\n"
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_program(text)
+    assert info.value.line_number == 3
+    assert info.value.line == "    bogus eax"
+

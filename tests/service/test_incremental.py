@@ -1,13 +1,19 @@
 """Incremental driver: warm-cache identity, exact invalidation cones."""
 
+import json
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro import analyze_program
+from repro.core.lattice import default_lattice
 from repro.frontend import compile_c
 from repro.gen import GenProfile, generate_edit, generate_program
+from repro.gen.oracle import result_fingerprint
 from repro.ir.instructions import Nop
 from repro.ir.program import Procedure, Program
 from repro.service import AnalysisService, IncrementalSession, ServiceConfig
+from repro.service.store import SummaryStore
 
 # A call DAG with a diamond and an unrelated component:
 #
@@ -241,3 +247,73 @@ def test_edit_sweep_generates_only_what_it_solves():
         assert reopened.report() == analyze_program(compile_c(earlier).program).report()
         versions.append(edit.source)
     assert 0 < len(generated) < len(first.functions)
+
+
+def _stored_payloads(service, types):
+    """Canonical JSON of every summary ``types`` was built from, by store key."""
+    return {
+        key: json.dumps(service.store.get_payload(key), sort_keys=True)
+        for key in types.stats["scc_store_keys"].values()
+    }
+
+
+def test_shared_decoded_summaries_survive_edits_and_threads():
+    """The memory tier hands the same decoded summary to every hit.  Serving
+    it to a run of edits (refinement contributions included) and to eight
+    concurrent analyses must neither change it nor leak one run into
+    another."""
+    base = generate_program(20160613, GenProfile.default())
+    sources = [base.source] + [
+        generate_edit(base, edit_seed=seed).source for seed in (1, 2, 3)
+    ]
+    cold = {
+        source: result_fingerprint(analyze_program(compile_c(source).program))
+        for source in sources
+    }
+
+    # Start from payloads, as a disk/socket tier or a worker would deliver.
+    seeded = AnalysisService()
+    first = seeded.analyze(compile_c(base.source).program)
+    before = _stored_payloads(seeded, first)
+    store = SummaryStore()
+    for key, payload in before.items():
+        store.admit_payload(key, json.loads(payload))
+    service = AnalysisService(store=store)
+
+    warm = service.analyze(compile_c(base.source).program)
+    assert warm.stats["sccs_solved"] == 0
+    assert store.stats.decodes == warm.stats["scc_count"]
+    assert _stored_payloads(service, first) == before
+    assert any(
+        json.loads(payload)["procedures"][name]["contributions"]
+        for payload in before.values()
+        for name in json.loads(payload)["procedures"]
+    ), "the program should exercise refinement contributions"
+
+    session = IncrementalSession(service)
+    for source in sources + sources[::-1]:
+        assert result_fingerprint(session.analyze(compile_c(source).program)) == cold[source]
+
+    decodes = store.stats.decodes
+    programs = [compile_c(source).program for source in sources] * 2
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        fingerprints = list(pool.map(lambda p: result_fingerprint(service.analyze(p)), programs))
+    assert fingerprints == [cold[source] for source in sources] * 2
+    assert store.stats.decodes == decodes, "repeat hits decode nothing"
+    assert _stored_payloads(service, first) == before
+
+
+def test_store_shared_across_equal_but_distinct_lattices():
+    """Decoded sketches carry the lattice they were decoded against; a service
+    whose lattice is a distinct but equal object must still get cold results."""
+    base = generate_program(7, GenProfile.default())
+    sources = [base.source, generate_edit(base, edit_seed=4).source]
+    store = SummaryStore()
+    one = AnalysisService(lattice=default_lattice(), store=store)
+    two = AnalysisService(lattice=default_lattice(), store=store)
+    assert one.lattice is not two.lattice
+    for source in sources:
+        cold = result_fingerprint(analyze_program(compile_c(source).program))
+        for service in (one, two, one):
+            assert result_fingerprint(service.analyze(compile_c(source).program)) == cold
+    assert two.analyze(compile_c(sources[0]).program).stats["sccs_solved"] == 0

@@ -345,3 +345,85 @@ def test_shared_disk_dir_across_services(tmp_path, analyzed):
     warm = second.analyze(compile_c(ALLOCATOR).program)
     assert warm.stats["sccs_solved"] == 0, "all SCCs served from the shared disk tier"
     assert warm.report() == cold.report()
+
+
+# ---------------------------------------------------------------------------
+# Decoded memory tier: payloads decode once, summaries are shared, JSON only
+# crosses the backend boundary
+# ---------------------------------------------------------------------------
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_payload_entry_decodes_once(analyzed):
+    lattice = analyzed.display.lattice
+    payload = json.loads(json.dumps(serialize_summary(_summary_for(analyzed, "total"))))
+    store = SummaryStore(capacity=8)
+    store.admit_payload("k", payload)
+    first = store.get("k", lattice)
+    assert store.stats.decodes == 1
+    again = store.get("k", lattice)
+    assert again is first, "a repeat hit serves the decoded summary itself"
+    assert store.stats.decodes == 1
+    assert store.stats.snapshot()["decodes"] == 1
+    assert store.stats.memory_hits == 2 and store.stats.hits == 2
+
+
+def test_put_admits_the_summary_without_decoding(analyzed):
+    lattice = analyzed.display.lattice
+    summary = _summary_for(analyzed, "total")
+    store = SummaryStore(capacity=8)
+    store.put("k", summary)
+    assert store.get("k", lattice) is summary
+    assert store.stats.decodes == 0
+
+
+def test_get_payload_of_decoded_entry_equals_admitted_payload(analyzed):
+    lattice = analyzed.display.lattice
+    for name in ("total", "push_front"):
+        admitted = json.loads(json.dumps(serialize_summary(_summary_for(analyzed, name))))
+        store = SummaryStore(capacity=8)
+        store.admit_payload("k", admitted)
+        assert isinstance(store.get("k", lattice), SCCSummary)
+        assert _canonical(store.get_payload("k")) == _canonical(admitted)
+        assert store.stats.decodes == 1
+
+
+def test_decode_is_a_traced_span(analyzed):
+    from repro.obs import tracing
+
+    lattice = analyzed.display.lattice
+    store = SummaryStore(capacity=8)
+    store.admit_payload("k", serialize_summary(_summary_for(analyzed, "total")))
+    with tracing() as tracer:
+        store.get("k", lattice)
+        store.get("k", lattice)
+    names = [span["name"] for span in tracer.spans()]
+    assert names.count("store.decode") == 1
+
+
+def test_disk_and_socket_backends_still_receive_json(tmp_path, analyzed):
+    from repro.fleet.storeserver import SummaryStoreServer
+
+    lattice = analyzed.display.lattice
+    summary = _summary_for(analyzed, "push_front")
+    expected = _canonical(serialize_summary(summary))
+
+    disk = SummaryStore(capacity=8, cache_dir=str(tmp_path))
+    disk.put("diskkey", summary)
+    with open(disk._disk_path("diskkey"), "r", encoding="utf-8") as handle:
+        assert _canonical(json.load(handle)) == expected
+
+    with SummaryStoreServer(port=0) as daemon:
+        client = SummaryStore(capacity=8, store_addr=daemon.address)
+        client.put("sockkey", summary)
+        # The daemon only ever holds the payload form.
+        assert _canonical(daemon.store.get_payload("sockkey")) == expected
+        reader = SummaryStore(capacity=8, store_addr=daemon.address)
+        loaded = reader.get("sockkey", lattice)
+        assert reader.stats.remote_hits == 1 and reader.stats.decodes == 1
+        assert _canonical(serialize_summary(loaded)) == expected
+        client.close()
+        reader.close()
