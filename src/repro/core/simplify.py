@@ -131,7 +131,6 @@ def simplify_constraints(
     interesting: Iterable[str],
     graph: Optional[ConstraintGraph] = None,
     max_label_depth: int = 6,
-    max_paths: Optional[int] = None,
 ) -> ConstraintSet:
     """Compute a simplification of ``constraints`` relative to ``interesting`` bases.
 
@@ -139,9 +138,8 @@ def simplify_constraints(
     derivation stays within the label-depth bound is entailed by the returned
     constraint set.  Interior variables (temporaries) are eliminated.
 
-    ``max_paths`` is accepted for backward compatibility and ignored: the
-    memoized traversal visits each ``(node, alpha-depth, beta-stack)`` state
-    once, so it needs no path budget and never truncates.
+    The memoized traversal visits each ``(node, alpha-depth, beta-stack)``
+    state once, so it needs no path budget and never truncates.
     """
     interesting_bases = set(interesting)
     if graph is None:

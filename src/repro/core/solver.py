@@ -249,9 +249,6 @@ class Solver:
         """Bottom-up (callee-first) list of SCCs of the call graph."""
         return tarjan_sccs(call_edges(procedures))
 
-    # Backwards-compatible private aliases (pre-service-layer spelling).
-    _scc_order = scc_order
-
     # -- per-SCC solving -----------------------------------------------------------------------
 
     def solve_scc(
@@ -315,8 +312,6 @@ class Solver:
                 stats.sketch_seconds += time.perf_counter() - sketch_start
                 stats.sccs_timed += 1
             return out
-
-    _solve_scc = solve_scc
 
     def _callsite_constraints(
         self,

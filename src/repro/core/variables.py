@@ -8,17 +8,21 @@ recognizes.
 
 Derived type variables are the single most-hashed object in the solver: every
 constraint-graph node, reaching-forget fact, sketch key and summary entry keys
-off one.  Construction therefore interns instances (weakly, so long-lived
-daemons do not leak) and precomputes the hash once; ``str`` is cached lazily
-since display/serialization paths render the same variables repeatedly.
+off one.  Construction interns them: ``__new__`` does all of the building, so
+constructing a variable that is already live is one dict lookup plus a weakref
+dereference, with no initializer run and nothing re-hashed.  The intern table
+holds its instances weakly, so long-lived daemons do not leak variables.  The
+hash is computed once and equals ``hash((base, labels))``; ``str`` is cached
+lazily since display/serialization paths render the same variables repeatedly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
-from dataclasses import dataclass, field as dc_field
-from typing import Iterator, Optional, Sequence, Tuple
+from dataclasses import FrozenInstanceError
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .labels import Label, Variance, parse_label, path_variance
 
@@ -31,46 +35,66 @@ def fresh_var(prefix: str = "v") -> "DerivedTypeVariable":
     return DerivedTypeVariable(f"${prefix}{next(_fresh_counter)}")
 
 
-#: weak intern table: (base, labels) -> the canonical live instance.
-_INTERNED: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+#: weak intern table: (base, labels) -> KeyedRef to the canonical live instance.
+_INTERNED: Dict[Tuple[str, Tuple[Label, ...]], "weakref.KeyedRef"] = {}
 
 
-@dataclass(frozen=True, order=True)
+def _forget(ref: "weakref.KeyedRef") -> None:
+    # A callback can arrive late, after a miss has already stored a new
+    # instance under the same key; only evict the entry this ref still owns.
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+@functools.total_ordering
 class DerivedTypeVariable:
     """A base type variable together with a word of field labels.
 
     ``DerivedTypeVariable("F", (InLabel("stack0"), LoadLabel()))`` prints as
     ``F.in_stack0.load``.
+
+    Instances are immutable and interned: building an equal variable while one
+    is alive returns that same object.  Two threads that miss at once can each
+    build an instance; that is harmless because equality is by value.
     """
 
+    __slots__ = ("base", "labels", "_hash", "_str", "__weakref__")
+
     base: str
-    labels: Tuple[Label, ...] = dc_field(default_factory=tuple)
+    labels: Tuple[Label, ...]
+    _hash: int
+    _str: Optional[str]
 
-    def __new__(cls, base: str = "", labels: Tuple[Label, ...] = ()):  # noqa: D102
-        # Interned construction: repeated builds of the same variable return
-        # the same object (weakly held).  Falls back to a fresh instance for
-        # anything unhashable/odd rather than failing.
-        if cls is DerivedTypeVariable and type(labels) is tuple:
-            try:
-                cached = _INTERNED.get((base, labels))
-            except Exception:  # unhashable labels, or a GC-callback race
-                cached = None
-            if cached is not None:
-                return cached
-        return super().__new__(cls)
+    def __new__(cls, base: str = "", labels: Iterable[Label] = ()) -> "DerivedTypeVariable":
+        if type(labels) is not tuple:
+            labels = tuple(labels)
+        key = (base, labels)
+        ref = _INTERNED.get(key)
+        if ref is not None:
+            self = ref()
+            if self is not None:
+                return self
+        self = object.__new__(cls)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_str", None)
+        _INTERNED[key] = weakref.KeyedRef(self, _forget, key)
+        return self
 
-    def __post_init__(self) -> None:
-        # Cache the hash: profiles show dict/set operations on derived type
-        # variables dominate saturation and simplification otherwise.
-        object.__setattr__(self, "_hash", hash((self.base, self.labels)))
-        if type(self) is DerivedTypeVariable and type(self.labels) is tuple:
-            try:
-                _INTERNED.setdefault((self.base, self.labels), self)
-            except Exception:  # interning is an optimization, never an error
-                pass
+    def __reduce__(self):
+        # Rebuild through ``__new__`` so unpickling and copying return the
+        # canonical instance instead of writing state into a shared one.
+        return (DerivedTypeVariable, (self.base, self.labels))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if self is other:  # the common case once interning has warmed up
@@ -78,6 +102,12 @@ class DerivedTypeVariable:
         if not isinstance(other, DerivedTypeVariable):
             return NotImplemented
         return self.base == other.base and self.labels == other.labels
+
+    def __lt__(self, other: object) -> bool:
+        # ``dataclass(order=True)`` semantics: same class only, tuple order.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.labels) < (other.base, other.labels)  # type: ignore[attr-defined]
 
     # -- construction helpers -------------------------------------------------
 
@@ -133,7 +163,7 @@ class DerivedTypeVariable:
     # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        cached = getattr(self, "_str", None)
+        cached = self._str
         if cached is None:
             if not self.labels:
                 cached = self.base

@@ -1,5 +1,14 @@
 """Tests for derived type variables and constraint sets (Definitions 3.1, 3.3)."""
 
+import copy
+import gc
+import operator
+import pickle
+import sys
+import threading
+import weakref
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +28,7 @@ from repro.core import (
     parse_dtv,
 )
 from repro.core.labels import FieldLabel
+from repro.core.variables import _INTERNED, _forget
 
 
 def test_dtv_construction_and_str():
@@ -194,3 +204,125 @@ def test_unparseable_label_text_still_rejected():
     for bad_text in ("in_", "out_", "sigma-8@0", "sigma32@", "bogus"):
         with pytest.raises(ValueError):
             parse_label(bad_text)
+
+
+# -- interning contract -----------------------------------------------------------------
+#
+# Construction returns the canonical live instance for a (base, labels) key, the
+# table holds instances weakly, and the frozen-dataclass contract (hash, value
+# equality, tuple ordering, immutability) still holds.
+
+
+def test_intern_hit_returns_same_object_without_growing_table():
+    first = DerivedTypeVariable("intern_hit", (LoadLabel(), FieldLabel(32, 4)))
+    size = len(_INTERNED)
+    again = DerivedTypeVariable("intern_hit", (LoadLabel(), FieldLabel(32, 4)))
+    assert again is first
+    assert parse_dtv("intern_hit.load.sigma32@4") is first
+    assert len(_INTERNED) == size
+
+
+def test_list_labels_are_coerced_to_the_same_instance():
+    from_tuple = DerivedTypeVariable("x", (LoadLabel(),))
+    from_list = DerivedTypeVariable("x", [LoadLabel()])
+    assert from_list == from_tuple
+    assert from_list is from_tuple
+    assert type(from_list.labels) is tuple
+
+
+def test_dead_variables_leave_the_intern_table():
+    key = ("intern_gc_probe", (StoreLabel(),))
+    dtv = DerivedTypeVariable(*key)
+    assert key in _INTERNED
+    del dtv
+    gc.collect()
+    assert key not in _INTERNED
+
+
+def test_stale_forget_callback_does_not_evict_replacement():
+    key = ("intern_stale", (LoadLabel(),))
+    old = DerivedTypeVariable(*key)
+    # A miss that raced the old instance's death stores a new entry under the
+    # same key while the old instance (and its pending callback) still exists.
+    del _INTERNED[key]
+    replacement = DerivedTypeVariable(*key)
+    assert replacement is not old and replacement == old
+    del old
+    gc.collect()  # runs the old instance's _forget callback
+    assert _INTERNED[key]() is replacement
+    assert DerivedTypeVariable(*key) is replacement
+    stale = weakref.KeyedRef(replacement, _forget, key)
+    _forget(stale)  # a callback for a ref that is not the entry is a no-op
+    assert _INTERNED[key]() is replacement
+
+
+def test_pickle_and_copy_return_the_canonical_instance():
+    empty = DerivedTypeVariable("")
+    dtv = DerivedTypeVariable("x", (LoadLabel(),))
+    clones = [pickle.loads(pickle.dumps(dtv, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    clones += [copy.copy(dtv), copy.deepcopy(dtv), copy.deepcopy([dtv, dtv])[0]]
+    for clone in clones:
+        assert clone is dtv
+    # Reconstruction must never write state into the live empty variable.
+    assert DerivedTypeVariable("") is empty
+    assert str(empty) == "" and empty.base == "" and empty.labels == ()
+    assert hash(empty) == hash(("", ()))
+
+
+def test_assigning_or_deleting_a_field_raises_frozen_instance_error():
+    dtv = DerivedTypeVariable("frozen", (LoadLabel(),))
+    for name in ("base", "labels", "_hash", "_str", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(dtv, name, "y")
+        with pytest.raises(FrozenInstanceError):
+            delattr(dtv, name)
+    assert str(dtv) == "frozen.load"
+    assert not hasattr(dtv, "__dict__")
+
+
+def _compare(op, left, right):
+    try:
+        return op(left, right)
+    except TypeError:
+        return TypeError
+
+
+@given(_base_names, st.lists(_any_label, max_size=4), _base_names, st.lists(_any_label, max_size=4))
+def test_dtv_hash_order_and_parse_agree_with_the_value_tuple(base_a, labels_a, base_b, labels_b):
+    a = DerivedTypeVariable(base_a, tuple(labels_a))
+    b = DerivedTypeVariable(base_b, tuple(labels_b))
+    for dtv in (a, b):
+        assert hash(dtv) == hash((dtv.base, dtv.labels))
+        assert parse_dtv(str(dtv)) is dtv
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq):
+        assert _compare(op, a, b) == _compare(op, (a.base, a.labels), (b.base, b.labels))
+    assert a.__lt__((a.base, a.labels)) is NotImplemented
+    assert a != (a.base, a.labels)
+
+
+def test_threads_constructing_the_same_variables_get_equal_results():
+    words = [(f"t{i % 97}", (FieldLabel(32, 4 * (i % 11)), LoadLabel())[: i % 3]) for i in range(1000)]
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def build(slot):
+        start.wait(timeout=10)
+        results[slot] = [DerivedTypeVariable(base, labels) for base, labels in words]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(slot,)) for slot in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    for built in results:
+        assert built is not None and len(built) == len(words)
+        for dtv, (base, labels) in zip(built, words):
+            assert dtv.base == base and dtv.labels == labels
+            assert hash(dtv) == hash((base, labels))
+        assert built == results[0]
