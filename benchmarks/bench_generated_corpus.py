@@ -2,8 +2,8 @@
 
 The ground-truth generator (``repro.gen``) opens an effectively unbounded
 workload; this benchmark measures how fast the service chews through one
-seeded corpus -- generation, compilation, and ``analyze_corpus`` under each
-executor backend -- and verifies that every backend produces byte-identical
+seeded corpus -- generation, compilation, and ``analyze_corpus`` serially and
+fanned out to worker processes -- and verifies that both produce byte-identical
 results (the differential oracle's core invariant, measured here at corpus
 scale instead of per program).
 
@@ -33,7 +33,7 @@ if _SRC not in sys.path:
 
 DEFAULT_COUNT = int(os.environ.get("REPRO_GEN_BENCH_COUNT", "40"))
 DEFAULT_SEED = 20160613
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 #: pytest smoke-corpus size; large enough that the process backend's pool
 #: spawn + program fan-out amortizes instead of dominating.
 SMOKE_COUNT = int(os.environ.get("REPRO_GEN_SMOKE_COUNT", "24"))
@@ -135,12 +135,11 @@ def run(count, seed, profile_name, write=True, workers=None, gate=None):
             "speedup_vs_serial": speedups,
             "byte_identical": True,
         }
-        for name in ("BENCH_corpus.json", "BENCH_corpus_backends.json"):
-            bench_path = os.path.join(_HERE, "results", name)
-            with open(bench_path, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"machine-readable: {bench_path}")
+        bench_path = os.path.join(_HERE, "results", "BENCH_corpus.json")
+        with open(bench_path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"machine-readable: {bench_path}")
     if gate is not None:
         ratio = speedups["processes"]
         assert ratio >= gate, (
@@ -175,7 +174,7 @@ def _backend_row(backend, elapsed, report, count):
 
 
 def test_generated_corpus_backends_identical():
-    """Small pytest entry: every backend identical on a quick corpus."""
+    """Small pytest entry: both backends identical on a quick corpus."""
     run(SMOKE_COUNT, DEFAULT_SEED, "smoke", write=False)
 
 

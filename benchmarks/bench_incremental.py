@@ -1,4 +1,4 @@
-"""Service layer: cold vs. warm-cache analysis and serial vs. parallel waves.
+"""Service layer: cold vs. warm-cache vs. incremental analysis.
 
 The analysis service caches per-SCC type summaries under content-addressed
 keys, so re-analyzing an unmodified program performs zero SCC solves, and
@@ -7,7 +7,7 @@ benchmark measures, on the Figure 11 scaling workload:
 
 * cold analysis (empty store) vs. warm re-analysis (full store) vs.
   incremental re-analysis after editing a single leaf procedure;
-* the serial scheduler vs. the SCC-wave parallel scheduler.
+* an uncached serial analysis, the service's floor without a store.
 
 The warm and incremental runs must beat the cold run -- that is the point of
 the subsystem -- and all paths must produce identical reports.
@@ -36,17 +36,17 @@ def _copy_with_edit(program):
     return edited, name
 
 
-def test_incremental_and_parallel_scaling(benchmark):
+def test_incremental_scaling(benchmark):
     from repro.eval.workloads import scaling_suite
     from repro.service import AnalysisService, IncrementalSession, ServiceConfig
 
     workloads = scaling_suite(sizes=SCALING_SIZES)
 
     lines = [
-        "Service layer: cold vs warm vs incremental, serial vs parallel waves",
+        "Service layer: cold vs warm vs incremental, plus uncached serial",
         "",
         f"{'program':>12} {'sccs':>5} {'cold_s':>8} {'warm_s':>8} {'incr_s':>8} "
-        f"{'resolved':>8} {'serial_s':>8} {'parallel_s':>10} {'max_wave':>8}",
+        f"{'resolved':>8} {'serial_s':>8} {'max_wave':>8}",
     ]
     cold_total = warm_total = incremental_total = 0.0
     for workload in workloads:
@@ -68,16 +68,11 @@ def test_incremental_and_parallel_scaling(benchmark):
         incremental_seconds = time.perf_counter() - start
         assert incremental.stats["sccs_solved"] <= cold.stats["scc_count"]
 
-        serial_service = AnalysisService(ServiceConfig(use_cache=False, parallel=False))
+        serial_service = AnalysisService(ServiceConfig(use_cache=False))
         start = time.perf_counter()
         serial = serial_service.analyze(workload.program)
         serial_seconds = time.perf_counter() - start
-
-        parallel_service = AnalysisService(ServiceConfig(use_cache=False, parallel=True))
-        start = time.perf_counter()
-        parallel = parallel_service.analyze(workload.program)
-        parallel_seconds = time.perf_counter() - start
-        assert parallel.report() == serial.report()
+        assert serial.report() == cold.report()
 
         cold_total += cold_seconds
         warm_total += warm_seconds
@@ -86,7 +81,7 @@ def test_incremental_and_parallel_scaling(benchmark):
             f"{workload.name:>12} {cold.stats['scc_count']:>5} {cold_seconds:>8.3f} "
             f"{warm_seconds:>8.3f} {incremental_seconds:>8.3f} "
             f"{incremental.stats['sccs_solved']:>8} {serial_seconds:>8.3f} "
-            f"{parallel_seconds:>10.3f} {max(cold.stats['dag_wave_widths']):>8}"
+            f"{max(cold.stats['dag_wave_widths']):>8}"
         )
 
     lines += [

@@ -599,7 +599,7 @@ def bench_slo(args) -> int:
                 "max_concurrency": 4,
                 "max_pending": 256,
                 "max_queue_wait_seconds": args.max_queue_wait,
-                "backend": server.config.backend or "serial",
+                "backend": server.config.backend,
             },
             "levels": level_rows,
             "saturation": {
@@ -681,7 +681,7 @@ def main() -> int:
         "BENCH_server.json",
         {
             "benchmark": "server_throughput",
-            "backend": server.config.backend or "serial",
+            "backend": server.config.backend,
             "quick": bool(args.quick),
             "functions_per_program": functions,
             "cold_analyze": latency_summary(cold),

@@ -1,4 +1,4 @@
-"""The analysis service layer: corpus batching, warm caches, SCC waves.
+"""The analysis service layer: corpus batching, warm caches, corpus fan-out.
 
 Three demonstrations on a synthetic cluster of binaries that statically link
 the same library code (the shape of the paper's coreutils/vpx clusters,
@@ -9,8 +9,9 @@ Figure 10):
 2. warm-cache re-analysis -- re-analyzing an unmodified program performs zero
    SCC solves, and editing one procedure re-solves only its SCC and the
    transitive callers (``IncrementalSession`` reports the invalidation cone);
-3. the parallel scheduler -- independent SCCs of one topological wave of the
-   call-graph condensation are solved concurrently.
+3. corpus fan-out -- with ``ServiceConfig(executor="processes")`` the
+   cluster's programs are solved on warm worker processes, one program per
+   unit of work, with results identical to the serial run.
 
 Run with::
 
@@ -73,25 +74,27 @@ def main() -> None:
           f"{third.stats.get('invalidated_procedures', [])}")
     print(f"re-solved procedures  = {third.stats['solved_procedures']}")
 
-    # -- 3. serial vs. parallel wave scheduling --------------------------------
-    print("\n=== SCC-wave scheduling ===")
-    big = workloads[-1].program
-    serial = AnalysisService(ServiceConfig(use_cache=False, parallel=False))
-    parallel = AnalysisService(ServiceConfig(use_cache=False, parallel=True))
-
+    # -- 3. corpus fan-out on worker processes ---------------------------------
+    print("\n=== corpus fan-out ===")
     start = time.perf_counter()
-    serial_types = serial.analyze(big)
+    serial = analyze_corpus(corpus)
     serial_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel_types = parallel.analyze(big)
-    parallel_seconds = time.perf_counter() - start
+    fanned = analyze_corpus(
+        corpus, config=ServiceConfig(executor="processes", max_workers=2)
+    )
+    fanned_seconds = time.perf_counter() - start
 
-    assert parallel_types.report() == serial_types.report()
-    widths = serial_types.stats["dag_wave_widths"]
-    print(f"wave widths: {widths} (max {max(widths)} SCCs solvable concurrently)")
+    for name in corpus:
+        assert fanned[name].types.report() == serial[name].types.report()
+    solved_by_workers = sum(
+        entry.types.stats["executor"] == "processes" for entry in fanned
+    )
+    print(f"{solved_by_workers} of {len(corpus)} programs solved on worker processes")
     print(f"serial {serial_seconds * 1000:.1f} ms, "
-          f"parallel {parallel_seconds * 1000:.1f} ms -- identical results")
+          f"fan-out {fanned_seconds * 1000:.1f} ms (pool spawn included) "
+          f"-- identical results")
 
 
 if __name__ == "__main__":

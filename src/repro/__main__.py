@@ -23,8 +23,8 @@ import sys
 from typing import Optional, Sequence
 
 
-def _infer_kind(path: str, kind: str) -> str:
-    if kind != "auto":
+def _infer_kind(path: str, kind: Optional[str]) -> str:
+    if kind is not None:
         return kind
     return "c" if path.endswith(".c") else "asm"
 
@@ -44,9 +44,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     source = _read_source(args.path)
     kind = _infer_kind(args.path, args.kind)
-    service = AnalysisService(
-        ServiceConfig(use_cache=False, executor=args.backend)
-    )
+    service = AnalysisService(ServiceConfig(use_cache=False))
     tracer = None
     if args.trace_out:
         from .obs import Tracer, tracing
@@ -209,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("path", help="input file, or '-' for stdin")
     analyze.add_argument(
         "--kind",
-        choices=["auto", "asm", "c"],
-        default="auto",
+        choices=["asm", "c"],
+        default=None,
         help="source language (default: by extension, .c -> mini-C, else asm)",
     )
     analyze.add_argument(
@@ -220,12 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--procedure", default=None, help="restrict output to one procedure"
-    )
-    analyze.add_argument(
-        "--backend",
-        choices=["serial", "threads", "processes", "auto"],
-        default=None,
-        help="wave executor for the solve (default: serial)",
     )
     analyze.add_argument(
         "--trace-out",
@@ -256,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument(
         "--backends",
-        default="serial,threads,processes,auto",
-        help="comma-separated executor backends for the oracle sweep",
+        default="serial,processes",
+        help="comma-separated executor backends for the oracle sweep "
+        "(processes: the sweep's programs through corpus fan-out)",
     )
     gen.add_argument(
         "--derives-samples",

@@ -68,8 +68,8 @@ class SolveStats:
     saturation_edges: int = 0
     constant_bounds: int = 0
     sccs_timed: int = 0
-    #: SCCs whose process-pool worker died and were requeued on the in-process
-    #: path (always 0 for the serial and thread backends).
+    #: SCCs solved on the in-process path because their program's corpus
+    #: fan-out worker failed (always 0 on the serial path).
     worker_failed: int = 0
 
     @property
@@ -265,8 +265,7 @@ class Solver:
         covers exactly the members of ``scc``.  This is the unit of work the
         service layer schedules, caches and re-solves incrementally.  When
         ``stats`` is given, per-stage timings and counters are accumulated
-        into it (callers aggregating across SCCs pass one shared record; the
-        service passes a fresh record per SCC so waves can run on threads).
+        into it (callers aggregating across SCCs pass one shared record).
         """
         tracer = get_tracer()
         with tracer.span("solver.solve_scc", scc=",".join(scc)) as scc_span:

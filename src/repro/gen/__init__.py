@@ -4,9 +4,9 @@ The evaluation of the paper (section 6) runs inference over a large corpus
 with known debug-information types.  This package manufactures such corpora
 on demand: :func:`generate_program` deterministically emits one well-typed
 mini-C program together with its declared-type answer key, :func:`run_oracle`
-sweeps a generated corpus through every executor backend and cache state and
-asserts they all agree with each other, with the ground truth, and with the
-retained seed algorithms.
+sweeps a generated corpus through the serial path, corpus fan-out on worker
+processes and every cache state, and asserts they all agree with each other,
+with the ground truth, and with the retained seed algorithms.
 
 Typical use::
 

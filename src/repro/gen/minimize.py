@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..service import AnalysisService, IncrementalSession, ServiceConfig
+from ..service import AnalysisService, IncrementalSession, ServiceConfig, analyze_corpus
 from .generator import GeneratedProgram, _render
 from .profile import GenProfile
 
@@ -54,14 +54,14 @@ DEFAULT_MAX_EVALUATIONS = 400
 _services: Dict[str, AnalysisService] = {}
 
 
-def _service(executor: Optional[str]) -> AnalysisService:
-    """A shared uncached service per executor (process pools stay warm)."""
-    key = executor or "serial"
-    if key not in _services:
-        _services[key] = AnalysisService(
-            ServiceConfig(use_cache=False, executor=None if key == "serial" else key)
+def _service(executor: str = "serial") -> AnalysisService:
+    """A shared service per executor: the uncached serial reference, or a
+    cache-backed fan-out service whose process pool stays warm."""
+    if executor not in _services:
+        _services[executor] = AnalysisService(
+            ServiceConfig(use_cache=executor == "processes", executor=executor)
         )
-    return _services[key]
+    return _services[executor]
 
 
 def conservativeness_failure(
@@ -102,23 +102,26 @@ def _conservativeness_predicate(name: str, source: str) -> Optional[str]:
     from ..frontend import compile_c
 
     comp = compile_c(source)
-    types = _service(None).analyze(comp.program)
+    types = _service().analyze(comp.program)
     return conservativeness_failure(name, source, types, comp.ground_truth, 0.85)
 
 
-def _backend_predicate(backend: str) -> Callable[[str, str], Optional[str]]:
-    def predicate(name: str, source: str) -> Optional[str]:
-        from ..frontend import compile_c
-        from .oracle import result_fingerprint
+def _processes_predicate(name: str, source: str) -> Optional[str]:
+    from ..frontend import compile_c
+    from .oracle import result_fingerprint
 
-        program = compile_c(source).program
-        ref = result_fingerprint(_service(None).analyze(program))
-        got = result_fingerprint(_service(backend).analyze(program))
-        if got != ref:
-            return f"{backend} backend result differs from the serial reference"
-        return None
-
-    return predicate
+    program = compile_c(source).program
+    ref = result_fingerprint(_service().analyze(program))
+    # Fan-out needs two programs: the candidate rides with a renamed twin.
+    corpus = analyze_corpus(
+        {name: program, f"{name}.twin": program}, service=_service("processes")
+    )
+    types = corpus[name].types
+    if types.stats.get("executor") != "processes":
+        return "no worker solved the program: fan-out fell back in-process"
+    if result_fingerprint(types) != ref:
+        return "processes backend result differs from the serial reference"
+    return None
 
 
 def _cache_warm_predicate(name: str, source: str) -> Optional[str]:
@@ -126,7 +129,7 @@ def _cache_warm_predicate(name: str, source: str) -> Optional[str]:
     from .oracle import result_fingerprint
 
     program = compile_c(source).program
-    ref = result_fingerprint(_service(None).analyze(program))
+    ref = result_fingerprint(_service().analyze(program))
     with AnalysisService(ServiceConfig(use_cache=True)) as cached:
         session = IncrementalSession(cached)
         session.analyze(program)
@@ -143,9 +146,7 @@ def _cache_warm_predicate(name: str, source: str) -> Optional[str]:
 #: the sweep's mismatch ``check`` labels (family variants strip ``family:``).
 ORACLE_PREDICATES: Dict[str, Callable[[str, str], Optional[str]]] = {
     "conservativeness": _conservativeness_predicate,
-    "backend:threads": _backend_predicate("threads"),
-    "backend:processes": _backend_predicate("processes"),
-    "backend:auto": _backend_predicate("auto"),
+    "backend:processes": _processes_predicate,
     "cache:warm": _cache_warm_predicate,
 }
 

@@ -3,9 +3,11 @@
 For every program of a seeded generated corpus the harness asserts, across
 every executor backend and cache state, that the analysis is *one function*:
 
-* **backend identity** -- ``analyze_program`` through the serial, threads,
-  processes and auto executors produces byte-identical results (canonical
-  JSON of the typed surface, timings excluded);
+* **backend identity** -- the sweep's programs analyzed through
+  :func:`~repro.service.batch.analyze_corpus` fan-out on worker processes
+  produce results byte-identical to the serial in-process reference
+  (canonical JSON of the typed surface, timings excluded), and every one of
+  them was actually solved by a worker;
 * **cache identity** -- a cold cache-backed run, a warm re-run (which must
   perform zero SCC solves), and an incremental re-analysis after a generated
   edit each reproduce the reference result byte-for-byte, and the edit's
@@ -38,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import proves, simplify_constraints
 from ..eval.metrics import evaluate_program
-from ..service import AnalysisService, IncrementalSession, ServiceConfig
+from ..service import AnalysisService, IncrementalSession, ServiceConfig, analyze_corpus
 from ..typegen.abstract_interp import generate_program_constraints
 from .family import GeneratedFamily, generate_family
 from .generator import GeneratedProgram, generate_corpus, generate_edit
@@ -46,7 +48,7 @@ from .minimize import conservativeness_failure
 from .profile import GenProfile
 
 #: every executor strategy the service accepts, in check order.
-ALL_BACKENDS = ("serial", "threads", "processes", "auto")
+ALL_BACKENDS = ("serial", "processes")
 
 #: procedures whose constraint sets exceed this are not sampled for the
 #: naive-reference comparison (the seed DFS is exponential-ish by design).
@@ -121,6 +123,8 @@ class OracleReport:
     families: int = 0
     #: members per family, base included.
     family_members: int = 0
+    #: task chunks the ``processes`` check dispatched to worker processes.
+    fanout_chunks: int = 0
     #: check name -> number of times it ran (one count per program+backend).
     checks: Dict[str, int] = dc_field(default_factory=dict)
     mismatches: List[OracleMismatch] = dc_field(default_factory=list)
@@ -153,6 +157,8 @@ class OracleReport:
         ]
         for check in sorted(self.checks):
             lines.append(f"  {check:<24} {self.checks[check]:>6} checks")
+        if "processes" in self.backends:
+            lines.append(f"  fan-out: {self.fanout_chunks} chunks dispatched to workers")
         for note in self.skipped:
             lines.append(f"  skipped: {note}")
         for path in self.reproducers:
@@ -206,6 +212,11 @@ def run_oracle(
     """
     profile = profile or GenProfile.default()
     backends = tuple(backends)
+    unknown = set(backends) - set(ALL_BACKENDS)
+    if unknown:
+        raise ValueError(
+            f"unknown backends {sorted(unknown)} (expected some of {ALL_BACKENDS})"
+        )
     report = OracleReport(
         seed=seed,
         profile=profile,
@@ -224,24 +235,30 @@ def run_oracle(
 
     start = time.perf_counter()
     reference = AnalysisService(ServiceConfig(use_cache=False))
-    backend_services = {
-        backend: AnalysisService(ServiceConfig(use_cache=False, executor=backend))
-        for backend in backends
-        if backend != "serial"
-    }
+    # Fan-out needs the summary store: workers ship summaries back into it.
+    fanout_service = (
+        AnalysisService(ServiceConfig(use_cache=True, executor="processes"))
+        if "processes" in backends
+        else None
+    )
     cache_service = AnalysisService(ServiceConfig(use_cache=True))
     rng = random.Random(seed)
     total = count + families
     try:
         if corpus is None:
             corpus = generate_corpus(count, seed, profile)
-        for index, program in enumerate(corpus):
+        compiled = [program.compile() for program in corpus]
+        fanout = _fanout_fingerprints(
+            fanout_service, report, {p.name: c.program for p, c in zip(corpus, compiled)}
+        )
+        for index, (program, comp) in enumerate(zip(corpus, compiled)):
             before = len(report.mismatches)
             _check_program(
                 program,
+                comp,
                 report,
                 reference,
-                backend_services,
+                fanout,
                 cache_service,
                 naive,
                 derives_samples,
@@ -261,7 +278,7 @@ def run_oracle(
                 family,
                 report,
                 reference,
-                backend_services,
+                fanout_service,
                 min_conservativeness,
                 minimize_dir,
             )
@@ -271,17 +288,71 @@ def run_oracle(
     finally:
         reference.close()
         cache_service.close()
-        for service in backend_services.values():
-            service.close()
+        if fanout_service is not None:
+            fanout_service.close()
     report.elapsed_seconds = time.perf_counter() - start
     return report
 
 
+def _fanout_fingerprints(
+    service: Optional[AnalysisService],
+    report: OracleReport,
+    programs: Dict[str, object],
+) -> Dict[str, Optional[str]]:
+    """Fingerprint ``programs`` analyzed through corpus fan-out.
+
+    ``None`` marks a program no worker solved (its chunk failed and the
+    parent fell back in-process), which the caller reports as a mismatch:
+    a fallback must never pass for a fan-out check.  Returns ``{}`` when the
+    sweep does not check the ``processes`` backend.  A corpus of fewer than
+    two programs cannot fan out and is recorded as skipped.
+    """
+    if service is None or not programs:
+        return {}
+    if len(programs) < 2:
+        report.skipped.append(
+            f"backend:processes for {sorted(programs)} (fan-out needs >= 2 programs)"
+        )
+        return {}
+    before = service.procpool_snapshot().get("chunks_dispatched", 0)
+    corpus = analyze_corpus(programs, service=service)
+    report.fanout_chunks += service.procpool_snapshot()["chunks_dispatched"] - before
+    return {
+        name: result_fingerprint(entry.types)
+        if entry.types.stats.get("executor") == "processes"
+        else None
+        for name, entry in corpus.reports.items()
+    }
+
+
+def _check_fanout(
+    report: OracleReport,
+    check: str,
+    name: str,
+    fanout: Dict[str, Optional[str]],
+    ref_fp: str,
+    context: str,
+) -> None:
+    """The ``processes`` backend-identity check for one program."""
+    if name not in fanout:
+        return
+    report.count(check)
+    fp = fanout[name]
+    if fp is None:
+        detail = f"no worker solved it: fan-out fell back in-process ({context})"
+    elif fp != ref_fp:
+        detail = f"result differs from serial reference ({context})"
+    else:
+        return
+    report.mismatches.append(OracleMismatch(name, check, detail))
+
+
 def _check_program(
     program: GeneratedProgram,
+    comp,
     report: OracleReport,
     reference: AnalysisService,
-    backend_services: Dict[str, AnalysisService],
+    fanout: Dict[str, Optional[str]],
     cache_service: AnalysisService,
     naive,
     derives_samples: int,
@@ -290,22 +361,14 @@ def _check_program(
 ) -> None:
     from ..frontend import compile_c
 
-    comp = program.compile()
     ref_types = reference.analyze(comp.program)
     ref_fp = result_fingerprint(ref_types)
 
     # -- (a) backend identity ---------------------------------------------------
-    for backend, service in backend_services.items():
-        report.count(f"backend:{backend}")
-        fp = result_fingerprint(service.analyze(comp.program))
-        if fp != ref_fp:
-            report.mismatches.append(
-                OracleMismatch(
-                    program.name,
-                    f"backend:{backend}",
-                    f"result differs from serial reference (seed {program.seed})",
-                )
-            )
+    _check_fanout(
+        report, "backend:processes", program.name, fanout, ref_fp,
+        f"seed {program.seed}",
+    )
 
     # -- (b) cache states -------------------------------------------------------
     session = IncrementalSession(cache_service)
@@ -418,7 +481,7 @@ def _check_family(
     family: GeneratedFamily,
     report: OracleReport,
     reference: AnalysisService,
-    backend_services: Dict[str, AnalysisService],
+    fanout_service: Optional[AnalysisService],
     min_conservativeness: float,
     minimize_dir: Optional[str],
 ) -> None:
@@ -438,26 +501,23 @@ def _check_family(
     family_service = AnalysisService(ServiceConfig(use_cache=True))
     session = IncrementalSession(family_service)
     admitted: Dict[str, str] = {}  # store key -> first member that admitted it
+    compiled = [member.program.compile() for member in family.members]
+    fanout = _fanout_fingerprints(
+        fanout_service,
+        report,
+        {m.name: c.program for m, c in zip(family.members, compiled)},
+    )
     try:
-        for member in family.members:
+        for member, comp in zip(family.members, compiled):
             before = len(report.mismatches)
-            comp = member.program.compile()
             ref_types = reference.analyze(comp.program)
             ref_fp = result_fingerprint(ref_types)
             toggles = ", ".join(t.describe() for t in member.toggles) or "<base>"
 
-            for backend, service in backend_services.items():
-                report.count(f"family:backend:{backend}")
-                fp = result_fingerprint(service.analyze(comp.program))
-                if fp != ref_fp:
-                    report.mismatches.append(
-                        OracleMismatch(
-                            member.name,
-                            f"family:backend:{backend}",
-                            f"variant result differs from serial reference "
-                            f"(seed {family.seed}, toggles {toggles})",
-                        )
-                    )
+            _check_fanout(
+                report, "family:backend:processes", member.name, fanout, ref_fp,
+                f"seed {family.seed}, toggles {toggles}",
+            )
 
             report.count("family:conservativeness")
             failure = conservativeness_failure(

@@ -4,8 +4,8 @@ Type schemes are inferred bottom-up over the SCCs of the call graph (section
 4.2); this module wraps the program's direct-call edges and the Tarjan SCC
 computation shared with the core solver.  It also levels the SCC condensation
 DAG into *waves*: every SCC in wave ``k`` only calls into SCCs of waves
-``< k``, so all SCCs within one wave can be solved concurrently (the unit of
-parallelism used by :mod:`repro.service.scheduler`).
+``< k``, so all SCCs within one wave are independent (the service solves a
+program wave by wave, publishing each wave's summaries before the next).
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ class CallGraph:
         Returns a list of waves; each wave is a list of SCCs (in bottom-up
         discovery order, so the result is deterministic), and every SCC only
         calls into SCCs of strictly earlier waves.  Wave 0 holds the leaf
-        SCCs; independent subtrees share waves, which is where the service
-        scheduler finds its parallelism.
+        SCCs; independent subtrees share waves.
         """
         sccs = self.sccs_bottom_up()
         index_of: Dict[str, int] = {}

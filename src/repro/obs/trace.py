@@ -6,7 +6,8 @@ the pipeline: per-function constraint generation (``typegen.constraints``),
 per-SCC solving and its stages (``solver.solve_scc``, ``solver.graph``,
 ``solver.saturate``, ``solver.simplify``, ``solver.sketch``), the service
 drivers (``service.analyze``, ``service.constraint_gen``, ``service.solve``,
-``service.invalidate``), wave dispatch (``scheduler.wave``) and the server's
+``service.invalidate``), bottom-up waves (``scheduler.wave``), corpus
+fan-out (``procpool.fanout``, ``procpool.analyze_program``) and the server's
 request verbs (``server.<verb>``).  The full span-name table lives in
 ``docs/observability.md`` and ``docs/paper-map.md``.
 
@@ -18,7 +19,7 @@ Design constraints, in order:
   enter/exit when tracing is off (gated <2% on the suite workload by
   ``benchmarks/bench_simplification.py::test_noop_obs_overhead_gate``);
 * **correct nesting under concurrency** -- each thread has its own span stack,
-  so wave-parallel SCC solves nest under their own wave span, never a
+  so concurrent server requests nest under their own request span, never a
   sibling's.  Event-loop code (the server) uses detached spans
   (:meth:`Tracer.start_span`/:meth:`Tracer.finish`) because interleaved
   coroutines share one thread and must not share a stack;
@@ -249,8 +250,8 @@ class Tracer:
 
         Span/parent ids are preserved verbatim -- worker-side ids embed the
         worker's pid, so they cannot collide with parent-side ids -- which is
-        what stitches a worker's ``procpool.solve_scc`` spans under the
-        service's ``scheduler.wave`` span in the exported trace.
+        what stitches a worker's ``procpool.analyze_program`` spans under the
+        driver's ``procpool.fanout`` span in the exported trace.
         """
         rows = [dict(span) for span in spans]
         with self._lock:

@@ -20,7 +20,8 @@ Modules
     :class:`TypeQueryClient` (blocking) and :class:`AsyncTypeQueryClient`.
 
 Run a server with ``python -m repro.server --port 8791 --store-dir .cache``
-(add ``--backend processes`` to solve SCC waves on worker processes).  The
+(add ``--backend processes`` to fan ``corpus`` requests out to worker
+processes).  The
 wire protocol is specified in ``docs/protocol.md``; operator guidance lives
 in ``docs/operations.md``.
 """

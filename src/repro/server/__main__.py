@@ -87,20 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["serial", "threads", "processes", "auto"],
-        default=None,
-        help="wave executor for each analysis: 'processes' solves independent "
-        "SCCs on worker processes (true multi-core), 'auto' picks by workload "
-        "size (default: serial)",
+        choices=["serial", "processes"],
+        default="serial",
+        help="'processes' fans the programs of each corpus request out to "
+        "worker processes (true multi-core); a single analyze always solves "
+        "in-process (default: %(default)s)",
     )
     parser.add_argument(
         "--backend-workers",
         type=int,
         default=None,
-        help="worker count for the wave backend (default: min(8, cpus))",
-    )
-    parser.add_argument(
-        "--parallel-waves", action="store_true", help="legacy alias for --backend threads"
+        help="worker count for corpus fan-out (default: min(8, cpus))",
     )
     parser.add_argument(
         "--allow-shutdown", action="store_true", help="honour the remote 'shutdown' verb"
@@ -151,7 +148,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         max_pending=args.max_pending,
         max_queue_wait_seconds=args.max_queue_wait or None,
         max_request_bytes=args.max_request_bytes,
-        parallel_waves=args.parallel_waves,
         backend=args.backend,
         backend_workers=args.backend_workers,
         allow_shutdown=args.allow_shutdown,

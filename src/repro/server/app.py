@@ -97,16 +97,12 @@ class ServerConfig:
     max_queue_wait_seconds: Optional[float] = 30.0
     #: per-request line cap; longer lines get a ``too_large`` error.
     max_request_bytes: int = protocol.MAX_LINE_BYTES
-    #: legacy spelling of ``backend="threads"``; ignored when ``backend`` set.
-    parallel_waves: bool = False
-    #: wave executor strategy for each analysis: ``"serial"`` | ``"threads"``
-    #: | ``"processes"`` | ``"auto"``.  ``"processes"`` is what actually
-    #: scales with cores -- request handling stays on the thread pool, but
-    #: the CPU-heavy per-SCC solving escapes the GIL onto worker processes
-    #: (see docs/operations.md for choosing).  ``None`` derives from
-    #: ``parallel_waves``.
-    backend: Optional[str] = None
-    #: worker count for the wave backend (``None``: min(8, cpus)).
+    #: ``"serial"`` | ``"processes"``: the ``corpus`` verb fans its programs
+    #: out to worker processes under ``"processes"`` (the CPU-heavy solving
+    #: escapes the GIL); a single ``analyze`` always solves in-process.  See
+    #: docs/operations.md.
+    backend: str = "serial"
+    #: worker count for corpus fan-out (``None``: min(8, cpus)).
     backend_workers: Optional[int] = None
     #: open incremental sessions allowed at once (a disconnected client's
     #: sessions stay reclaimable only via this bound).
@@ -140,7 +136,6 @@ class TypeQueryServer:
                 cache_capacity=self.config.cache_capacity,
                 cache_dir=self.config.store_dir,
                 store_addr=self.config.store_addr,
-                parallel=self.config.parallel_waves,
                 executor=self.config.backend,
                 max_workers=self.config.backend_workers,
             )
@@ -222,7 +217,7 @@ class TypeQueryServer:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._executor.shutdown(wait=True)
-        # Release the service's worker processes (no-op for serial/threads).
+        # Release the service's worker processes (no-op for serial).
         self.service.close()
 
     # -- connection handling ---------------------------------------------------
@@ -599,12 +594,11 @@ class TypeQueryServer:
             "coalesced_total": self.coalesced_total,
             "shed_total": self.shed_total,
             "sessions_open": len(self._sessions),
-            "backend": self.config.backend
-            or ("threads" if self.config.parallel_waves else "serial"),
+            "backend": self.config.backend,
             "registry": self.registry.snapshot(),
             "store": store.stats.snapshot() if store is not None else {},
-            # Per-worker SolveStats merge of the process backend (empty until
-            # the first process-backed analysis builds the pool).
+            # Per-worker SolveStats merge of corpus fan-out (empty until the
+            # first fanned-out corpus builds the pool).
             "procpool": self.service.procpool_snapshot(),
         }
 

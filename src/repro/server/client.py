@@ -152,8 +152,8 @@ class _VerbMixin:
     def stats(self, program_id: Optional[str] = None):
         """Daemon counters, or -- given a ``program_id`` -- the per-stage
         solver timings (graph/saturate/simplify/sketch) of that analysis,
-        including which wave executor solved it and, under the process
-        backend, the per-worker ``SolveStats`` merge plus the typed
+        including which executor solved it and, for a program corpus fan-out
+        solved on a worker, that worker's ``SolveStats`` plus the typed
         ``worker_failed`` count (see docs/protocol.md)."""
         if program_id is None:
             return self.request("stats")

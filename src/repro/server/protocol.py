@@ -259,10 +259,10 @@ def stats_payload(types, program_id: str) -> Dict[str, object]:
         "constraints": stats.get("constraints"),
         "generated_procedures": stats.get("generated_procedures", []),
         "instructions": stats.get("instructions"),
-        # Wave-executor accounting: which strategy solved this program, the
-        # per-worker (by pid) SolveStats merge when it was the process
-        # backend, and how many SCCs were requeued in-process after a worker
-        # died (always 0 on the serial/thread paths).
+        # Executor accounting: "processes" when corpus fan-out solved this
+        # program on a worker (whose SolveStats ride along, keyed by pid),
+        # and how many SCCs were requeued in-process after that worker
+        # failed (always 0 on the serial path).
         "executor": stats.get("executor", "serial"),
         "worker_stats": dict(workers) if isinstance(workers, dict) else workers,
         "worker_failed": stats.get("worker_failed", 0),

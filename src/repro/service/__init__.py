@@ -1,4 +1,4 @@
-"""The analysis service layer: caching, incremental and parallel drivers.
+"""The analysis service layer: caching, incremental and corpus drivers.
 
 This package turns the one-shot pipeline into a service suited to corpus-scale
 workloads, without changing a single inferred type:
@@ -9,24 +9,22 @@ workloads, without changing a single inferred type:
 ``repro.service.incremental``
     :class:`AnalysisService` -- the driver the pipeline routes through -- and
     :class:`IncrementalSession` for re-analysis after edits.
-``repro.service.scheduler``
-    :class:`WaveScheduler` -- dispatches independent SCCs of one topological
-    wave of the call-graph condensation through a pluggable executor strategy
-    (``"serial"`` | ``"threads"`` | ``"processes"`` | ``"auto"``).
 ``repro.service.procpool``
-    :class:`ProcPool` -- the process-parallel solve backend: warm worker
-    processes, a pickle-free JSON codec for per-SCC solver inputs/outputs,
-    shared-disk-tier reuse, and in-process requeue on worker crash.
+    :class:`ProcPool` -- warm worker processes for corpus fan-out: whole
+    programs solved per worker, a pickle-free JSON codec for the summaries
+    and typing inputs they ship back, shared-disk-tier reuse.
 ``repro.service.batch``
-    :func:`analyze_corpus` -- many programs against one shared store.
+    :func:`analyze_corpus` -- many programs against one shared store; with
+    ``ServiceConfig(executor="processes")`` it fans the programs out over the
+    pool and falls back in-process for any program a worker failed.
 
-See ``docs/operations.md`` for how to choose and tune an executor.
+One program always solves in-process, bottom-up over its SCCs; the only
+parallel path is corpus fan-out.  See ``docs/operations.md`` for tuning it.
 """
 
 from .batch import CorpusReport, ProgramReport, analyze_corpus
 from .incremental import AnalysisService, IncrementalSession, ServiceConfig
-from .procpool import ProcPool, ProcessWaveRunner
-from .scheduler import ScheduleStats, WaveScheduler, choose_executor
+from .procpool import ProcPool
 from .store import (
     DiskStoreBackend,
     ProcedureSummary,
@@ -48,18 +46,14 @@ __all__ = [
     "IncrementalSession",
     "ProcPool",
     "ProcedureSummary",
-    "ProcessWaveRunner",
     "ProgramReport",
     "SCCSummary",
-    "ScheduleStats",
     "ServiceConfig",
     "SocketStoreBackend",
     "StoreBackend",
     "StoreStats",
     "SummaryStore",
-    "WaveScheduler",
     "analyze_corpus",
-    "choose_executor",
     "make_backend",
     "procedure_fingerprint",
     "program_fingerprints",

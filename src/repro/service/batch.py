@@ -17,7 +17,10 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.lattice import TypeLattice
+from ..core.solver import SolveStats
 from ..ir.program import Program
+from ..obs.metrics import get_registry
+from ..obs.trace import get_tracer
 from ..typegen.externs import ExternSignature
 from .incremental import AnalysisService, ServiceConfig
 from .store import SummaryStore
@@ -131,21 +134,27 @@ def analyze_corpus(
 
     reports: Dict[str, ProgramReport] = {}
     try:
-        prewarmed = (
-            _prewarm_corpus(service, items) if _use_corpus_fanout(service, items) else {}
-        )
+        fanout = _use_corpus_fanout(service, items)
+        prewarmed = _prewarm_corpus(service, items) if fanout else {}
         for name, source in items:
             start = time.perf_counter()
             warmed = prewarmed.get(name)
             if warmed is not None:
                 types = service.analyze(source, inputs=warmed.inputs)
-                types.stats["cache_hits"] = warmed.cache_hits
-                types.stats["cache_misses"] = warmed.cache_misses
-                types.stats["stage_seconds"] = warmed.stage_stats
+                types.stats.update(
+                    cache_hits=warmed.cache_hits,
+                    cache_misses=warmed.cache_misses,
+                    stage_seconds=warmed.stage_stats,
+                    parallel=True,
+                    executor="processes",
+                    worker_stats={str(warmed.pid): warmed.stage_stats},
+                )
                 elapsed = warmed.seconds + (time.perf_counter() - start)
             else:
                 types = service.analyze(source)
                 elapsed = time.perf_counter() - start
+                if fanout:
+                    _mark_requeued(types.stats)
             reports[name] = ProgramReport(
                 name=name,
                 types=types,
@@ -172,21 +181,20 @@ class _PrewarmedProgram:
     cache_misses: int
     stage_stats: Dict[str, object]  # worker SolveStats.to_json()
     seconds: float  # worker wall-clock for this program
+    pid: int  # the worker that solved it
 
 
 def _use_corpus_fanout(service: AnalysisService, items: List[Tuple[str, object]]) -> bool:
     """Corpus fan-out needs the process backend and a probe-able store.
 
-    Wave-level parallelism is the wrong grain for corpora of small programs
-    (a dozen-function program has two-SCC waves, so IPC dominates); program-
-    level fan-out is the wrong grain for a single huge binary.  ``analyze``
-    keeps the per-wave process backend; this path takes over exactly when a
-    multi-program corpus runs under ``executor="processes"`` with the summary
-    cache on (the parent rebuild relies on admitting worker summaries).
+    Program grain is the only parallel grain: a single program always solves
+    in-process.  This path takes over exactly when a multi-program corpus
+    runs under ``executor="processes"`` with the summary cache on (the parent
+    rebuild relies on admitting worker summaries).
     """
     return (
         len(items) > 1
-        and service.scheduler.executor == "processes"
+        and service.config.executor == "processes"
         and service.config.use_cache
         and service.store is not None
     )
@@ -202,29 +210,37 @@ def _prewarm_corpus(
     here into the service's store, and (b) the typing inputs in the integer
     codec.  Programs whose chunk failed (worker crash, undecodable reply) are
     simply absent from the result and fall back to the in-process path.
+    Under tracing, every worker's spans are adopted beneath one
+    ``procpool.fanout`` span.
     """
-    from .procpool import _TableReader, decode_input, encode_corpus_task
+    from .procpool import CHUNKS_PER_WORKER, _TableReader, decode_input, encode_corpus_task
 
     pool = service._ensure_procpool()
-    chunk_count = max(
-        1, min(len(items), pool.max_workers * pool.chunks_per_worker)
-    )
+    chunk_count = max(1, min(len(items), pool.max_workers * CHUNKS_PER_WORKER))
     chunks = [items[index::chunk_count] for index in range(chunk_count)]
-    payloads = [
-        encode_corpus_task(
-            [
-                (name, source if isinstance(source, str) else str(source))
-                for name, source in chunk
-            ]
-        )
-        for chunk in chunks
-    ]
-    replies = pool.submit_chunks(payloads)
+    tracer = get_tracer()
+    with tracer.span("procpool.fanout", programs=len(items), chunks=len(chunks)):
+        trace = tracer.current_context() if tracer.enabled else None
+        payloads = [
+            encode_corpus_task(
+                [
+                    (name, source if isinstance(source, str) else str(source))
+                    for name, source in chunk
+                ],
+                trace=trace,
+            )
+            for chunk in chunks
+        ]
+        replies = pool.submit_chunks(payloads)
 
     prewarmed: Dict[str, _PrewarmedProgram] = {}
+    busy = get_registry().counter("procpool_worker_busy_seconds_total")
     for reply in replies:
-        if reply is None or reply.get("kind") != "programs":
+        if reply is None:
             continue
+        if reply.get("spans"):
+            tracer.adopt(reply["spans"])
+        pid = int(reply.get("pid", 0))
         reader = _TableReader(reply["strings"])
         for entry in reply.get("programs", ()):
             try:
@@ -236,11 +252,25 @@ def _prewarm_corpus(
                     service.store.admit_payload(key, payload, write_disk=False)
             except Exception:
                 continue  # parent re-analyzes this program in process
+            stage_stats = dict(entry.get("stats", {}))
+            seconds = float(entry.get("seconds", 0.0))
+            busy.inc(seconds)
+            pool.record_worker_stats(pid, SolveStats.from_json(stage_stats))
             prewarmed[entry["name"]] = _PrewarmedProgram(
                 inputs=inputs,
                 cache_hits=int(entry.get("cache_hits", 0)),
                 cache_misses=int(entry.get("cache_misses", 0)),
-                stage_stats=dict(entry.get("stats", {})),
-                seconds=float(entry.get("seconds", 0.0)),
+                stage_stats=stage_stats,
+                seconds=seconds,
+                pid=pid,
             )
     return prewarmed
+
+
+def _mark_requeued(stats: Dict[str, object]) -> None:
+    """Mark a program its worker failed: the SCCs solved here were requeued."""
+    requeued = [scc for scc, _ in stats["scc_seconds"]]
+    stats["worker_failed"] = stats["stage_seconds"]["worker_failed"] = len(requeued)
+    stats["requeued_sccs"] = requeued
+    if requeued:
+        get_registry().counter("procpool_sccs_requeued_total").inc(len(requeued))

@@ -1,4 +1,4 @@
-"""The analysis service driver: cached, incremental, wave-parallel solving.
+"""The analysis service driver: cached, incremental, bottom-up solving.
 
 :class:`AnalysisService` is the orchestrator the public pipeline routes
 through.  One ``analyze`` call runs the same algorithm as the plain solver --
@@ -16,18 +16,23 @@ so that three things become possible:
   the keys of its transitive callers, so precisely that invalidation cone is
   re-solved (:class:`IncrementalSession` reports the cone explicitly, computed
   top-down via ``CallGraph.callers``);
-* **wave parallelism** -- SCCs that share a topological level of the
-  condensation DAG are independent and are dispatched together through the
-  :class:`~repro.service.scheduler.WaveScheduler`.
+* **corpus fan-out** -- with ``executor="processes"``,
+  :func:`~repro.service.batch.analyze_corpus` solves whole programs on the
+  warm :class:`~repro.service.procpool.ProcPool` and replays them here
+  against the pre-warmed store.  One program always solves in-process: its
+  SCCs are drained wave by wave (``CallGraph.scc_waves``), publishing each
+  wave's summaries before the next wave starts.
 
-Warm-or-cold, serial-or-parallel, the service produces results string-equal to
-a plain :func:`repro.analyze_program` run: the final-results dict is rebuilt in
-bottom-up SCC order (struct naming in the display layer is order-sensitive)
-and refinement contributions are re-applied in the solver's exact caller order.
+Warm-or-cold, in-process or fanned out, the service produces results
+string-equal to a plain :func:`repro.analyze_program` run: the final-results
+dict is rebuilt in bottom-up SCC order (struct naming in the display layer is
+order-sensitive) and refinement contributions are re-applied in the solver's
+exact caller order.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import ChainMap
@@ -58,8 +63,7 @@ from ..typegen.externs import (
     extern_schemes,
     standard_externs,
 )
-from .procpool import ProcPool, ProcessWaveRunner, encode_environment
-from .scheduler import WaveScheduler, choose_executor
+from .procpool import ProcPool, encode_environment
 from .store import (
     SCCSummary,
     SummaryStore,
@@ -68,6 +72,10 @@ from .store import (
     scc_summary_keys,
     summarize_scc,
 )
+
+
+#: the executor strategies :class:`ServiceConfig` accepts.
+EXECUTORS = ("serial", "processes")
 
 
 @dataclass
@@ -88,18 +96,18 @@ class ServiceConfig:
     #: socket-served persistent tier instead of the disk one (wins over
     #: ``cache_dir`` -- see :func:`repro.service.store.make_backend`).
     store_addr: Optional[str] = None
-    #: legacy spelling of ``executor="threads"``; ignored when ``executor`` is
-    #: set explicitly.
-    parallel: bool = False
-    #: worker-pool size for parallel wave solving (default: min(8, cpus)).
+    #: worker-process count for corpus fan-out (default: min(8, cpus)).
     max_workers: Optional[int] = None
-    #: wave executor strategy: ``"serial"`` | ``"threads"`` | ``"processes"``
-    #: | ``"auto"`` (picked per workload by :func:`~repro.service.scheduler.
-    #: choose_executor`).  ``None`` derives from the legacy ``parallel`` flag.
-    executor: Optional[str] = None
-    #: chunks per worker per wave for the process backend (>1 lets the pool
-    #: rebalance skewed waves at the cost of more IPC messages).
-    procpool_chunks_per_worker: int = 2
+    #: ``"serial"`` solves everything in-process; ``"processes"`` makes
+    #: :func:`~repro.service.batch.analyze_corpus` fan whole programs out to
+    #: worker processes.  A single ``analyze`` is always in-process.
+    executor: str = "serial"
+
+    def __post_init__(self) -> None:
+        if self.executor not in EXECUTORS:
+            raise ValueError(
+                f"unknown executor {self.executor!r} (expected one of {EXECUTORS})"
+            )
 
 
 @dataclass
@@ -141,20 +149,15 @@ class AnalysisService:
             )
         else:
             self.store = None
-        self.scheduler = WaveScheduler(
-            parallel=self.config.parallel,
-            max_workers=self.config.max_workers,
-            executor=self.config.executor,
-        )
-        #: lazily-built process pool (``executor="processes"``/``"auto"``),
-        #: keyed by its environment payload and kept warm across analyses.
+        #: lazily-built process pool for corpus fan-out, keyed by its
+        #: environment payload and kept warm across corpora.
         self._procpool = None
         # Serializes pool build/teardown: the server drives one service from
         # several request threads, and racing lazy inits would leak a pool
         # (spawned workers and all) that close() could never reach.
         self._procpool_lock = threading.Lock()
 
-    # -- executor / process-pool lifecycle -------------------------------------
+    # -- process-pool lifecycle --------------------------------------------------
 
     def _ensure_procpool(self):
         """The warm process pool for this service's current environment.
@@ -175,17 +178,15 @@ class AnalysisService:
                 self._procpool = None
             if self._procpool is None:
                 self._procpool = ProcPool(
-                    env,
-                    max_workers=self.scheduler.max_workers,
-                    chunks_per_worker=self.config.procpool_chunks_per_worker,
+                    env, self.config.max_workers or min(8, os.cpu_count() or 1)
                 )
             return self._procpool
 
     def procpool_snapshot(self) -> Dict[str, object]:
         """Pool counters and the cumulative per-worker SolveStats merge.
 
-        Empty until the first process-backed analysis builds the pool; this
-        is the public surface the server's ``stats`` verb serves.
+        Empty until the first corpus fan-out builds the pool; this is the
+        public surface the server's ``stats`` verb serves.
         """
         with self._procpool_lock:
             return self._procpool.snapshot() if self._procpool is not None else {}
@@ -194,7 +195,7 @@ class AnalysisService:
         """Release the process pool (if any); the service stays usable.
 
         Safe to call repeatedly; the pool is rebuilt lazily on the next
-        process-backend analysis.  Long-lived owners (the type-query server,
+        corpus fan-out.  Long-lived owners (the type-query server,
         corpus drivers) call this on shutdown so worker processes never
         outlive their parent's useful life.
         """
@@ -352,63 +353,46 @@ class AnalysisService:
 
         refine = self.config.solver.refine_parameters
         stage_stats = SolveStats()
+        use_store = self.store is not None and self.config.use_cache
 
         def solve(scc: Sequence[str]):
-            # A fresh per-SCC stats record: SCCs of one wave may solve on
-            # threads concurrently, so they must not mutate a shared record.
-            # The trailing None slot is the serialized-summary payload, which
-            # only the process backend fills in (its results arrive as JSON).
-            scc_stats = SolveStats()
-            scc_results = solver.solve_scc(scc, inputs, working, stats=scc_stats)
+            scc_results = solver.solve_scc(scc, inputs, working, stats=stage_stats)
             if not refine:
-                return scc_results, {}, scc_stats, None
+                return scc_results, {}
             # Same-SCC callees shadow, earlier waves fall through; no copy.
             merged = ChainMap(scc_results, working)
-            contributions = {
+            return scc_results, {
                 name: collect_caller_contributions(inputs[name], scc_results[name], merged)
                 for name in scc
             }
-            return scc_results, contributions, scc_stats, None
 
-        def publish(wave_results):
-            for scc, (scc_results, contributions, scc_stats, payload) in wave_results:
-                stage_stats.merge(scc_stats)
-                working.update(scc_results)
-                for name in scc:
-                    contributions_of[name] = list(contributions.get(name, ()))
-                if self.store is not None and self.config.use_cache:
-                    if payload is not None:
-                        # Worker-solved: the worker already published this
-                        # payload to the shared disk tier, so only the memory
-                        # tier needs admitting here.
-                        self.store.admit_payload(
-                            keys[tuple(scc)], payload, write_disk=False
-                        )
-                    else:
-                        self.store.put(
-                            keys[tuple(scc)],
-                            summarize_scc(scc, inputs, scc_results, contributions),
-                        )
-
+        # Bottom-up over the condensation's waves: every SCC of a wave only
+        # depends on earlier waves, whose summaries are published (to
+        # ``working`` and the store) before the wave starts.
         missing_waves = [
             [scc for scc in wave if tuple(scc) not in cached] for wave in waves
         ]
         missing_waves = [wave for wave in missing_waves if wave]
-
-        executor = self.scheduler.executor
-        if executor == "auto":
-            executor = choose_executor(missing_waves)
-        runner = None
-        if executor == "processes":
-            runner = ProcessWaveRunner(
-                self._ensure_procpool(), inputs, working, keys, self.lattice
-            )
-        _, schedule_stats = self.scheduler.run(
-            missing_waves, solve, publish, remote=runner, executor=executor
-        )
-        if runner is not None:
-            stage_stats.worker_failed += runner.worker_failed
-            stage_stats.codec_seconds += runner.codec_seconds
+        tracer = get_tracer()
+        scc_seconds: List[Tuple[str, float]] = []
+        for index, wave in enumerate(missing_waves):
+            wave_results = []
+            with tracer.span(
+                "scheduler.wave", index=index, width=len(wave), executor="serial"
+            ):
+                for scc in wave:
+                    start = time.perf_counter()
+                    wave_results.append((scc, solve(scc)))
+                    scc_seconds.append((",".join(scc), time.perf_counter() - start))
+            for scc, (scc_results, contributions) in wave_results:
+                working.update(scc_results)
+                for name in scc:
+                    contributions_of[name] = list(contributions.get(name, ()))
+                if use_store:
+                    self.store.put(
+                        keys[tuple(scc)],
+                        summarize_scc(scc, inputs, scc_results, contributions),
+                    )
 
         registry = get_registry()
         registry.record_stage_stats(stage_stats.to_json())
@@ -448,19 +432,24 @@ class AnalysisService:
             "solved_procedures": sorted(solved),
             "cached_procedures": sorted(reused),
             "dag_wave_widths": [len(wave) for wave in waves],
+            "wave_count": len(missing_waves),
+            "wave_widths": [len(wave) for wave in missing_waves],
+            "max_wave_width": max(map(len, missing_waves), default=0),
+            "mean_wave_width": (
+                sum(map(len, missing_waves)) / len(missing_waves)
+                if missing_waves
+                else 0.0
+            ),
+            "scc_seconds": scc_seconds,
+            # Corpus fan-out overwrites these for the programs a worker solved.
+            "parallel": False,
+            "executor": "serial",
+            "worker_failed": 0,
+            "requeued_sccs": [],
             # Per-stage core timings, aggregated over the SCCs actually solved
             # this run (cache hits contribute nothing: no core work ran).
             "stage_seconds": stage_stats.to_json(),
         }
-        stats.update(schedule_stats.as_stats())
-        if runner is not None:
-            # Per-worker (by pid) SolveStats merge for this run -- the record
-            # the server's ``stats`` verb serves alongside the aggregate.
-            stats["worker_stats"] = {
-                str(pid): worker_stats.to_json()
-                for pid, worker_stats in sorted(runner.worker_stats.items())
-            }
-            stats["worker_disk_reused"] = runner.disk_reused
         if self.store is not None:
             stats["store"] = self.store.stats.snapshot()
         if keys:

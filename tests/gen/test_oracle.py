@@ -27,18 +27,42 @@ def test_oracle_sweep_is_clean_on_a_small_corpus():
         seed=123,
         profile=GenProfile.smoke(),
         profile_name="smoke",
-        backends=("serial", "threads"),
+        backends=("serial", "processes"),
         derives_samples=1,
     )
     assert report.ok, report.summary()
     assert report.programs == 4
-    assert report.checks["backend:threads"] == 4
+    assert report.checks["backend:processes"] == 4
+    assert report.fanout_chunks > 0
     assert report.checks["cache:cold"] == 4
     assert report.checks["cache:warm"] == 4
     assert report.checks["cache:incremental"] == 4
     assert report.checks["conservativeness"] == 4
     assert report.checks["derives"] == 4
     assert "zero mismatches" in report.summary()
+
+
+def test_oracle_processes_check_flags_programs_no_worker_solved(monkeypatch):
+    """The processes check is never vacuous: a program that fell back
+    in-process (here: every task arrives empty) is a mismatch even though
+    its answer is still right."""
+    from repro.service import procpool
+
+    real_encode = procpool.encode_corpus_task
+    monkeypatch.setattr(
+        procpool, "encode_corpus_task", lambda items, **kwargs: real_encode([])
+    )
+    report = run_oracle(
+        count=2,
+        seed=123,
+        profile=GenProfile.smoke(),
+        profile_name="smoke",
+        backends=("serial", "processes"),
+        derives_samples=0,
+    )
+    flagged = [m for m in report.mismatches if m.check == "backend:processes"]
+    assert len(flagged) == 2
+    assert all("fell back in-process" in m.detail for m in flagged)
 
 
 def test_oracle_summary_prints_reproduction_line_and_mismatches():
@@ -51,10 +75,10 @@ def test_oracle_summary_prints_reproduction_line_and_mismatches():
         derives_samples=0,
     )
     assert "--seed 5" in report.summary()
-    report.mismatches.append(OracleMismatch("prog", "backend:threads", "boom"))
+    report.mismatches.append(OracleMismatch("prog", "backend:processes", "boom"))
     assert not report.ok
     assert "MISMATCHES: 1" in report.summary()
-    assert "[backend:threads] boom" in report.summary()
+    assert "[backend:processes] boom" in report.summary()
 
 
 def test_result_fingerprint_ignores_timings_but_not_types():
@@ -139,7 +163,7 @@ def test_gen_cli_oracle_smoke(tmp_path):
             str(tmp_path / "corpus"),
             "--oracle",
             "--backends",
-            "serial,threads",
+            "serial,processes",
             "--quiet",
         ],
         capture_output=True,

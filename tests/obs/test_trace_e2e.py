@@ -1,26 +1,27 @@
 """End-to-end tracing: one exported trace covering driver and worker processes.
 
-This is the PR's acceptance scenario: analyze a generated program on the
-``processes`` backend with ``--trace-out`` and get a single Chrome trace in
-which the workers' per-SCC solve spans are parented under the service's wave
-spans, on their own named process tracks.
+Two scenarios: a serial ``--trace-out`` run through the CLI, and a
+two-program corpus fanned out to worker processes, exported as a single
+Chrome trace in which each worker's per-program spans are parented under the
+driver's fan-out span, on their own named process tracks.
 """
 
 import json
 import os
 
+from repro import ServiceConfig, analyze_corpus
 from repro.__main__ import main as cli_main
-from repro.obs import TRACE_FORMAT, load_jsonl
+from repro.obs import TRACE_FORMAT, Tracer, load_jsonl, tracing
 
 
-def _write_stress_program(tmp_path):
-    """One generated mini-C program big enough for multi-SCC waves."""
+def _generated_corpus():
+    """Two generated mini-C programs, compiled: the smallest fan-out."""
     from repro.gen import generate_corpus, named_profiles
 
-    (program,) = generate_corpus(1, 99, named_profiles()["stress"])
-    path = tmp_path / f"{program.name}.c"
-    path.write_text(program.source)
-    return str(path)
+    return {
+        program.name: program.compile().program
+        for program in generate_corpus(2, 99, named_profiles()["smoke"])
+    }
 
 
 def test_cli_serial_trace_jsonl_round_trip(tmp_path, capsys):
@@ -43,22 +44,16 @@ def test_cli_serial_trace_jsonl_round_trip(tmp_path, capsys):
     )
 
 
-def test_cli_processes_trace_stitches_worker_spans(tmp_path):
-    program = _write_stress_program(tmp_path)
-    out = tmp_path / "trace.json"
-    assert (
-        cli_main(
-            [
-                "analyze",
-                program,
-                "--backend",
-                "processes",
-                "--trace-out",
-                str(out),
-            ]
+def test_corpus_fanout_trace_stitches_worker_spans(tmp_path):
+    corpus = _generated_corpus()
+    tracer = Tracer()
+    with tracing(tracer):
+        report = analyze_corpus(
+            corpus, config=ServiceConfig(executor="processes", max_workers=2)
         )
-        == 0
-    )
+    assert all(entry.types.stats["executor"] == "processes" for entry in report)
+    out = tmp_path / "trace.json"
+    tracer.export_chrome(str(out))
     with open(out) as handle:
         doc = json.load(handle)
     assert doc["otherData"]["format"] == TRACE_FORMAT
@@ -73,27 +68,27 @@ def test_cli_processes_trace_stitches_worker_spans(tmp_path):
     worker_pids = {pid for pid, name in meta.items() if name == f"repro-worker-{pid}"}
     assert worker_pids, f"no worker tracks in {sorted(meta.values())}"
 
-    # Every worker-side solve span is parented under a driver-side wave span.
-    waves = {
+    # Every worker-side program span is parented under the driver's fan-out span.
+    fanouts = {
         e["args"]["span_id"]: e
         for e in complete
-        if e["name"] == "scheduler.wave"
+        if e["name"] == "procpool.fanout"
     }
-    assert waves and all(e["pid"] == driver_pid for e in waves.values())
-    worker_solves = [e for e in complete if e["name"] == "procpool.solve_scc"]
-    assert worker_solves, "processes backend dispatched no traced chunks"
-    for event in worker_solves:
+    assert len(fanouts) == 1 and all(e["pid"] == driver_pid for e in fanouts.values())
+    worker_programs = [e for e in complete if e["name"] == "procpool.analyze_program"]
+    assert sorted(e["args"]["program"] for e in worker_programs) == sorted(corpus)
+    for event in worker_programs:
         assert event["pid"] in worker_pids
-        assert event["args"]["parent_id"] in waves, (
-            f"worker span {event['args']['span_id']} not parented under a wave"
+        assert event["args"]["parent_id"] in fanouts, (
+            f"worker span {event['args']['span_id']} not parented under the fan-out"
         )
 
-    # Worker-local solver stage spans rode along too, nested under the solve.
-    solve_ids = {e["args"]["span_id"] for e in worker_solves}
+    # Worker-local solver stage spans rode along too, nested under the program.
+    program_ids = {e["args"]["span_id"] for e in worker_programs}
     worker_stage = [
         e
         for e in complete
         if e["pid"] in worker_pids and e["name"] == "solver.solve_scc"
     ]
     assert worker_stage
-    assert all(e["args"]["parent_id"] in solve_ids for e in worker_stage)
+    assert all(e["args"]["parent_id"] in program_ids for e in worker_stage)

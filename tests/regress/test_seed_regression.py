@@ -43,11 +43,11 @@ def test_seed_regression_conservativeness():
     assert failure is None, failure
 
 
-def test_seed_regression_backend_threads():
+def test_seed_regression_backend_processes():
     from repro.gen.minimize import check_predicate
 
     failure = check_predicate(
-        "backend:threads", "gen20160613_0", MINIMIZED_SOURCE
+        "backend:processes", "gen20160613_0", MINIMIZED_SOURCE
     )
     assert failure is None, failure
 

@@ -508,8 +508,9 @@ def test_stats_stage_timings_nonzero_for_cold_analysis():
 
 
 def test_process_backend_server_serves_worker_stats():
-    """A --backend processes daemon answers identically and exposes the
-    per-worker SolveStats merge through the ``stats`` verb."""
+    """A --backend processes daemon fans ``corpus`` requests out to workers,
+    answers identically and exposes the per-worker SolveStats merge through
+    the ``stats`` verb."""
     source = """
     struct box { int value; int fd; };
 
@@ -526,17 +527,25 @@ def test_process_backend_server_serves_worker_stats():
     """
     from repro.frontend import compile_c
 
+    twin = source.replace("leaf_e(x)", "leaf_e(x) + 1")
     expected = analyze_program(compile_c(source).program)
     with running_server(backend="processes", backend_workers=2) as (host, port, _):
         with TypeQueryClient(host, port) as client:
-            submitted = client.analyze(source, kind="c", full=True)
-            # Fidelity holds across the process boundary and the socket.
-            assert submitted["signatures"] == {
-                name: expected.signature(name) for name in sorted(expected.functions)
-            }
-            assert submitted["program"]["report"] == expected.report()
+            # A single analyze always solves in-process.
+            single = client.analyze(twin, kind="c")
+            assert client.stats(single["program_id"])["executor"] == "serial"
 
-            program_stats = client.stats(submitted["program_id"])
+            batch = client.corpus(
+                {
+                    "box": {"source": source, "kind": "c"},
+                    "twin": {"source": twin, "kind": "c"},
+                }
+            )
+            program_id = batch["programs"]["box"]["program_id"]
+            # Fidelity holds across the process boundary and the socket.
+            assert client.query(program_id)["report"] == expected.report()
+
+            program_stats = client.stats(program_id)
             assert program_stats["executor"] == "processes"
             assert program_stats["worker_failed"] == 0
             workers = program_stats["worker_stats"]
@@ -551,10 +560,11 @@ def test_process_backend_server_serves_worker_stats():
             assert pool["workers"], "pool-level per-worker stats missing"
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes", "auto"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_happy_path_identical_under_every_backend(backend, suite, expected):
-    """The analyze -> query happy path, byte-identical whichever wave backend
-    the daemon was started with (so backend regressions surface in tier-1)."""
+    """The analyze -> query and corpus -> query happy paths, byte-identical
+    whichever backend the daemon was started with (so backend regressions
+    surface in tier-1)."""
     workload = suite[-1]
     reference = expected[workload.name]
     with running_server(backend=backend) as (host, port, _):
@@ -567,3 +577,10 @@ def test_happy_path_identical_under_every_backend(backend, suite, expected):
             remote = client.query(program_id)
             local = protocol.program_payload(reference, program_id)
             assert canonical(remote) == canonical(local)
+
+            batch = client.corpus(
+                {w.name: {"source": str(w.program), "kind": "asm"} for w in suite[-2:]}
+            )
+            for name, entry in batch["programs"].items():
+                assert client.stats(entry["program_id"])["executor"] == backend
+                assert client.query(entry["program_id"])["report"] == expected[name].report()

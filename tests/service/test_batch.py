@@ -136,7 +136,9 @@ def test_corpus_fanout_falls_back_to_in_process_analysis(monkeypatch):
     # An empty task: workers reply with zero program entries, so no program
     # gets prewarmed and analyze_corpus must fall back per program.
     real_encode = procpool.encode_corpus_task
-    monkeypatch.setattr(procpool, "encode_corpus_task", lambda items: real_encode([]))
+    monkeypatch.setattr(
+        procpool, "encode_corpus_task", lambda items, **kwargs: real_encode([])
+    )
     report = analyze_corpus(
         programs, config=ServiceConfig(executor="processes", max_workers=2)
     )

@@ -214,7 +214,7 @@ def test_analyze_program_accepts_service_objects():
     assert warm.stats["sccs_solved"] == 0
     assert warm.report() == baseline.report()
 
-    configured = analyze_program(program, service=ServiceConfig(parallel=True, use_cache=False))
+    configured = analyze_program(program, service=ServiceConfig(use_cache=False))
     assert configured.report() == baseline.report()
 
 

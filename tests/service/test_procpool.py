@@ -1,15 +1,15 @@
-"""Process-pool backend: codec fidelity, byte-identity, crash requeue.
+"""Process-pool backend: codec fidelity, byte-identity, crash fallback.
 
 Three layers of guarantees:
 
 * the **codec** round-trips solver inputs and outputs byte-identically
   (property-tested: encode -> decode -> re-encode is the identity on the
   canonical JSON);
-* the **backend** produces results byte-identical to a serial
+* **corpus fan-out** produces results byte-identical to a serial
   ``analyze_program`` run (the acceptance bar for shipping work across
   process boundaries);
 * **failure injection** -- a worker hard-crash (``os._exit``) and a soft
-  worker exception both requeue the affected SCCs on the in-process path,
+  worker exception both send the affected programs down the in-process path,
   counted by the typed ``worker_failed`` stat, without changing any result.
 """
 
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import analyze_program
+from repro import analyze_corpus, analyze_program
 from repro.core.constraints import ConstraintSet, parse_constraints
 from repro.core.intern import StringTable
 from repro.core.lattice import TypeLattice, default_lattice
@@ -32,23 +32,18 @@ from repro.core.solver import (
 )
 from repro.core.variables import parse_dtv
 from repro.frontend import compile_c
-from repro.ir.callgraph import CallGraph
-from repro.service import AnalysisService, ServiceConfig, choose_executor
+from repro.service import AnalysisService, ServiceConfig
 from repro.service import procpool
 from repro.service.store import (
     SCCSummary,
     deserialize_summary,
-    environment_fingerprint,
-    program_fingerprints,
-    scc_summary_keys,
     serialize_summary,
     summarize_scc,
 )
-from repro.typegen.abstract_interp import generate_program_constraints
 from repro.typegen.externs import ensure_lattice_tags, extern_schemes, standard_externs
 
-# A program with a wide first wave (every helper is a leaf) so the process
-# backend actually dispatches chunks, plus a diamond on top.
+# A program with a wide first wave (every helper is a leaf) plus a diamond
+# on top.
 SOURCE = """
 struct box { int value; int fd; };
 
@@ -69,6 +64,14 @@ def _program():
     return compile_c(SOURCE).program
 
 
+def _corpus():
+    """Two programs, so analyze_corpus has something to fan out."""
+    return {
+        "box": _program(),
+        "twin": compile_c(SOURCE.replace("leaf_e(x)", "leaf_e(x) + 1")).program,
+    }
+
+
 def _canonical_bytes(types):
     """The timing-free canonical JSON of an analysis (byte-comparable)."""
     payload = types.to_json()
@@ -83,79 +86,104 @@ def _canonical_bytes(types):
     ).encode("utf-8")
 
 
+def _baseline(corpus):
+    return {name: _canonical_bytes(analyze_program(p)) for name, p in corpus.items()}
+
+
+def _fanout_service(**config):
+    return AnalysisService(ServiceConfig(executor="processes", max_workers=2, **config))
+
+
 # ---------------------------------------------------------------------------
 # The acceptance bar: byte-identical to serial analyze_program
 # ---------------------------------------------------------------------------
 
 
 def test_process_backend_byte_identical_to_serial_analyze_program():
-    program = _program()
-    baseline = analyze_program(program)
-    with AnalysisService(
-        ServiceConfig(use_cache=False, executor="processes", max_workers=2)
-    ) as service:
-        types = service.analyze(program)
-        warm = service.analyze(program)  # warm pool, same answer
-    assert types.stats["executor"] == "processes"
-    assert types.stats["worker_failed"] == 0
-    assert _canonical_bytes(types) == _canonical_bytes(baseline)
-    assert _canonical_bytes(warm) == _canonical_bytes(baseline)
-    # Real workers solved real SCCs and reported their per-stage timings.
-    worker_stats = types.stats["worker_stats"]
-    assert worker_stats, "expected at least one worker to report SolveStats"
-    assert sum(entry["sccs_timed"] for entry in worker_stats.values()) > 0
+    corpus = _corpus()
+    baseline = _baseline(corpus)
+    with _fanout_service() as service:
+        report = analyze_corpus(corpus, service=service)
+        warm = analyze_corpus(corpus, service=service)  # warm pool, same answer
+        assert service.procpool_snapshot()["pools_built"] == 1
+    for name in corpus:
+        types = report[name].types
+        assert types.stats["executor"] == "processes"
+        assert types.stats["worker_failed"] == 0
+        assert _canonical_bytes(types) == baseline[name]
+        assert _canonical_bytes(warm[name].types) == baseline[name]
+        # A real worker solved real SCCs and reported its per-stage timings.
+        worker_stats = types.stats["worker_stats"]
+        assert worker_stats, "expected the solving worker to report SolveStats"
+        assert sum(entry["sccs_timed"] for entry in worker_stats.values()) > 0
 
 
 def test_process_backend_with_store_matches_and_caches(tmp_path):
-    program = _program()
-    baseline = analyze_program(program)
-    with AnalysisService(
-        ServiceConfig(cache_dir=str(tmp_path), executor="processes", max_workers=2)
-    ) as service:
-        cold = service.analyze(program)
-        warm = service.analyze(program)
-    assert _canonical_bytes(cold) == _canonical_bytes(baseline)
-    assert _canonical_bytes(warm) == _canonical_bytes(baseline)
-    # The second run is served from the parent store: no dispatch at all.
-    assert warm.stats["sccs_solved"] == 0
+    corpus = _corpus()
+    baseline = _baseline(corpus)
+    with _fanout_service(cache_dir=str(tmp_path)) as service:
+        cold = analyze_corpus(corpus, service=service)
+        warm = analyze_corpus(corpus, service=service)
+    for name in corpus:
+        assert _canonical_bytes(cold[name].types) == baseline[name]
+        assert _canonical_bytes(warm[name].types) == baseline[name]
+        # The second corpus is served from the workers' stores: no re-solve.
+        assert warm[name].cache_misses == 0
+        assert warm[name].types.stats["sccs_solved"] == 0
     # Workers published to the shared disk tier; entries exist on disk.
     assert any(tmp_path.rglob("*.json"))
 
 
 # ---------------------------------------------------------------------------
-# Failure injection: crash and soft failure both requeue in-process
+# Failure injection: crash and soft failure both fall back in-process
 # ---------------------------------------------------------------------------
 
 
 def test_worker_crash_requeues_sccs_in_process(monkeypatch):
-    program = _program()
-    baseline = analyze_program(program)
+    """A hard crash (``os._exit``) breaks the pool: every program of the
+    corpus falls back in-process, byte-identical, and the next corpus gets a
+    rebuilt pool."""
+    corpus = _corpus()
+    baseline = _baseline(corpus)
     monkeypatch.setenv(procpool.CRASH_ENV, "leaf_c")
-    with AnalysisService(
-        ServiceConfig(use_cache=False, executor="processes", max_workers=2)
-    ) as service:
-        types = service.analyze(program)
-    assert types.stats["worker_failed"] >= 1
-    assert any("leaf_c" in entry for entry in types.stats["requeued_sccs"])
-    # The typed stat also flows through the SolveStats record.
-    assert types.stage_seconds["worker_failed"] == types.stats["worker_failed"]
-    # Degradation is graceful: every result still byte-identical.
-    assert _canonical_bytes(types) == _canonical_bytes(baseline)
+    with _fanout_service() as service:
+        report = analyze_corpus(corpus, service=service)
+        pool = service._procpool
+        assert pool.chunks_failed > 0
+        for name in corpus:
+            types = report[name].types
+            assert types.stats["executor"] == "serial"
+            assert types.stats["worker_failed"] >= 1
+            # The typed stat also flows through the SolveStats record.
+            assert types.stage_seconds["worker_failed"] == types.stats["worker_failed"]
+            # Degradation is graceful: every result still byte-identical.
+            assert _canonical_bytes(types) == baseline[name]
+
+        # The first program solved everything in-process; the twin then
+        # only needed the SCC it does not share.
+        assert "leaf_c" in report["box"].types.stats["requeued_sccs"]
+        assert report["twin"].types.stats["requeued_sccs"] == ["top"]
+
+        monkeypatch.delenv(procpool.CRASH_ENV)
+        again = analyze_corpus(_corpus(), service=service)
+        assert pool.pools_built == 2
+    for name in corpus:
+        assert again[name].types.stats["executor"] == "processes"
+        assert _canonical_bytes(again[name].types) == baseline[name]
 
 
 def test_soft_worker_failure_requeues_without_killing_the_pool(monkeypatch):
-    program = _program()
-    baseline = analyze_program(program)
+    corpus = _corpus()
+    baseline = _baseline(corpus)
     monkeypatch.setenv(procpool.FAIL_ENV, "leaf_d")
-    with AnalysisService(
-        ServiceConfig(use_cache=False, executor="processes", max_workers=2)
-    ) as service:
-        types = service.analyze(program)
+    with _fanout_service() as service:
+        report = analyze_corpus(corpus, service=service)
         pool = service._procpool
         assert pool is not None and pool.pools_built == 1  # survived the exception
         assert pool.chunks_failed >= 1
-    assert types.stats["worker_failed"] >= 1
-    assert _canonical_bytes(types) == _canonical_bytes(baseline)
+    for name in corpus:
+        assert report[name].types.stats["worker_failed"] >= 1
+        assert _canonical_bytes(report[name].types) == baseline[name]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +285,7 @@ def test_environment_codec_round_trips_lattice_and_externs():
 
 
 def test_worker_reuses_shared_disk_tier_without_resolving(tmp_path):
-    """A worker whose store already holds an SCC's key returns it verbatim."""
+    """A worker whose store already holds a program's SCCs serves them all."""
     program = _program()
     # Populate the shared disk tier with a serial cached run.
     with AnalysisService(ServiceConfig(cache_dir=str(tmp_path))) as service:
@@ -266,31 +294,21 @@ def test_worker_reuses_shared_disk_tier_without_resolving(tmp_path):
         externs = service.extern_table
         config = service.config.solver
 
-        inputs = generate_program_constraints(program, externs)
-        callgraph = CallGraph.from_typing_inputs(inputs)
-        sccs = callgraph.sccs_bottom_up()
-        keys = scc_summary_keys(
-            sccs,
-            callgraph.edges,
-            program_fingerprints(program),
-            environment_fingerprint(lattice, externs, config),
-        )
-
     # Impersonate a worker in this process: same env, same disk tier.
     env_json = procpool.encode_environment(lattice, externs, config, str(tmp_path))
     procpool._init_worker(env_json)
-    leaf_sccs = [scc for scc in sccs if scc == ["leaf_a"] or scc == ["leaf_c"]]
-    task = procpool.encode_task(leaf_sccs, inputs, {}, keys)
+    task = procpool.encode_corpus_task([("box", str(program))])
     reply = json.loads(procpool._worker_solve_chunk(task))
     assert reply["pid"] == os.getpid()
-    for entry in reply["results"]:
-        assert entry["from_disk"], "expected a shared-disk-tier hit, not a re-solve"
-        assert entry["stats"]["sccs_timed"] == 0  # cache hits contribute no core work
+    (entry,) = reply["programs"]
+    assert entry["cache_misses"] == 0, "expected shared-disk-tier hits, not re-solves"
+    assert entry["cache_hits"] == len(entry["summaries"]) > 0
+    assert entry["stats"]["sccs_timed"] == 0  # cache hits contribute no core work
 
 
 def test_worker_rejects_mismatched_task_format():
     with pytest.raises(RuntimeError):
-        procpool._worker_solve_chunk(json.dumps({"format": "bogus", "sccs": []}))
+        procpool._worker_solve_chunk(json.dumps({"format": "bogus", "programs": []}))
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +316,10 @@ def test_worker_rejects_mismatched_task_format():
 # ---------------------------------------------------------------------------
 
 
-def test_choose_executor_by_workload_and_cpus():
-    wide = [[["p%d" % i] for i in range(32)]]
-    narrow = [[["a"], ["b"]], [["c"]]]
-    assert choose_executor(wide, cpu_count=1) == "serial"
-    assert choose_executor(wide, cpu_count=8) == "processes"
-    assert choose_executor(narrow, cpu_count=8) == "serial"
-    assert choose_executor([], cpu_count=8) == "serial"
-
-
-def test_unknown_executor_is_rejected():
+@pytest.mark.parametrize("executor", ["threads", "auto", "fibers"])
+def test_unknown_executor_is_rejected(executor):
     with pytest.raises(ValueError):
-        AnalysisService(ServiceConfig(executor="fibers"))
+        AnalysisService(ServiceConfig(executor=executor))
 
 
 def test_environment_change_rebuilds_the_pool():

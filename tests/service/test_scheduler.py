@@ -1,10 +1,13 @@
-"""Wave scheduler: levelling invariants and serial/parallel equivalence."""
+"""Wave scheduling: levelling invariants and the service's bottom-up wave loop.
 
-from repro.frontend import compile_c
+A single program solves in-process, wave by wave over the call-graph
+condensation; each wave's summaries are published before the next starts.
+"""
+
+from repro.core.solver import Solver
 from repro.ir.asmparser import parse_program
 from repro.ir.callgraph import CallGraph
-from repro.service import AnalysisService, ServiceConfig, WaveScheduler
-from repro.service.scheduler import ScheduleStats
+from repro.service import AnalysisService, ServiceConfig
 
 
 def _asm_diamond():
@@ -79,104 +82,50 @@ def test_wave_levelling_handles_cycles():
     assert waves[1] == [["c"]]
 
 
-def test_scheduler_is_deterministic_and_parallel_safe():
-    waves = [[["a"], ["b"], ["c"]], [["d"]]]
-
-    def solve(scc):
-        return {name: name.upper() for name in scc}
-
-    serial, serial_stats = WaveScheduler(parallel=False).run(waves, solve)
-    parallel, parallel_stats = WaveScheduler(parallel=True, max_workers=4).run(waves, solve)
-    assert [scc for scc, _ in serial] == [scc for scc, _ in parallel]
-    assert [r for _, r in serial] == [r for _, r in parallel]
-    assert serial_stats.wave_widths == parallel_stats.wave_widths == [3, 1]
-    assert not serial_stats.parallel and parallel_stats.parallel
-    assert len(parallel_stats.scc_seconds) == 4
-
-
-def test_after_wave_runs_between_waves():
-    waves = [[["a"], ["b"]], [["c"]]]
+def test_after_wave_runs_between_waves(monkeypatch):
+    """Every SCC of a wave sees the previous waves' summaries in the store."""
+    service = AnalysisService()
     published = []
+    real_put = service.store.put
+    real_solve = Solver.solve_scc
 
-    def solve(scc):
-        # The second wave must observe the first wave's publication.
-        if scc == ["c"]:
-            assert set(published) == {"a", "b"}
-        return scc[0]
+    def put(key, summary):
+        published.extend(summary.members)
+        return real_put(key, summary)
 
-    def publish(wave_results):
-        published.extend(result for _, result in wave_results)
+    def solve_scc(self, scc, *args, **kwargs):
+        published.append(f"solving {','.join(scc)}")
+        return real_solve(self, scc, *args, **kwargs)
 
-    WaveScheduler(parallel=True, max_workers=2).run(waves, solve, publish)
-    assert published == ["a", "b", "c"]
-
-
-def test_parallel_service_matches_serial_service():
-    source = """
-    struct pair { int first; int second; };
-
-    int get_first(const struct pair * p) { return p->first; }
-    int get_second(const struct pair * p) { return p->second; }
-    int sum_pair(const struct pair * p) { return get_first(p) + get_second(p); }
-    int scale(int x) { return x * 3; }
-    int entry(struct pair * p, int x) { return sum_pair(p) + scale(x); }
-    """
-    program = compile_c(source).program
-    serial = AnalysisService(ServiceConfig(use_cache=False, parallel=False)).analyze(program)
-    parallel = AnalysisService(ServiceConfig(use_cache=False, parallel=True, max_workers=4)).analyze(
-        program
-    )
-    assert parallel.report() == serial.report()
-    for name in serial.functions:
-        assert parallel.signature(name) == serial.signature(name)
-    assert parallel.stats["max_wave_width"] >= 2
+    monkeypatch.setattr(service.store, "put", put)
+    monkeypatch.setattr(Solver, "solve_scc", solve_scc)
+    service.analyze(_asm_diamond())
+    assert published == [
+        "solving leaf1", "solving leaf2", "leaf1", "leaf2",
+        "solving mid1", "solving mid2", "mid1", "mid2",
+        "solving top", "top",
+    ]
 
 
 def test_schedule_stats_shape():
-    stats = ScheduleStats(wave_widths=[3, 2, 1], parallel=True)
-    as_stats = stats.as_stats()
-    assert as_stats["wave_count"] == 3
-    assert as_stats["max_wave_width"] == 3
-    assert abs(as_stats["mean_wave_width"] - 2.0) < 1e-9
-
-
-def test_executor_strategies_and_legacy_parallel_spelling():
-    import pytest as _pytest
-
-    assert WaveScheduler().executor == "serial"
-    assert WaveScheduler(parallel=True).executor == "threads"
-    assert WaveScheduler(executor="processes").parallel
-    with _pytest.raises(ValueError):
-        WaveScheduler(executor="fibers")
+    stats = AnalysisService(ServiceConfig(use_cache=False)).analyze(_asm_diamond()).stats
+    assert stats["wave_count"] == 3
+    assert stats["wave_widths"] == [2, 2, 1]
+    assert stats["max_wave_width"] == 2
+    assert abs(stats["mean_wave_width"] - 5 / 3) < 1e-9
+    assert [name for name, _ in stats["scc_seconds"]] == [
+        "leaf1", "leaf2", "mid1", "mid2", "top"
+    ]
+    assert stats["executor"] == "serial" and not stats["parallel"]
+    assert stats["worker_failed"] == 0 and stats["requeued_sccs"] == []
 
 
 def test_processes_without_a_remote_runner_degrades_to_serial():
-    waves = [[["a"], ["b"]], [["c"]]]
-    results, stats = WaveScheduler(executor="processes").run(
-        waves, lambda scc: scc[0].upper()
-    )
-    assert [r for _, r in results] == ["A", "B", "C"]
-    assert stats.executor == "serial" and not stats.parallel
-
-
-def test_remote_runner_drives_wide_waves_and_requeue_counts_surface():
-    class FakeRunner:
-        def __init__(self):
-            self.waves = []
-            self.worker_failed = 2
-            self.requeued_sccs = ["b"]
-
-        def solve_wave(self, wave, fallback):
-            self.waves.append([list(scc) for scc in wave])
-            return [(scc, fallback(scc), 0.0) for scc in wave]
-
-    runner = FakeRunner()
-    waves = [[["a"], ["b"]], [["c"]]]
-    results, stats = WaveScheduler(executor="processes").run(
-        waves, lambda scc: scc[0].upper(), remote=runner
-    )
-    # Wide wave went to the runner; the single-SCC wave stayed in-process.
-    assert runner.waves == [[["a"], ["b"]]]
-    assert [r for _, r in results] == ["A", "B", "C"]
-    assert stats.executor == "processes"
-    assert stats.worker_failed == 2 and stats.requeued_sccs == ["b"]
+    """A process-backend service solves one program in-process: the worker
+    pool is corpus fan-out's runner only and is never built for a single
+    analyze."""
+    with AnalysisService(ServiceConfig(use_cache=False, executor="processes")) as service:
+        types = service.analyze(_asm_diamond())
+        assert service.procpool_snapshot() == {}
+    assert types.stats["executor"] == "serial"
+    assert types.stats["wave_widths"] == [2, 2, 1]

@@ -4,18 +4,19 @@ These tests exercise the whole reproduction exactly the way the evaluation
 does: compile a program (recording ground truth), throw the types away, run
 Retypd on the machine code, and compare what comes back.
 
-Every test runs once per executor backend (serial, threads, processes,
-auto), so a regression in any wave-dispatch strategy -- not just the default
--- surfaces in tier-1.
+Every test runs once per executor backend: serial in-process, and corpus
+fan-out on worker processes (the program shipped to a worker alongside a
+twin, so the corpus has two programs to fan out).  A regression in either
+path surfaces in tier-1.
 """
 
 import pytest
 
-from repro import analyze_program
+from repro import analyze_corpus, analyze_program
 from repro.core.ctype import IntType, PointerType, StructRef, StructType, TypedefType
 from repro.frontend import compile_c
 from repro.service import AnalysisService, ServiceConfig
-from repro.service.scheduler import EXECUTORS
+from repro.service.incremental import EXECUTORS
 
 
 LINKED_LIST = """
@@ -89,7 +90,9 @@ void use_config(struct config * c) {
 def backend_service(request):
     """One analysis service per executor strategy, shared across the module
     (the process pool stays warm instead of respawning per test)."""
-    service = AnalysisService(ServiceConfig(use_cache=False, executor=request.param))
+    fanout = request.param == "processes"
+    # Fan-out admits worker summaries into the store, so it needs the cache.
+    service = AnalysisService(ServiceConfig(use_cache=fanout, executor=request.param))
     yield service
     service.close()
 
@@ -98,7 +101,12 @@ def _analyze(source, service=None):
     result = compile_c(source)
     if service is None:
         return result, analyze_program(result.program)
-    return result, analyze_program(result.program, service=service)
+    if service.config.executor == "serial":
+        return result, analyze_program(result.program, service=service)
+    corpus = {"program": result.program, "twin": result.program}
+    types = analyze_corpus(corpus, service=service)["program"].types
+    assert types.stats["executor"] == "processes", "no worker solved the program"
+    return result, types
 
 
 def test_linked_list_end_to_end(backend_service):
