@@ -19,7 +19,8 @@ here follow the paper:
 
 from __future__ import annotations
 
-import itertools
+import sys
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ctype import (
@@ -75,16 +76,42 @@ _ATOM_TYPES: Dict[str, CType] = {
     "url": TypedefType("url", PointerType(IntType(8, True))),
 }
 
+#: the sized integers shown for an otherwise-unconstrained machine word.
+_DEFAULT_INTS: Dict[int, CType] = {size: IntType(size, True) for size in (8, 16, 32, 64)}
+
+
+@dataclass
+class DisplayRecord:
+    """What one stretch of conversions read from and wrote to a
+    :class:`TypeDisplay`'s struct state (see :meth:`TypeDisplay.replay`).
+
+    ``events`` holds, in order, ``(signature, answer, None)`` for every
+    re-rolling lookup (``answer`` is the struct name found, or None) and
+    ``(signature, name, struct)`` for every struct defined.
+    """
+
+    start: int
+    end: int = 0
+    events: Sequence[Tuple[Tuple, Optional[str], Optional[StructType]]] = ()
+
 
 class TypeDisplay:
-    """Stateful sketch-to-C-type converter (keeps a table of named structs)."""
+    """Stateful sketch-to-C-type converter (keeps a table of named structs).
+
+    Struct names come from a program-wide counter and re-rolling looks up
+    earlier structs, so a conversion's output depends on what was converted
+    before it.  Between :meth:`start_recording` and :meth:`stop_recording`
+    the converter notes that dependence; :meth:`replay` later re-applies a
+    recorded stretch without converting, when the state it read is unchanged.
+    """
 
     def __init__(self, lattice: TypeLattice, pointer_size: int = 32) -> None:
         self.lattice = lattice
         self.pointer_size = pointer_size
         self.structs: Dict[str, StructType] = {}
-        self._struct_counter = itertools.count()
+        self._next_struct = 0
         self._signature_names: Dict[Tuple, str] = {}
+        self._record: Optional[DisplayRecord] = None
 
     # -- public API ----------------------------------------------------------------
 
@@ -101,6 +128,40 @@ class TypeDisplay:
         """All named structs synthesized so far (for pretty-printing)."""
         return dict(self.structs)
 
+    # -- record and replay -------------------------------------------------------------
+
+    def start_recording(self) -> None:
+        self._record = DisplayRecord(self._next_struct, events=[])
+
+    def stop_recording(self) -> DisplayRecord:
+        record, self._record = self._record, None
+        record.end = self._next_struct
+        record.events = tuple(record.events)
+        return record
+
+    def replay(self, record: DisplayRecord) -> bool:
+        """Apply a recorded stretch's effects if it would convert identically.
+
+        It does when the struct counter stands where it did and every
+        re-rolling lookup gets the answer it got then; the structs it
+        defined, their signatures and the counter advance are then applied
+        as recorded.  Returns False, changing nothing, otherwise.
+        """
+        if record.start != self._next_struct:
+            return False
+        defined: Dict[Tuple, str] = {}
+        for signature, name, struct in record.events:
+            if struct is not None:
+                defined[signature] = name
+            elif defined.get(signature, self._signature_names.get(signature)) != name:
+                return False
+        for signature, name, struct in record.events:
+            if struct is not None:
+                self.structs[name] = struct
+                self._signature_names[signature] = name
+        self._next_struct = record.end
+        return True
+
     # -- scalar conversion ------------------------------------------------------------
 
     def scalar_from_bounds(
@@ -116,9 +177,8 @@ class TypeDisplay:
             return self.atom_to_ctype(bound, default_size)
         # No lattice evidence at all: fall back to a sized integer, the default
         # every deployed tool uses for an otherwise-unconstrained machine word.
-        if default_size in (8, 16, 32, 64):
-            return IntType(default_size, True)
-        return UnknownType(default_size)
+        default = _DEFAULT_INTS.get(default_size)
+        return default if default is not None else UnknownType(default_size)
 
     def atom_to_ctype(self, atom: str, default_size: int = 32) -> CType:
         if atom in _ATOM_TYPES:
@@ -227,7 +287,8 @@ class TypeDisplay:
         # Single field at offset zero degenerates to the field type itself
         # (a pointer to the first member is indistinguishable from a pointer to
         # the struct, section 2.4) -- unless the node is recursive.
-        name = f"struct_{next(self._struct_counter)}"
+        name = f"struct_{self._next_struct}"
+        self._next_struct += 1
         in_progress = dict(in_progress)
         in_progress[node] = name
 
@@ -250,12 +311,18 @@ class TypeDisplay:
 
         # Re-rolling (Example G.3): identical field signatures reuse one name.
         signature = tuple((f.offset, str(f.ctype)) for f in fields)
-        if not recursive and signature in self._signature_names:
-            return StructRef(self._signature_names[signature])
+        if not recursive:
+            known = self._signature_names.get(signature)
+            if self._record is not None:
+                self._record.events.append((signature, known, None))
+            if known is not None:
+                return StructRef(known)
 
         struct = StructType(name, tuple(fields))
         self.structs[name] = struct
         self._signature_names[signature] = name
+        if self._record is not None:
+            self._record.events.append((signature, name, struct))
         return struct
 
     # -- function signatures ------------------------------------------------------------
@@ -275,7 +342,7 @@ class TypeDisplay:
         names: List[str] = []
         for location, sketch in sorted(in_sketches, key=lambda kv: location_sort_key(kv[0])):
             params.append(self.ctype_of_sketch(sketch, Variance.CONTRAVARIANT))
-            names.append(f"arg_{location}")
+            names.append(sys.intern(f"arg_{location}"))  # a few distinct names
         if out_sketches:
             ret = self.ctype_of_sketch(out_sketches[0][1], Variance.COVARIANT)
         else:

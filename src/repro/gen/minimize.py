@@ -132,8 +132,8 @@ def _cache_warm_predicate(name: str, source: str) -> Optional[str]:
     ref = result_fingerprint(_service().analyze(program))
     with AnalysisService(ServiceConfig(use_cache=True)) as cached:
         session = IncrementalSession(cached)
-        session.analyze(program)
-        warm = session.analyze(program)
+        session.analyze(str(program))
+        warm = session.analyze(str(program))
     if result_fingerprint(warm) != ref:
         return "warm cached re-run differs from the uncached reference"
     solved = warm.stats.get("sccs_solved", -1)

@@ -8,10 +8,12 @@ every executor backend and cache state, that the analysis is *one function*:
   produce results byte-identical to the serial in-process reference
   (canonical JSON of the typed surface, timings excluded), and every one of
   them was actually solved by a worker;
-* **cache identity** -- a cold cache-backed run, a warm re-run (which must
-  perform zero SCC solves), and an incremental re-analysis after a generated
-  edit each reproduce the reference result byte-for-byte, and the edit's
-  invalidation cone contains the edited function;
+* **cache identity** -- through one :class:`IncrementalSession` fed asm
+  text, a cold cache-backed run, a warm re-run (which must perform zero SCC
+  solves), an incremental re-analysis after a generated edit and a reopen
+  of the unedited program each reproduce the reference result
+  byte-for-byte, and the edit's invalidation cone contains the edited
+  function;
 * **conservativeness** -- the inferred types score at least
   ``min_conservativeness`` against the generator's ground-truth answer key
   under :func:`repro.eval.metrics.evaluate_program` (the paper's section 6.3
@@ -371,9 +373,12 @@ def _check_program(
     )
 
     # -- (b) cache states -------------------------------------------------------
+    # The session is driven with asm text, as the server and the benchmark
+    # drive it, so its chunk-table and display reuse run here too.
+    base_asm = str(comp.program)
     session = IncrementalSession(cache_service)
     report.count("cache:cold")
-    cold = session.analyze(comp.program)
+    cold = session.analyze(base_asm)
     if result_fingerprint(cold) != ref_fp:
         report.mismatches.append(
             OracleMismatch(
@@ -381,7 +386,7 @@ def _check_program(
             )
         )
     report.count("cache:warm")
-    warm = session.analyze(comp.program)
+    warm = session.analyze(base_asm)
     if result_fingerprint(warm) != ref_fp:
         report.mismatches.append(
             OracleMismatch(
@@ -400,7 +405,7 @@ def _check_program(
     report.count("cache:incremental")
     edit = generate_edit(program, edit_seed=program.seed)
     edited_comp = compile_c(edit.source)
-    incremental = session.analyze(edited_comp.program)
+    incremental = session.analyze(str(edited_comp.program))
     fresh = reference.analyze(edited_comp.program)
     if result_fingerprint(incremental) != result_fingerprint(fresh):
         report.mismatches.append(
@@ -418,6 +423,17 @@ def _check_program(
                 program.name,
                 "cache:incremental",
                 f"edited {edit.function!r} missing from invalidation cone {invalidated}",
+            )
+        )
+    # Reopening the base after the edit reuses what the edit left untouched.
+    reopened = session.analyze(base_asm)
+    if result_fingerprint(reopened) != ref_fp:
+        report.mismatches.append(
+            OracleMismatch(
+                program.name,
+                "cache:incremental",
+                f"reopening the base after editing {edit.function!r} differs "
+                f"from a fresh analysis (seed {program.seed})",
             )
         )
 
@@ -537,7 +553,7 @@ def _check_family(
                 )
 
             report.count("family:session")
-            live = session.analyze(comp.program)
+            live = session.analyze(str(comp.program))
             if result_fingerprint(live) != ref_fp:
                 report.mismatches.append(
                     OracleMismatch(

@@ -27,7 +27,9 @@ the access size (default 4 bytes).  Comments start with ``;`` or ``#``.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field as dc_field
+from hashlib import blake2b
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instructions import (
     REGISTERS,
@@ -65,32 +67,101 @@ class AsmSyntaxError(ValueError):
 _SIZE_PREFIXES = {"byte": 1, "word": 2, "dword": 4, "qword": 8}
 _BINARY_OPS = {"add", "sub", "and", "or", "xor", "imul", "shl", "shr", "sar"}
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$@]*):$")
+#: a raw line that :data:`_LABEL_RE` reads as a top-level label once its
+#: comment and surrounding whitespace are stripped (names not starting '.').
+_TOP_LABEL_RE = re.compile(r"\s*([A-Za-z_$][\w.$@]*):\s*(?:[;#].*)?")
 
 
-def parse_program(text: str) -> Program:
-    """Parse a whole assembly module into a :class:`Program`."""
-    program = Program()
-    current_name: Optional[str] = None
-    current_instructions: List[Instruction] = []
+@dataclass(frozen=True)
+class ParsedChunk:
+    """One chunk of assembly text, parsed.
 
-    def flush() -> None:
-        nonlocal current_name, current_instructions
-        if current_name is not None:
-            program.add_procedure(Procedure(current_name, current_instructions))
-        current_name = None
-        current_instructions = []
+    A chunk is a top-level label line plus every line up to the next one, or
+    the lines before the first label (``procedure`` is None).  The
+    directives it holds are kept so that a reused chunk declares them again.
+    """
+
+    procedure: Optional[Procedure]
+    externs: Tuple[str, ...]
+    globals: Tuple[Tuple[str, int], ...]
+
+
+@dataclass
+class ParseTable:
+    """What one :func:`parse_program` call leaves for the next."""
+
+    #: digest of every chunk's text -> its parse, in source order (a digest,
+    #: not the text: a session keeps the table as long as the program).
+    chunks: Dict[bytes, ParsedChunk] = dc_field(default_factory=dict)
+    #: distinct raw instruction or local-label line -> its (immutable,
+    #: shared) instruction.
+    lines: Dict[str, Instruction] = dc_field(default_factory=dict)
+
+
+def parse_program(text: str, previous: Optional[ParseTable] = None) -> Program:
+    """Parse a whole assembly module into a :class:`Program`.
+
+    The text is split at its top-level labels and parsed chunk by chunk;
+    ``Program.parse_table`` records the result.  Given the table of an
+    earlier call as ``previous``, a chunk whose text it holds is reused as
+    is and a line it holds is not parsed again, so re-parsing an edited text
+    costs only its changed chunks.  A chunk parses the same wherever it
+    appears, so reuse never changes the result.
+    """
+    lines = text.splitlines()
+    starts = [
+        (index, match.group(1))
+        for index, raw_line in enumerate(lines)
+        if ":" in raw_line and (match := _TOP_LABEL_RE.fullmatch(raw_line))
+    ]
+    spans = []
+    if not starts or starts[0][0] > 0:
+        spans.append((0, starts[0][0] if starts else len(lines), None))
+    for (start, name), (end, _) in zip(starts, starts[1:] + [(len(lines), None)]):
+        spans.append((start, end, name))
 
     # Generated and compiled code repeats a few hundred distinct instruction
-    # lines thousands of times; instructions are immutable, so each distinct
-    # raw line is parsed once per call and its instruction shared.  A hit
-    # needs no outside-procedure check: lines are only memoized inside a
-    # procedure, and every later line is inside one too.
-    parsed: Dict[str, Instruction] = {}
+    # and local-label lines thousands of times; instructions are immutable,
+    # so each distinct raw line is parsed once and its instruction shared by
+    # every chunk -- across calls too, until the line table outgrows the text.
+    table = ParseTable()
+    reuse = previous if previous is not None else table
+    if len(reuse.lines) <= len(lines):
+        table.lines.update(reuse.lines)
+    program = Program(parse_table=table)
+    for start, end, name in spans:
+        digest = blake2b("\n".join(lines[start:end]).encode(), digest_size=16).digest()
+        chunk = reuse.chunks.get(digest)
+        if chunk is None:
+            # Outside a procedure every instruction is an error: no memo.
+            memo = table.lines if name is not None else {}
+            chunk = _parse_chunk(lines, start, end, name, memo)
+        table.chunks[digest] = chunk
+        program.externs.update(chunk.externs)
+        for global_name, size in chunk.globals:
+            program.globals[global_name] = size
+        if chunk.procedure is not None:
+            program.procedures[chunk.procedure.name] = chunk.procedure
+    return program
 
-    for line_number, raw_line in enumerate(text.splitlines(), start=1):
+
+def _parse_chunk(
+    lines: Sequence[str],
+    start: int,
+    end: int,
+    name: Optional[str],
+    parsed: Dict[str, Instruction],
+) -> ParsedChunk:
+    """Parse ``lines[start:end]``: procedure ``name`` from its label line on,
+    or (``name`` None) the lines before the first label."""
+    instructions: List[Instruction] = []
+    externs: List[str] = []
+    globals_: List[Tuple[str, int]] = []
+    first = start if name is None else start + 1
+    for line_number, raw_line in enumerate(lines[first:end], start=first + 1):
         instruction = parsed.get(raw_line)
         if instruction is not None:
-            current_instructions.append(instruction)
+            instructions.append(instruction)
             continue
         line = _strip_comment(raw_line).strip()
         if not line:
@@ -99,37 +170,31 @@ def parse_program(text: str) -> Program:
             parts = line.split()
             if len(parts) < 2:
                 raise AsmSyntaxError("missing extern name", line_number, raw_line)
-            for name in parts[1:]:
-                program.externs.add(name.rstrip(","))
+            externs.extend(part.rstrip(",") for part in parts[1:])
             continue
         if line.startswith(".global_var"):
             parts = line.split()
             if len(parts) < 2:
                 raise AsmSyntaxError("missing global name", line_number, raw_line)
-            size = int(parts[2]) if len(parts) > 2 else 4
-            program.globals[parts[1]] = size
+            globals_.append((parts[1], int(parts[2]) if len(parts) > 2 else 4))
             continue
         label_match = _LABEL_RE.match(line)
         if label_match:
-            name = label_match.group(1)
-            if name.startswith("."):
-                if current_name is None:
-                    raise AsmSyntaxError("local label outside procedure", line_number, raw_line)
-                current_instructions.append(LabelPseudo(name))
-            else:
-                flush()
-                current_name = name
-            continue
-        if current_name is None:
+            # Top-level labels start chunks, so this one is procedure-local.
+            if name is None:
+                raise AsmSyntaxError("local label outside procedure", line_number, raw_line)
+            instruction = LabelPseudo(label_match.group(1))
+        elif name is None:
             raise AsmSyntaxError("instruction outside procedure", line_number, raw_line)
-        try:
-            instruction = parse_instruction(line)
-        except ValueError as error:
-            raise AsmSyntaxError(str(error), line_number, raw_line) from error
+        else:
+            try:
+                instruction = parse_instruction(line)
+            except ValueError as error:
+                raise AsmSyntaxError(str(error), line_number, raw_line) from error
         parsed[raw_line] = instruction
-        current_instructions.append(instruction)
-    flush()
-    return program
+        instructions.append(instruction)
+    procedure = Procedure(name, instructions) if name is not None else None
+    return ParsedChunk(procedure, tuple(externs), tuple(globals_))
 
 
 def parse_procedure(name: str, text: str) -> Procedure:

@@ -11,7 +11,7 @@ program wave by wave, publishing each wave's summaries before the next).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.solver import ProcedureTypingInput, call_edges, tarjan_sccs
 from .program import Program
@@ -19,13 +19,37 @@ from .program import Program
 
 @dataclass
 class CallGraph:
-    """Direct call graph over the procedures defined in a program."""
+    """Direct call graph over the procedures defined in a program.
+
+    The SCCs and waves are computed on first use and kept, so ``edges`` must
+    not change after that.
+    """
 
     edges: Dict[str, Set[str]] = dc_field(default_factory=dict)
+    _sccs: Optional[List[List[str]]] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _waves: Optional[List[List[List[str]]]] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_program(cls, program: Program) -> "CallGraph":
-        return cls(program.call_edges())
+        return cls.from_callees(
+            {name: proc.direct_callees() for name, proc in program.procedures.items()}
+        )
+
+    @classmethod
+    def from_callees(cls, callees: Mapping[str, Sequence[str]]) -> "CallGraph":
+        """Call graph from each procedure's direct callees in instruction
+        order (what ``Procedure.direct_callees`` returns), restricted to the
+        procedures ``callees`` defines."""
+        edges: Dict[str, Set[str]] = {name: set() for name in callees}
+        for name, targets in callees.items():
+            for callee in targets:
+                if callee in edges:
+                    edges[name].add(callee)
+        return cls(edges)
 
     @classmethod
     def from_typing_inputs(
@@ -63,7 +87,9 @@ class CallGraph:
 
     def sccs_bottom_up(self) -> List[List[str]]:
         """SCCs in callee-first order (the order type schemes are inferred in)."""
-        return tarjan_sccs(self.edges)
+        if self._sccs is None:
+            self._sccs = tarjan_sccs(self.edges)
+        return self._sccs
 
     def sccs_top_down(self) -> List[List[str]]:
         """SCCs in caller-first order (the order sketches are specialized in)."""
@@ -86,6 +112,8 @@ class CallGraph:
         calls into SCCs of strictly earlier waves.  Wave 0 holds the leaf
         SCCs; independent subtrees share waves.
         """
+        if self._waves is not None:
+            return self._waves
         sccs = self.sccs_bottom_up()
         index_of: Dict[str, int] = {}
         for index, scc in enumerate(sccs):
@@ -105,6 +133,7 @@ class CallGraph:
         waves: List[List[List[str]]] = [[] for _ in range(max(depth, default=-1) + 1)]
         for index, scc in enumerate(sccs):
             waves[depth[index]].append(list(scc))
+        self._waves = waves
         return waves
 
     def __len__(self) -> int:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .instructions import Call, Instruction, Jcc, Jmp, LabelPseudo, Reg, Ret
+
+if TYPE_CHECKING:
+    from .asmparser import ParseTable
 
 
 @dataclass
@@ -69,6 +72,9 @@ class Program:
     procedures: Dict[str, Procedure] = dc_field(default_factory=dict)
     externs: Set[str] = dc_field(default_factory=set)
     globals: Dict[str, int] = dc_field(default_factory=dict)  # name -> size in bytes
+    #: what :func:`~repro.ir.asmparser.parse_program` parsed this program
+    #: from, for reuse by a later parse (None for programs built in memory).
+    parse_table: Optional["ParseTable"] = dc_field(default=None, compare=False, repr=False)
 
     def add_procedure(self, procedure: Procedure) -> None:
         self.procedures[procedure.name] = procedure
@@ -85,15 +91,6 @@ class Program:
     @property
     def instruction_count(self) -> int:
         return sum(proc.size for proc in self.procedures.values())
-
-    def call_edges(self) -> Dict[str, Set[str]]:
-        """Direct call graph edges restricted to procedures defined in the program."""
-        edges: Dict[str, Set[str]] = {name: set() for name in self.procedures}
-        for name, proc in self.procedures.items():
-            for callee in proc.direct_callees():
-                if callee in self.procedures:
-                    edges[name].add(callee)
-        return edges
 
     def undefined_callees(self) -> Set[str]:
         """Callees that are neither defined nor declared extern."""

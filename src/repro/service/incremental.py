@@ -36,9 +36,10 @@ import os
 import threading
 import time
 from collections import ChainMap
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass, field as dc_field, replace
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
+from ..core.display import DisplayRecord, TypeDisplay
 from ..core.lattice import TypeLattice, default_lattice
 from ..core.solver import (
     ProcedureResult,
@@ -50,13 +51,13 @@ from ..core.solver import (
     apply_refinement,
     collect_caller_contributions,
 )
+from ..ir.asmparser import ParsedChunk, ParseTable, parse_program
 from ..ir.callgraph import CallGraph
-from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
-from ..ir.asmparser import parse_program
 from ..ir.cfg import cfg_node_count
 from ..ir.program import Program
-from ..typegen.abstract_interp import generate_program_constraints
+from ..obs.metrics import get_registry
+from ..obs.trace import get_tracer
+from ..typegen.abstract_interp import Formals, generate_program_constraints
 from ..typegen.externs import (
     ExternSignature,
     ensure_lattice_tags,
@@ -65,13 +66,19 @@ from ..typegen.externs import (
 )
 from .procpool import ProcPool, encode_environment
 from .store import (
+    ProcedureSummary,
     SCCSummary,
     SummaryStore,
     environment_fingerprint,
+    procedure_fingerprint,
     program_fingerprints,
     scc_summary_keys,
     summarize_scc,
 )
+
+if TYPE_CHECKING:
+    from ..core.ctype import FunctionType
+    from ..pipeline import FunctionTypes
 
 
 #: the executor strategies :class:`ServiceConfig` accepts.
@@ -120,6 +127,76 @@ class _StoreProbe:
     keys: Dict[Tuple[str, ...], str] = dc_field(default_factory=dict)
     #: the SCCs the store served, with their summaries.
     cached: Dict[Tuple[str, ...], SCCSummary] = dc_field(default_factory=dict)
+
+
+@dataclass
+class _Solved:
+    """One run's unrefined results, as :meth:`AnalysisService.solve_inputs`
+    leaves them for refinement and display."""
+
+    #: every procedure in bottom-up SCC order: the fresh result of a solved
+    #: procedure, or (read-only) the stored summary of a served one.
+    results: Dict[str, Union[ProcedureResult, ProcedureSummary]]
+    #: the REFINEPARAMETERS contributions each procedure makes as a caller.
+    contributions: Dict[str, Sequence[RefinementContribution]]
+
+
+@dataclass(frozen=True)
+class _ProcedureEntry(ParsedChunk):
+    """A parsed procedure chunk plus what a session derives from it once."""
+
+    fingerprint: str
+    size: int
+    cfg_nodes: int
+    callees: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, chunk: ParsedChunk) -> "_ProcedureEntry":
+        procedure = chunk.procedure
+        return cls(
+            procedure,
+            chunk.externs,
+            chunk.globals,
+            procedure_fingerprint(procedure),
+            procedure.size,
+            cfg_node_count(procedure),
+            tuple(procedure.direct_callees()),
+        )
+
+
+@dataclass
+class _Displayed:
+    """One procedure's display and what it depended on."""
+
+    #: its SCC's store key plus ``(caller, caller SCC key)`` of every caller
+    #: that feeds it refinement contributions, in program order: equal keys
+    #: mean an equal refined result.
+    key: Tuple
+    #: the display-state reads and writes of its conversion.
+    record: DisplayRecord
+    function_type: FunctionType
+    param_names: Tuple[str, ...]
+    param_locations: Tuple[str, ...]
+    #: its refined result when it has feeders; any other result is just the
+    #: stored summary's (or this run's solve), cheap to materialize again.
+    refined: Optional[ProcedureResult]
+
+
+@dataclass
+class _Version:
+    """What an :class:`IncrementalSession` hands the service for one version."""
+
+    program: Program
+    fingerprints: Dict[str, str]
+    callgraph: CallGraph
+    instructions: int
+    cfg_nodes: int
+    #: SCC-key memo kept across versions (see ``scc_summary_keys``).
+    scc_keys: Dict[Tuple, str]
+    #: the previous version's display table, by procedure name.
+    displayed: Mapping[str, _Displayed]
+    #: this version's display table, filled by the service.
+    next_displayed: Dict[str, _Displayed] = dc_field(default_factory=dict)
 
 
 class AnalysisService:
@@ -236,22 +313,26 @@ class AnalysisService:
         self,
         source: Union[str, "Program"],
         inputs: Optional[Mapping[str, ProcedureTypingInput]] = None,
-        fingerprints: Optional[Mapping[str, str]] = None,
-        callgraph: Optional[CallGraph] = None,
+        version: Optional[_Version] = None,
     ):
-        """:meth:`analyze`, reusing fingerprints and a call graph the caller
-        (an :class:`IncrementalSession`) already computed for ``source``."""
-        from ..pipeline import ProgramTypes, _function_types
-        from ..core.display import TypeDisplay
+        """:meth:`analyze`, or -- given the ``version`` an
+        :class:`IncrementalSession` prepared -- one session step that reuses
+        its parse, fingerprints, call graph and previous display table."""
+        from ..pipeline import ProgramTypes
 
         tracer = get_tracer()
         with tracer.span("service.analyze") as root:
             with tracer.span("service.parse"):
-                program = parse_program(source) if isinstance(source, str) else source
+                if version is not None:
+                    program = version.program
+                elif isinstance(source, str):
+                    program = parse_program(source)
+                else:
+                    program = source
             root.set("procedures", len(program.procedures))
 
             with tracer.span("service.probe"):
-                probe = self._probe(program, fingerprints, callgraph)
+                probe = self._probe(program, version)
             # A store-served procedure is known by its summary's formals alone:
             # they display it and give its callers their CalleeInfo.
             known = {
@@ -264,29 +345,31 @@ class AnalysisService:
             if inputs is None:
                 with tracer.span("service.constraint_gen"):
                     inputs = generate_program_constraints(
-                        program, self.extern_table, known=known
+                        program, self.extern_table, known=known, sccs=probe.sccs
                     )
             constraint_time = time.perf_counter() - start
 
             solve_start = time.perf_counter()
             with tracer.span("service.solve"):
-                results, stats = self.solve_inputs(program, inputs, probe)
+                solved, stats = self.solve_inputs(program, inputs, probe)
             solve_time = time.perf_counter() - solve_start
 
             with tracer.span("service.display"):
-                display = TypeDisplay(self.lattice)
-                formals = ChainMap(inputs, known)
-                functions = {
-                    name: _function_types(name, formals[name], result, display)
-                    for name, result in results.items()
-                }
+                functions, display = self._refine_and_display(
+                    program, ChainMap(inputs, known), probe, solved, version
+                )
+        if version is not None:
+            instructions, cfg_nodes = version.instructions, version.cfg_nodes
+        else:
+            instructions = program.instruction_count
+            cfg_nodes = sum(cfg_node_count(proc) for proc in program)
         stats.update(
             {
                 "constraint_generation_seconds": constraint_time,
                 "solve_seconds": solve_time,
                 "total_seconds": constraint_time + solve_time,
-                "instructions": program.instruction_count,
-                "cfg_nodes": sum(cfg_node_count(proc) for proc in program),
+                "instructions": instructions,
+                "cfg_nodes": cfg_nodes,
             }
         )
         return ProgramTypes(
@@ -295,18 +378,15 @@ class AnalysisService:
 
     # -- the driver ------------------------------------------------------------
 
-    def _probe(
-        self,
-        program: Program,
-        fingerprints: Optional[Mapping[str, str]] = None,
-        callgraph: Optional[CallGraph] = None,
-    ) -> _StoreProbe:
+    def _probe(self, program: Program, version: Optional[_Version] = None) -> _StoreProbe:
         """Call graph, SCC keys and one store lookup per SCC, before generation.
 
         Keys are content-transitive, so a hit is valid regardless of what
         happens to other SCCs this run.
         """
-        if callgraph is None:
+        if version is not None:
+            callgraph = version.callgraph
+        else:
             callgraph = CallGraph.from_program(program)
         probe = _StoreProbe(callgraph, callgraph.sccs_bottom_up())
         if self.store is None or not self.config.use_cache:
@@ -317,10 +397,12 @@ class AnalysisService:
         environment = environment_fingerprint(
             self.lattice, self.extern_table, self.config.solver
         )
-        if fingerprints is None:
-            fingerprints = program_fingerprints(program)
+        if version is not None:
+            fingerprints, memo = version.fingerprints, version.scc_keys
+        else:
+            fingerprints, memo = program_fingerprints(program), None
         probe.keys = scc_summary_keys(
-            probe.sccs, callgraph.edges, fingerprints, environment
+            probe.sccs, callgraph.edges, fingerprints, environment, memo
         )
         for scc in probe.sccs:
             summary = self.store.get(probe.keys[tuple(scc)], self.lattice)
@@ -333,23 +415,26 @@ class AnalysisService:
         program: Program,
         inputs: Mapping[str, ProcedureTypingInput],
         probe: _StoreProbe,
-    ) -> Tuple[Dict[str, ProcedureResult], Dict[str, object]]:
+    ) -> Tuple[_Solved, Dict[str, object]]:
         """Solve every SCC the store cannot serve; reuse the rest.
 
-        ``inputs`` must cover the SCCs ``probe`` found missing.  Returns
-        (results in bottom-up SCC order, service statistics).
+        ``inputs`` must cover the SCCs ``probe`` found missing.  Returns the
+        unrefined results in bottom-up SCC order (see :class:`_Solved`) and
+        the service statistics.
         """
         sccs, keys, cached = probe.sccs, probe.keys, probe.cached
         waves = probe.callgraph.scc_waves()
         solver = Solver(self.lattice, self.extern_schemes, self.config.solver)
 
-        working: Dict[str, ProcedureResult] = {}
-        contributions_of: Dict[str, List[RefinementContribution]] = {}
+        # A served procedure's summary stands in for its result: solving its
+        # callers reads only the scheme and the formal-sketch keys.
+        working: Dict[str, Union[ProcedureResult, ProcedureSummary]] = {}
+        contributions_of: Dict[str, Sequence[RefinementContribution]] = {}
         for scc_key, summary in cached.items():
             for name in scc_key:
                 procedure = summary.procedures[name]
-                working[name] = procedure.to_result()
-                contributions_of[name] = list(procedure.contributions)
+                working[name] = procedure
+                contributions_of[name] = procedure.contributions
 
         refine = self.config.solver.refine_parameters
         stage_stats = SolveStats()
@@ -405,16 +490,7 @@ class AnalysisService:
         # Deterministic final ordering: the display layer names structs in
         # conversion order, so results must surface bottom-up like the plain
         # solver builds them.
-        results: Dict[str, ProcedureResult] = {}
-        for scc in sccs:
-            for name in scc:
-                results[name] = working[name]
-
-        if refine:
-            ordered_contributions: List[RefinementContribution] = []
-            for name in program.procedures:  # the solver's caller order
-                ordered_contributions.extend(contributions_of.get(name, ()))
-            apply_refinement(results, ordered_contributions)
+        solved_results = {name: working[name] for scc in sccs for name in scc}
 
         solved = [name for scc in sccs if tuple(scc) not in cached for name in scc]
         reused = [name for scc in sccs if tuple(scc) in cached for name in scc]
@@ -460,19 +536,138 @@ class AnalysisService:
             stats["scc_store_keys"] = {
                 "|".join(scc): keys[tuple(scc)] for scc in sccs
             }
-        return results, stats
+        return _Solved(solved_results, contributions_of), stats
+
+    def _refine_and_display(
+        self,
+        program: Program,
+        formals: Mapping[str, Formals],
+        probe: _StoreProbe,
+        solved: _Solved,
+        version: Optional[_Version],
+    ) -> Tuple[Dict[str, "FunctionTypes"], TypeDisplay]:
+        """REFINEPARAMETERS and display, procedure by procedure in bottom-up
+        order, reusing the previous version's work where it still holds.
+
+        A procedure whose display key (:class:`_Displayed`) matches the
+        previous version's needs no refinement: it keeps its refined result
+        (or, with no feeders, takes its unrefined one).  If the display state
+        it read is unchanged too (:meth:`TypeDisplay.replay`), its displayed
+        C type is reused as well.  The rest are refined on freshly
+        materialized results and displayed; a kept result is never mutated.
+        """
+        from ..pipeline import FunctionTypes, _function_types
+
+        previous: Mapping[str, _Displayed] = {}
+        display_keys: Dict[str, Tuple] = {}
+        if version is not None and probe.keys:
+            previous = version.displayed
+            display_keys = _display_keys(program, probe, solved.contributions)
+
+        kept: Dict[str, _Displayed] = {}
+        results: Dict[str, ProcedureResult] = {}
+        unrefined: Dict[str, ProcedureResult] = {}
+        for name, result in solved.results.items():
+            entry = previous.get(name)
+            if entry is not None and entry.key == display_keys[name]:
+                kept[name] = entry
+                if entry.refined is not None:
+                    results[name] = entry.refined
+                    continue
+            if isinstance(result, ProcedureSummary):
+                result = result.to_result()
+            results[name] = result
+            if name not in kept:
+                unrefined[name] = result
+        if self.config.solver.refine_parameters and unrefined:
+            apply_refinement(
+                unrefined,
+                [
+                    contribution
+                    for caller in program.procedures  # the solver's caller order
+                    for contribution in solved.contributions.get(caller, ())
+                    if contribution.callee in unrefined
+                ],
+            )
+
+        display = TypeDisplay(self.lattice)
+        functions: Dict[str, FunctionTypes] = {}
+        for name, result in results.items():
+            entry = kept.get(name)
+            if entry is not None and display.replay(entry.record):
+                functions[name] = FunctionTypes(
+                    name,
+                    entry.function_type,
+                    list(entry.param_names),
+                    list(entry.param_locations),
+                    result,
+                )
+                version.next_displayed[name] = entry
+                continue
+            if not display_keys:
+                functions[name] = _function_types(name, formals[name], result, display)
+                continue
+            display.start_recording()
+            function = functions[name] = _function_types(name, formals[name], result, display)
+            refined = None
+            if display_keys[name][1]:
+                # Refined by its callers: worth keeping, without its SCC's
+                # solver state (display reads only the formal sketches).
+                refined = result if result.shapes is None else replace(result, shapes=None)
+            version.next_displayed[name] = _Displayed(
+                display_keys[name],
+                display.stop_recording(),
+                function.function_type,
+                tuple(function.param_names),
+                tuple(function.param_locations),
+                refined,
+            )
+        return functions, display
+
+
+def _display_keys(
+    program: Program,
+    probe: _StoreProbe,
+    contributions: Mapping[str, Sequence[RefinementContribution]],
+) -> Dict[str, Tuple]:
+    """Every procedure's display key (see :class:`_Displayed`).
+
+    A procedure's refined result is a function of its SCC's summary and of
+    the contributions folded into it, in caller program order; each
+    caller's contributions are part of that caller's SCC summary.
+    """
+    scc_key = {name: probe.keys[tuple(scc)] for scc in probe.sccs for name in scc}
+    feeders: Dict[str, List[Tuple[str, str]]] = {}
+    for caller in program.procedures:
+        fed = {contribution.callee for contribution in contributions.get(caller, ())}
+        if fed:
+            pair = (caller, scc_key[caller])
+            for callee in fed:
+                feeders.setdefault(callee, []).append(pair)
+    return {
+        name: (key, tuple(feeders.get(name, ()))) for name, key in scc_key.items()
+    }
 
 
 class IncrementalSession:
     """Re-analyze successive versions of one program against a shared store.
 
-    On every call after the first, the session hashes all procedures, diffs
-    against the previous version and computes the invalidation cone -- the
-    changed procedures' SCCs plus all transitive callers, found top-down via
-    :meth:`CallGraph.callers <repro.ir.callgraph.CallGraph.callers>` -- which
-    it reports in ``stats["invalidated_procedures"]``.  The content-addressed
-    store then re-solves exactly that cone (``stats["solved_procedures"]``)
-    while every clean SCC is served from cache.
+    On every call after the first, the session diffs the procedures'
+    fingerprints against the previous version and computes the invalidation
+    cone -- the changed procedures' SCCs plus all transitive callers, found
+    top-down via :meth:`CallGraph.callers <repro.ir.callgraph.CallGraph.callers>`
+    -- which it reports in ``stats["invalidated_procedures"]``.  The
+    content-addressed store then re-solves exactly that cone
+    (``stats["solved_procedures"]``) while every clean SCC is served from
+    cache.
+
+    The session keeps the last version it analyzed successfully: for asm
+    text, a table from each chunk of the text (see
+    :func:`~repro.ir.asmparser.parse_program`) to its parsed procedure,
+    fingerprint, size, CFG-node count and direct callees, so only changed
+    chunks are parsed and hashed again; and each procedure's display,
+    reused while its refinement inputs and the display state it read are
+    unchanged.  A version that fails to analyze leaves all of it as it was.
     """
 
     def __init__(self, service: Optional[AnalysisService] = None) -> None:
@@ -480,13 +675,37 @@ class IncrementalSession:
         if self.service.store is None:
             raise ValueError("IncrementalSession requires a service with a summary store")
         self._previous: Optional[Dict[str, str]] = None
+        self._table: Optional[ParseTable] = None
+        self._scc_keys: Dict[Tuple, str] = {}
+        self._displayed: Dict[str, _Displayed] = {}
 
     def analyze(self, source: Union[str, Program]):
         """Analyze the (possibly edited) program, annotating invalidation stats."""
-        program = parse_program(source) if isinstance(source, str) else source
-        # Both feed the service too (SCC keys, SCC order): computed once here.
-        fingerprints = program_fingerprints(program)
-        callgraph = CallGraph.from_program(program)
+        table: Optional[ParseTable] = None
+        if isinstance(source, str):
+            program = parse_program(source, previous=self._table)
+            table = program.parse_table
+            made: Dict[int, _ProcedureEntry] = {}
+            for digest, chunk in table.chunks.items():
+                if chunk.procedure is not None:
+                    if not isinstance(chunk, _ProcedureEntry):
+                        chunk = table.chunks[digest] = _ProcedureEntry.of(chunk)
+                    made[id(chunk.procedure)] = chunk
+            # Program order; of two chunks defining one name, the one kept.
+            entries = {
+                name: made[id(procedure)]
+                for name, procedure in program.procedures.items()
+            }
+        else:
+            program = source
+            entries = {
+                name: _ProcedureEntry.of(ParsedChunk(procedure, (), ()))
+                for name, procedure in program.procedures.items()
+            }
+        fingerprints = {name: entry.fingerprint for name, entry in entries.items()}
+        callgraph = CallGraph.from_callees(
+            {name: entry.callees for name, entry in entries.items()}
+        )
         invalidated: Optional[Set[str]] = None
         if self._previous is not None:
             changed = {
@@ -498,17 +717,30 @@ class IncrementalSession:
             # unchanged but their callee table (and thus constraints) is not.
             deleted = set(self._previous) - set(fingerprints)
             if deleted:
-                for name, procedure in program.procedures.items():
-                    if deleted & set(procedure.direct_callees()):
+                for name, entry in entries.items():
+                    if deleted.intersection(entry.callees):
                         changed.add(name)
             with get_tracer().span("service.invalidate", changed=len(changed)) as span:
                 invalidated = callgraph.transitive_callers(changed)
                 span.set("invalidated", len(invalidated))
-        self._previous = dict(fingerprints)
 
-        types = self.service._analyze(
-            program, fingerprints=fingerprints, callgraph=callgraph
+        version = _Version(
+            program,
+            fingerprints,
+            callgraph,
+            instructions=sum(entry.size for entry in entries.values()),
+            cfg_nodes=sum(entry.cfg_nodes for entry in entries.values()),
+            # Pure, so kept even if this version fails; bounded by a reset.
+            scc_keys=self._scc_keys if len(self._scc_keys) <= 2 * len(entries) else {},
+            displayed=self._displayed,
         )
+        types = self.service._analyze(program, version=version)
+        # Only a version that analyzed becomes the one the next call diffs
+        # against and reuses.
+        self._previous = fingerprints
+        self._table = table
+        self._scc_keys = version.scc_keys
+        self._displayed = version.next_displayed
         if invalidated is not None:
             types.stats["invalidated_procedures"] = sorted(invalidated)
         return types

@@ -133,16 +133,21 @@ def scc_summary_keys(
     edges: Mapping[str, Set[str]],
     fingerprints: Mapping[str, str],
     environment: str,
+    memo: Optional[Dict[Tuple, str]] = None,
 ) -> Dict[Tuple[str, ...], str]:
     """Cache key per SCC, computed bottom-up over the condensation DAG.
 
     A key hashes the member fingerprints together with the *keys* of all
     callee SCCs, so it transitively covers every procedure the summary was
     derived from (separate-compilation discipline: identical content, under
-    an identical environment, yields an identical summary).
+    an identical environment, yields an identical summary).  ``memo`` maps
+    those hash inputs to their key and gains every key computed here, so a
+    caller keeping it across versions of a program hashes only what changed.
     """
     keys: Dict[Tuple[str, ...], str] = {}
     key_of_member: Dict[str, str] = {}
+    if memo is None:
+        memo = {}
     for scc in sccs_bottom_up:
         members = set(scc)
         callee_keys = sorted(
@@ -153,9 +158,14 @@ def scc_summary_keys(
                 if callee not in members and callee in key_of_member
             }
         )
-        key = stable_hash(
-            sorted(fingerprints[name] for name in scc), callee_keys, environment
+        inputs = (
+            tuple(sorted(fingerprints[name] for name in scc)),
+            tuple(callee_keys),
+            environment,
         )
+        key = memo.get(inputs)
+        if key is None:
+            key = memo[inputs] = stable_hash(*inputs)
         keys[tuple(scc)] = key
         for name in scc:
             key_of_member[name] = key

@@ -25,9 +25,10 @@ from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
 from ..core.constraints import AddConstraint, ConstraintSet, SubConstraint
 from ..core.labels import FieldLabel, InLabel, Label, LoadLabel, OutLabel, StoreLabel
-from ..core.solver import Callsite, ProcedureTypingInput, tarjan_sccs
+from ..core.solver import Callsite, ProcedureTypingInput
 from ..core.variables import DerivedTypeVariable
 from ..obs.trace import get_tracer
+from ..ir.callgraph import CallGraph
 from ..ir.dataflow import ENTRY, Location, ReachingDefinitions, analyze_reaching_definitions
 from ..ir.instructions import (
     WORD_SIZE,
@@ -479,6 +480,7 @@ def generate_program_constraints(
     program: Program,
     externs: Optional[Mapping[str, ExternSignature]] = None,
     known: Optional[Mapping[str, Formals]] = None,
+    sccs: Optional[Sequence[Sequence[str]]] = None,
 ) -> Dict[str, ProcedureTypingInput]:
     """Generate constraints for a program's procedures (Algorithm F.1's CONSTRAINTS).
 
@@ -488,7 +490,9 @@ def generate_program_constraints(
     SCC, bottom-up, so every callee's interface exists before its callers
     are visited: reaching definitions run once per procedure, feed both
     interface discovery and the generator, and are dropped when the SCC is
-    done.  Returns the generated inputs in program order.
+    done.  ``sccs`` is the program's bottom-up SCC order when the caller
+    already has it (``CallGraph.sccs_bottom_up``).  Returns the generated
+    inputs in program order.
     """
     externs = externs if externs is not None else standard_externs()
     known = known or {}
@@ -502,11 +506,22 @@ def generate_program_constraints(
         for name, signature in externs.items()
         if name not in program.procedures
     }
-    for name, formals in known.items():
-        callees[name] = CalleeInfo.from_formals(name, formals)
+    if sccs is None:
+        sccs = CallGraph.from_program(program).sccs_bottom_up()
+    if known:
+        # A served procedure matters only as a callee of one generated here.
+        called = {
+            callee
+            for scc in sccs
+            for name in scc
+            if name not in known
+            for callee in program.procedures[name].direct_callees()
+        }
+        for name in called.intersection(known):
+            callees[name] = CalleeInfo.from_formals(name, known[name])
     tracer = get_tracer()
     generated: Dict[str, ProcedureTypingInput] = {}
-    for scc in tarjan_sccs(program.call_edges()):
+    for scc in sccs:
         reaching: Dict[str, ReachingDefinitions] = {}
         interfaces: Dict[str, ProcedureInterface] = {}
         for name in scc:

@@ -123,6 +123,47 @@ def test_struct_display_from_fields():
     assert {f.offset for f in ctype.pointee.fields} == {0, 4}
 
 
+def _struct_sketch(*offsets):
+    sketch = Sketch(default_lattice())
+    pointee = sketch.add_node()
+    sketch.add_edge(sketch.root, LOAD, pointee)
+    for offset in offsets:
+        sketch.add_edge(pointee, field(32, offset), sketch.add_node())
+    return sketch
+
+
+def test_replay_reapplies_a_recording_only_where_it_would_convert_the_same():
+    box, other = _struct_sketch(0, 4), _struct_sketch(0, 8)
+    display = _display()
+    display.start_recording()
+    first = display.ctype_of_sketch(box, Variance.CONTRAVARIANT)
+    defined = display.stop_recording()
+    display.start_recording()
+    again = display.ctype_of_sketch(box, Variance.CONTRAVARIANT)
+    rerolled = display.stop_recording()
+    assert first.pointee.name == "struct_0"
+    assert again.pointee == StructRef("struct_0")  # re-rolled: a lookup, no definition
+
+    # Replayed in order, the recordings rebuild the state exactly.
+    replayed = _display()
+    assert replayed.replay(defined) and replayed.replay(rerolled)
+    assert replayed.struct_definitions() == display.struct_definitions()
+    assert str(replayed.ctype_of_sketch(other, Variance.CONTRAVARIANT)) == str(
+        display.ctype_of_sketch(other, Variance.CONTRAVARIANT)
+    )
+
+    # Same counter, but the re-roll lookup would now find nothing: no replay,
+    # and nothing changes.
+    shifted = _display()
+    shifted.ctype_of_sketch(other, Variance.CONTRAVARIANT)
+    before = shifted.struct_definitions()
+    assert not shifted.replay(rerolled)
+    assert shifted.struct_definitions() == before
+    assert shifted.ctype_of_sketch(box, Variance.CONTRAVARIANT).pointee.name == "struct_1"
+    # A different counter alone also refuses.
+    assert not _display().replay(rerolled)
+
+
 def test_recursive_struct_gets_named_and_rerolled():
     lattice = default_lattice()
     sketch = Sketch(lattice)

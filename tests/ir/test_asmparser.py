@@ -167,3 +167,138 @@ def test_repeated_bad_line_reports_its_first_occurrence():
     assert info.value.line_number == 3
     assert info.value.line == "    bogus eax"
 
+
+
+# -- chunked parsing with a previous table ----------------------------------------------
+#
+# ``parse_program(text, previous=table)`` reuses the chunks and instruction
+# lines an earlier parse left in ``table``; it must give exactly what a
+# whole-text parse gives, errors included.
+
+
+def _outcome(text, previous=None):
+    try:
+        program = parse_program(text, previous=previous)
+    except AsmSyntaxError as error:
+        return ("error", error.line_number, str(error))
+    except ValueError as error:  # e.g. a non-numeric .global_var size
+        return ("value-error", str(error))
+    return (
+        "ok",
+        str(program),
+        sorted(program.externs),
+        list(program.globals.items()),
+        list(program.procedures),
+    )
+
+
+def _assert_table_parse_matches(text, *earlier):
+    """``text`` parses the same with the table of each earlier text that
+    parses (its own included)."""
+    expected = _outcome(text)
+    for source in (text,) + earlier:
+        if _outcome(source)[0] == "ok":
+            table = parse_program(source).parse_table
+            assert _outcome(text, table) == expected
+    return expected
+
+
+TRICKY = [
+    # instructions before the first label
+    "    mov eax, 1\nf:\n    ret\n",
+    # a local label before the first label
+    ".top:\nf:\n    ret\n",
+    # duplicate procedure names: the last definition wins, the first position stays
+    "f:\n    ret\ng:\n    nop\n    ret\nf:\n    nop\n    nop\n    ret\n",
+    # .extern/.global_var lines between (and inside) procedures
+    ".extern a\nf:\n    ret\n.global_var g 2\n.extern b, c\ng:\n    call a\n.global_var g 8\n    ret\n",
+    # indented labels and labels followed by a comment
+    "  f:   ; entry\n    jmp .x\n  .x: # local\n    ret\n\tg: ; second\n    ret\n",
+    # bad directives and a bad instruction, first error wins
+    ".extern\nf:\n    ret\n",
+    "f:\n    ret\n.global_var\n",
+    "f:\n    bogus eax\n.extern\n",
+    "f:\n    ret\n.global_var g x\n",
+    # empty text, a lone label, comments only
+    "",
+    "f:",
+    "; nothing\n# here\n",
+]
+
+
+@pytest.mark.parametrize("text", TRICKY)
+def test_table_parse_matches_whole_text_parse_on_tricky_inputs(text):
+    # The last table holds "    mov eax, 1" as a parsed instruction line: it
+    # must not let that line pass before the first label.
+    _assert_table_parse_matches(
+        text, REPEATED, TRICKY[2], TRICKY[3], TRICKY[4], "f:\n    mov eax, 1\n    ret\n"
+    )
+
+
+def test_chunked_parse_keeps_line_semantics():
+    assert _outcome(TRICKY[0])[:2] == ("error", 1)
+    assert _outcome(TRICKY[1])[:2] == ("error", 1)
+    program = parse_program(TRICKY[2])
+    assert list(program.procedures) == ["f", "g"]
+    assert program.procedure("f").size == 3
+    program = parse_program(TRICKY[3])
+    assert program.externs == {"a", "b", "c"}
+    assert program.globals == {"g": 8}
+    program = parse_program(TRICKY[4])
+    assert list(program.procedures) == ["f", "g"]
+    assert program.procedure("f").label_target(".x") == 1
+    assert _outcome(TRICKY[7])[:2] == ("error", 2)
+
+
+def _mutants(text, count, seed):
+    """Line-level mutations of ``text``: deletions, duplications, junk lines,
+    re-indentation and label/directive insertions anywhere."""
+    import random
+
+    junk = [
+        "    bogus eax", "x1:", "  y2:  ; c", ".extern", ".global_var", ".global_var v w",
+        ".extern p, q", ".l9:", "; a: comment", "    mov eax, 1 ; a: b", "\tz3: # x",
+        "", "   ", ".global_var q 8", "a:b:", "    jmp .l9", "    mov eax, 1",
+    ]
+    rng = random.Random(seed)
+    lines = text.splitlines()
+    for _ in range(count):
+        mutant = list(lines)
+        for _ in range(rng.randint(1, 4)):
+            index = rng.randrange(len(mutant) + 1)
+            kind = rng.randrange(4)
+            if kind == 0 and mutant:
+                del mutant[min(index, len(mutant) - 1)]
+            elif kind == 1:
+                mutant.insert(index, rng.choice(junk))
+            elif kind == 2 and mutant:
+                mutant.insert(index, mutant[rng.randrange(len(mutant))])
+            elif mutant:
+                position = min(index, len(mutant) - 1)
+                mutant[position] = "  " + mutant[position].strip()
+        yield "\n".join(mutant)
+
+
+def test_table_parse_matches_whole_text_parse_on_mutated_asm():
+    from repro.gen import GenProfile, generate_program
+
+    base = str(generate_program(3, GenProfile.smoke()).compile().program)
+    other = str(generate_program(4, GenProfile.smoke()).compile().program)
+    mutants = list(_mutants(base, 150, seed=11))
+    errors = 0
+    for index, mutant in enumerate(mutants):
+        neighbour = mutants[index - 1]
+        errors += _assert_table_parse_matches(mutant, base, other, neighbour)[0] != "ok"
+    # The corpus exercises both outcomes.
+    assert 0 < errors < len(mutants)
+
+
+def test_table_reuses_unchanged_chunks_and_instructions():
+    first = parse_program(REPEATED)
+    edited = REPEATED.replace("    add eax, 1\n    leave", "    add eax, 2\n    leave")
+    second = parse_program(edited, previous=first.parse_table)
+    # f is unchanged and reused as is; g was re-parsed, sharing its lines.
+    assert second.procedure("f") is first.procedure("f")
+    assert second.procedure("g") is not first.procedure("g")
+    assert second.procedure("g").instructions[0] is first.procedure("g").instructions[0]
+    assert str(second) == str(parse_program(edited))

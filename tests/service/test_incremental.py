@@ -1,15 +1,19 @@
 """Incremental driver: warm-cache identity, exact invalidation cones."""
 
+import functools
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import analyze_program
 from repro.core.lattice import default_lattice
 from repro.frontend import compile_c
 from repro.gen import GenProfile, generate_edit, generate_program
 from repro.gen.oracle import result_fingerprint
+from repro.ir import AsmSyntaxError
 from repro.ir.instructions import Nop
 from repro.ir.program import Procedure, Program
 from repro.service import AnalysisService, IncrementalSession, ServiceConfig
@@ -317,3 +321,176 @@ def test_store_shared_across_equal_but_distinct_lattices():
         for service in (one, two, one):
             assert result_fingerprint(service.analyze(compile_c(source).program)) == cold
     assert two.analyze(compile_c(sources[0]).program).stats["sccs_solved"] == 0
+
+
+# -- the session's version table ---------------------------------------------------------
+
+
+def _generated_asm(seed, edit_seed=None):
+    program = generate_program(seed, GenProfile.default())
+    source = program.source if edit_seed is None else generate_edit(program, edit_seed).source
+    return str(compile_c(source).program)
+
+
+def test_failed_analysis_leaves_the_session_on_its_last_good_version(monkeypatch):
+    """A version whose analysis raises after parsing must not become the one
+    the next call diffs against: the next edit reports the cone and result of
+    a session that never saw the failed version."""
+    base = generate_program(20160613, GenProfile.default())
+    first, second = (generate_edit(base, edit_seed=seed) for seed in (1, 2))
+    assert first.function != second.function
+    texts = [str(compile_c(source).program) for source in (base.source, first.source, second.source)]
+
+    clean = IncrementalSession(AnalysisService())
+    clean.analyze(texts[0])
+    expected = clean.analyze(texts[2])
+
+    session = IncrementalSession(AnalysisService())
+    session.analyze(texts[0])
+    solve_inputs = AnalysisService.solve_inputs
+
+    def failing_solve(self, *args, **kwargs):
+        monkeypatch.setattr(AnalysisService, "solve_inputs", solve_inputs)
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(AnalysisService, "solve_inputs", failing_solve)
+    with pytest.raises(RuntimeError):
+        session.analyze(texts[1])
+    after = session.analyze(texts[2])
+
+    assert after.stats["invalidated_procedures"] == expected.stats["invalidated_procedures"]
+    assert second.function in after.stats["invalidated_procedures"]
+    assert first.function not in after.stats["invalidated_procedures"]
+    assert after.stats["solved_procedures"] == expected.stats["solved_procedures"]
+    assert result_fingerprint(after) == result_fingerprint(expected)
+
+
+def test_size_stats_come_from_the_table_and_match_a_cold_analysis():
+    session = IncrementalSession(AnalysisService())
+    for source in (
+        _generated_asm(7),
+        _generated_asm(7, edit_seed=3),
+        compile_c(SOURCE).program,  # a Program, not text
+        _generated_asm(7),
+    ):
+        types = session.analyze(source)
+        cold = analyze_program(source)
+        assert types.stats["instructions"] == cold.stats["instructions"] > 0
+        assert types.stats["cfg_nodes"] == cold.stats["cfg_nodes"] > 0
+
+
+def test_an_edit_reuses_the_parse_and_display_of_untouched_procedures():
+    base = generate_program(20160613, GenProfile.default())
+    edit = generate_edit(base, edit_seed=1)
+    session = IncrementalSession(AnalysisService())
+    before = session.analyze(str(compile_c(base.source).program))
+    after = session.analyze(str(compile_c(edit.source).program))
+
+    cone = set(after.stats["invalidated_procedures"])
+    outside = [name for name in after.functions if name not in cone]
+    assert edit.function in cone and outside
+    for name in outside:
+        assert after.program.procedures[name] is before.program.procedures[name]
+    assert after.program.procedures[edit.function] is not before.program.procedures[edit.function]
+    reused = [
+        name for name in outside
+        if after[name].function_type is before[name].function_type
+    ]
+    assert len(reused) > len(outside) // 2
+    assert after[edit.function].function_type is not before[edit.function].function_type
+    assert result_fingerprint(after) == result_fingerprint(
+        analyze_program(compile_c(edit.source).program)
+    )
+
+
+# The property test below edits a generated program at the asm level.  Its
+# first procedure, ``shape``, is a leaf read through 0-2 pointer parameters:
+# switching its variant changes how many structs the display names first,
+# so every later ``struct_N`` shifts.
+SHAPES = [
+    "shape:\n    ret",
+    "shape:\n    mov eax, [esp+4]\n    mov ecx, [eax]\n    mov edx, [eax+4]\n    ret",
+    "shape:\n    mov eax, [esp+4]\n    mov ecx, [eax]\n    mov edx, [eax+8]\n"
+    "    mov eax, [esp+8]\n    mov ecx, [eax+4]\n    mov edx, [eax+12]\n    ret",
+]
+_LABEL_LINE = re.compile(r"^[A-Za-z_$][\w.$@]*:$", re.MULTILINE)
+
+
+@functools.lru_cache(maxsize=None)
+def _split_base():
+    """(directives, procedure chunks) of a small generated program."""
+    text = str(generate_program(5, GenProfile.smoke()).compile().program)
+    starts = [match.start() for match in _LABEL_LINE.finditer(text)]
+    chunks = [text[a:b].rstrip("\n") for a, b in zip(starts, starts[1:] + [len(text)])]
+    return text[: starts[0]], tuple(chunks)
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_fingerprint(text):
+    return result_fingerprint(analyze_program(text))
+
+
+STEPS = st.one_of(
+    st.tuples(st.just("edit"), st.integers(0, 99)),
+    st.tuples(st.just("reopen"), st.integers(0, 99)),
+    st.tuples(st.just("delete"), st.integers(0, 99)),
+    st.tuples(st.just("rename"), st.integers(0, 99)),
+    st.tuples(st.just("swap"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("cosmetic"), st.integers(0, 99), st.integers(0, 2)),
+    st.tuples(st.just("shape"), st.integers(0, len(SHAPES) - 1)),
+    st.tuples(st.just("malformed"), st.integers(0, 99)),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.lists(STEPS, min_size=3, max_size=7))
+def test_every_session_step_equals_a_cold_analysis(steps):
+    """Whatever sequence of edits, reopens, deletions, renames, reorderings,
+    cosmetic edits, struct-shifting edits and malformed versions a session
+    sees, each good version's result equals a cold analysis of its text, and
+    a malformed one raises without disturbing the session."""
+    directives, base_chunks = _split_base()
+    chunks = [SHAPES[1]] + list(base_chunks)
+
+    def render(parts):
+        return directives + "\n\n".join(parts) + "\n"
+
+    session = IncrementalSession(AnalysisService())
+    history = [render(chunks)]
+    assert result_fingerprint(session.analyze(history[0])) == _cold_fingerprint(history[0])
+    for step in steps:
+        kind, index = step[0], step[1] % len(chunks)
+        head, _, body = chunks[index].partition("\n")
+        if kind == "reopen":
+            text = history[step[1] % len(history)]
+        elif kind == "malformed":
+            bad = list(chunks)
+            bad[index] = f"{head}\n    bogus eax\n{body}"
+            with pytest.raises(AsmSyntaxError):
+                session.analyze(render(bad))
+            continue
+        else:
+            if kind == "edit":
+                chunks[index] = f"{head}\n    nop\n{body}"
+            elif kind == "delete" and len(chunks) > 2:
+                del chunks[index]
+            elif kind == "rename":
+                chunks[index] = re.sub(r"([\w.$@]+):", r"\1_r:", head, count=1) + "\n" + body
+            elif kind == "swap":
+                other = step[2] % len(chunks)
+                chunks[index], chunks[other] = chunks[other], chunks[index]
+            elif kind == "cosmetic":
+                chunks[index] = [
+                    f"{head} ; entry\n{body}",
+                    f"  {head}\n\n{body}\n",
+                    f"{head}\n{body.replace(chr(10), '   ' + chr(10), 1)}",
+                ][step[2]]
+            elif kind == "shape":
+                position = next(
+                    (i for i, chunk in enumerate(chunks) if chunk.startswith("shape:")), None
+                )
+                if position is not None:
+                    chunks[position] = SHAPES[step[1]]
+            text = render(chunks)
+            history.append(text)
+        assert result_fingerprint(session.analyze(text)) == _cold_fingerprint(text), step
