@@ -12,9 +12,10 @@ import json
 from conftest import write_result
 
 #: regression gate on the fitted exponent.  The paper measures ~N^1.1; the
-#: integer-kernel solver core fits ~N^0.9 on the sweep, so a drift back above
-#: 1.25 means an asymptotic regression (e.g. object hashing creeping back into
-#: the saturation/simplification hot loops), not noise.
+#: untraced sweep over 6-400 procedures (median of five passes per point)
+#: fits ~N^1.0-1.12 on a 2-CPU host under Python 3.11, so a drift above 1.25
+#: means an asymptotic regression (e.g. object hashing creeping back into the
+#: saturation/simplification hot loops), not noise.
 MAX_EXPONENT = 1.25
 
 

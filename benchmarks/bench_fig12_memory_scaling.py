@@ -2,23 +2,25 @@
 
 The paper fits ``m = 0.037 * N^0.846`` (R^2 = 0.959): memory grows sublinearly
 to mildly linearly with program size.  The reproduction measures peak traced
-allocation over the same size sweep used for Figure 11 and fits the model.
+allocation over the same size sweep used for Figure 11 -- in a pass of its
+own, so the Figure 11 timings never run under ``tracemalloc`` -- and fits the
+model.
 """
 
 from conftest import write_result
 
 
-def test_fig12_memory_scaling(benchmark, scaling_points):
+def test_fig12_memory_scaling(benchmark, memory_points):
     from repro.eval.scaling import figure12_fit
 
-    fit = benchmark(figure12_fit, scaling_points)
+    fit = benchmark(figure12_fit, memory_points)
 
     lines = [
         "Figure 12: type-inference memory usage vs program size",
         "",
         f"{'program':>12}  {'cfg_nodes':>9}  {'peak MB':>9}",
     ]
-    for point in scaling_points:
+    for point in memory_points:
         lines.append(
             f"{point.name:>12}  {point.cfg_nodes:>9}  {point.peak_memory_bytes / 1e6:>9.2f}"
         )

@@ -38,6 +38,7 @@ class UnificationEngine(TypeInferenceEngine):
         start = time.perf_counter()
         inputs, combined, lattice = whole_program_constraints(program)
         shapes = infer_shapes(combined, lattice)
+        shapes.release_encoding()
 
         results: Dict[str, ProcedureResult] = {}
         for name, proc in inputs.items():

@@ -20,10 +20,10 @@ shortcut edges so every derivable judgement is witnessed by a path whose
 forgets all precede its recalls.
 
 The representation is an **integer kernel** (see DESIGN.md): derived type
-variables and labels are interned into dense-ID pools
-(:mod:`repro.core.intern`), a node is ``did * 2 + variance_bit``, and every
-index the hot algorithms touch -- per-node out-records, null adjacency,
-recall-successors-by-label, the forget list, the exact-duplicate edge set --
+variables and labels are the dense-ID pools of the constraint set's
+:class:`~repro.core.intern.SccEncoding`, a node is ``did * 2 +
+variance_bit``, and every index the hot algorithms touch -- per-node
+out-records, null adjacency, recall-successors-by-label, the forget list --
 is a flat list/dict over those ints.  Saturation and the memoized path
 traversal run entirely on this layer (``_out_recs`` / ``_null_out`` /
 ``_recall`` / ``add_saturation_id``); the :class:`Node`/:class:`Edge` object
@@ -32,8 +32,15 @@ oracles, materialized lazily and cached per node id.  ``add_edge`` keeps
 every index coherent, which is what lets saturation propagate along an edge
 the moment it is created.
 
-ID assignment is insertion-ordered, never hash-ordered: the constructor
-interns variables in sorted-by-``str`` order, so the whole int layer -- and
+The graph does no sorting of its own: the encoding is the only place the
+canonical order is established (dtv ids in sorted-by-``str`` order, the
+constraints sorted once), and the constructor bulk-builds every index from
+it -- original edges in constraint order, then forget/recall pairs in dtv-id
+order -- into preallocated per-nid lists, with no per-edge duplicate check
+(construction cannot produce duplicates: the constraints form a set and each
+non-base variable contributes one forget/recall pair per variance).  The
+solver passes the encoding shape inference already built; a graph built from
+a bare constraint set encodes it itself.  So the whole int layer -- and
 therefore every downstream iteration order -- is a pure function of the
 constraint set, reproducible across processes regardless of
 ``PYTHONHASHSEED``.
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .constraints import ConstraintSet
-from .intern import InternPool
+from .intern import SccEncoding
 from .labels import Label, Variance
 from .variables import DerivedTypeVariable
 
@@ -67,9 +74,6 @@ class Node:
     def __str__(self) -> str:
         tag = "+" if self.variance is Variance.COVARIANT else "-"
         return f"{self.dtv}.{tag}"
-
-    def flipped(self) -> "Node":
-        return Node(self.dtv, self.variance.flip())
 
 
 class EdgeKind(enum.Enum):
@@ -120,86 +124,99 @@ class ConstraintGraph:
         self,
         constraints: ConstraintSet,
         extra_dtvs: Iterable[DerivedTypeVariable] = (),
+        encoding: Optional[SccEncoding] = None,
     ) -> None:
+        if encoding is None:
+            encoding = SccEncoding(constraints, extra_dtvs=extra_dtvs)
         self.constraints = constraints
-        #: dense-ID pools: ``did`` per variable, ``lid`` per label.
-        self._dtvs = InternPool()  # type: InternPool[DerivedTypeVariable]
-        self._labels = InternPool()  # type: InternPool[Label]
-        # Per-nid flat indexes (two slots per dtv, grown by _intern_dtv):
+        #: dense-ID pools adopted from the encoding: ``did`` per variable,
+        #: ``lid`` per label, with the per-did prefix/last-label arrays
+        #: (extended by the object API when it interns a new variable).
+        self._dtvs = encoding.dtvs
+        self._labels = encoding.labels
+        self._prefix = encoding.prefix
+        self._last_lid = encoding.last_lid
+        count = 2 * len(self._dtvs)
+        # Per-nid flat indexes (two slots per dtv):
         #: does the node participate in the graph (constructor or edge endpoint)?
-        self._present: List[bool] = []
+        self._present: List[bool] = [True] * count
+        self._num_present = count
         #: out-records ``(kind, lidp, target_nid)`` in insertion order.
-        self._out_recs: List[List[Tuple[int, int, int]]] = []
-        #: in-records ``(kind, lidp, source_nid)`` in insertion order.
-        self._in_recs: List[List[Tuple[int, int, int]]] = []
+        self._out_recs: List[List[Tuple[int, int, int]]] = [[] for _ in range(count)]
         #: targets of null (original + saturation) out-edges.
-        self._null_out: List[List[int]] = []
+        self._null_out: List[List[int]] = [[] for _ in range(count)]
         #: recall successors by label: ``lid -> [target_nid, ...]`` (or None).
-        self._recall: List[Optional[Dict[int, List[int]]]] = []
+        self._recall: List[Optional[Dict[int, List[int]]]] = [None] * count
         #: lazily decoded Node object per nid.
-        self._node_objs: List[Optional[Node]] = []
-        #: exact-duplicate guard + deterministic global order, as int records
-        #: ``(src_nid, tgt_nid, kind, lidp)``.
-        self._edge_seen: Set[Tuple[int, int, int, int]] = set()
+        self._node_objs: List[Optional[Node]] = [None] * count
+        #: every edge as an int record ``(src_nid, tgt_nid, kind, lidp)``, in
+        #: deterministic insertion order.
         self._edge_list: List[Tuple[int, int, int, int]] = []
+        #: duplicate guard for edges added after construction.
+        self._edge_seen: Set[Tuple[int, int, int, int]] = set()
         #: forget records ``(src_nid, lid, tgt_nid)`` (saturation seeds).
         self._forget_recs: List[Tuple[int, int, int]] = []
-        self._num_present = 0
         self._nodes_cache: Optional[Set[Node]] = None
         #: decoded out-edge lists per nid (views for the object API).
         self._out_edge_cache: Dict[int, List[Edge]] = {}
 
-        dtvs = set(constraints.derived_type_variables())
-        for dtv in extra_dtvs:
-            dtvs.add(dtv)
-            dtvs.update(dtv.prefixes())
+        out_recs = self._out_recs
+        null_out = self._null_out
+        edge_list = self._edge_list
+        for left, right in encoding.subtype:
+            a = left * 2
+            b = right * 2
+            out_recs[a].append((K_ORIGINAL, 0, b))
+            null_out[a].append(b)
+            out_recs[b + 1].append((K_ORIGINAL, 0, a + 1))
+            null_out[b + 1].append(a + 1)
+            edge_list.append((a, b, K_ORIGINAL, 0))
+            edge_list.append((b + 1, a + 1, K_ORIGINAL, 0))
 
-        # Sorted, not set order: ID assignment seeds every downstream order
-        # (adjacency lists, saturation worklist, simplification, bound
-        # application), and set iteration varies with the per-process string
-        # hash seed.  The solver's results must be a pure function of the
-        # constraints so that a worker process reproduces the parent's answer
-        # byte-for-byte.
-        ordered = sorted(dtvs, key=str)
-        intern_dtv = self._intern_dtv
-        for dtv in ordered:
-            did = intern_dtv(dtv)
-            self._materialize(did * 2)
-            self._materialize(did * 2 + 1)
-
-        ids = self._dtvs.ids
-        add = self._add_edge_ids
-        for constraint in constraints:
-            left = ids[constraint.left]
-            right = ids[constraint.right]
-            add(left * 2, right * 2, K_ORIGINAL, 0)
-            add(right * 2 + 1, left * 2 + 1, K_ORIGINAL, 0)
-
-        intern_label = self._labels.intern
-        for dtv in ordered:
-            label = dtv.last_label
-            if label is None:
+        recall = self._recall
+        forget_recs = self._forget_recs
+        flips = [
+            0 if label.variance is Variance.COVARIANT else 1 for label in self._labels.items
+        ]
+        last_lid = self._last_lid
+        for did, pid in enumerate(self._prefix):
+            if pid < 0:
                 continue
-            did = ids[dtv]
-            pid = ids[dtv.prefix]
-            lidp = intern_label(label) + 1
-            flip = 0 if label.variance is Variance.COVARIANT else 1
+            lid = last_lid[did]
+            lidp = lid + 1
+            flip = flips[lid]
             for bit in (0, 1):
                 inner = did * 2 + bit
                 outer = pid * 2 + (bit ^ flip)
-                add(inner, outer, K_FORGET, lidp)
-                add(outer, inner, K_RECALL, lidp)
+                out_recs[inner].append((K_FORGET, lidp, outer))
+                forget_recs.append((inner, lid, outer))
+                out_recs[outer].append((K_RECALL, lidp, inner))
+                by_label = recall[outer]
+                if by_label is None:
+                    by_label = {}
+                    recall[outer] = by_label
+                by_label.setdefault(lid, []).append(inner)
+                edge_list.append((inner, outer, K_FORGET, lidp))
+                edge_list.append((outer, inner, K_RECALL, lidp))
 
     # -- int-layer mutation ---------------------------------------------------------
 
     def _intern_dtv(self, dtv: DerivedTypeVariable) -> int:
+        """The variable's did, interning it (and its prefixes, keeping the
+        pool prefix-closed) for the object API."""
         did = self._dtvs.ids.get(dtv)
         if did is None:
+            if dtv.labels:
+                pid = self._intern_dtv(dtv.prefix)
+                lid = self._labels.intern(dtv.labels[-1])
+            else:
+                pid = lid = -1
             did = self._dtvs.intern(dtv)
+            self._prefix.append(pid)
+            self._last_lid.append(lid)
             for _ in range(2):
                 self._present.append(False)
                 self._out_recs.append([])
-                self._in_recs.append([])
                 self._null_out.append([])
                 self._recall.append(None)
                 self._node_objs.append(None)
@@ -212,7 +229,10 @@ class ConstraintGraph:
             self._nodes_cache = None
 
     def _add_edge_ids(self, src: int, tgt: int, kind: int, lidp: int) -> bool:
-        """Add an int edge record, updating every index; True if it was new."""
+        """Add an int edge record after construction, updating every index;
+        True if it was new.  The duplicate guard covers edges added after
+        construction, which is all saturation can collide with (its kind
+        never occurs at construction); :meth:`add_edge` checks the rest."""
         record = (src, tgt, kind, lidp)
         if record in self._edge_seen:
             return False
@@ -221,7 +241,6 @@ class ConstraintGraph:
         self._materialize(tgt)
         self._edge_list.append(record)
         self._out_recs[src].append((kind, lidp, tgt))
-        self._in_recs[tgt].append((kind, lidp, src))
         self._out_edge_cache.pop(src, None)
         if kind < K_FORGET:
             self._null_out[src].append(tgt)
@@ -266,12 +285,6 @@ class ConstraintGraph:
         """Every forget edge as ``(src_nid, lid, tgt_nid)`` in insertion order."""
         return self._forget_recs
 
-    def dtv_id(self, dtv: DerivedTypeVariable) -> Optional[int]:
-        return self._dtvs.ids.get(dtv)
-
-    def label_id(self, label: Label) -> Optional[int]:
-        return self._labels.ids.get(label)
-
     # -- object-view decode ---------------------------------------------------------
 
     def _node_obj(self, nid: int) -> Node:
@@ -307,7 +320,10 @@ class ConstraintGraph:
         src = self._node_nid(edge.source, create=True)
         tgt = self._node_nid(edge.target, create=True)
         lidp = 0 if edge.label is None else self._labels.intern(edge.label) + 1
-        return self._add_edge_ids(src, tgt, _KIND_IDS[edge.kind], lidp)
+        kind = _KIND_IDS[edge.kind]
+        if (kind, lidp, tgt) in self._out_recs[src]:
+            return False
+        return self._add_edge_ids(src, tgt, kind, lidp)
 
     # -- object-view queries --------------------------------------------------------
 
@@ -348,32 +364,11 @@ class ConstraintGraph:
         nid = self._node_nid(node)
         if nid is None:
             return _EMPTY_EDGES
-        return [
-            self._decode_edge((src, nid, kind, lidp))
-            for kind, lidp, src in self._in_recs[nid]
-        ]
+        return [self._decode_edge(record) for record in self._edge_list if record[1] == nid]
 
     def null_out_edges(self, node: Node) -> List[Edge]:
         """Out-edges that leave the pending stack alone (original + saturation)."""
         return [edge for edge in self.out_edges(node) if edge.is_null]
-
-    def forget_edges(self) -> List[Edge]:
-        """Every forget edge in the graph, in insertion order."""
-        return [
-            self._decode_edge((src, tgt, K_FORGET, lid + 1))
-            for src, lid, tgt in self._forget_recs
-        ]
-
-    def recall_targets(self, node: Node, label: Label) -> List[Node]:
-        """Targets of ``node --recall label-->`` edges (O(1) dict hits)."""
-        nid = self._node_nid(node)
-        if nid is None:
-            return _EMPTY_NODES
-        lid = -1 if label is None else self._labels.ids.get(label)
-        if lid is None:
-            return _EMPTY_NODES
-        node_obj = self._node_obj
-        return [node_obj(tgt) for tgt in self.recall_ids(nid, lid)]
 
     def edges(self) -> Iterator[Edge]:
         """All edges in deterministic (insertion) order."""
@@ -412,30 +407,6 @@ class ConstraintGraph:
     def __len__(self) -> int:
         return len(self._edge_list)
 
-    def nodes_for_base(self, base: str) -> List[Node]:
-        node_obj = self._node_obj
-        return [
-            node_obj(nid)
-            for nid, present in enumerate(self._present)
-            if present and self._dtvs.items[nid >> 1].base == base
-        ]
-
-    def to_dot(self, name: str = "constraints") -> str:
-        lines = [f"digraph {name} {{", "  rankdir=LR;"]
-        index = {node: i for i, node in enumerate(sorted(self.nodes, key=str))}
-        for node, i in index.items():
-            lines.append(f'  n{i} [label="{node}"];')
-        for edge in sorted(self.edges(), key=str):
-            style = "dashed" if edge.kind is EdgeKind.SATURATION else "solid"
-            label = edge.kind.value if edge.label is None else f"{edge.kind.value} {edge.label}"
-            lines.append(
-                f'  n{index[edge.source]} -> n{index[edge.target]} '
-                f'[label="{label}", style={style}];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
 
 _EMPTY_EDGES: List[Edge] = []
-_EMPTY_NODES: List[Node] = []
 _EMPTY_IDS: List[int] = []

@@ -124,6 +124,11 @@ class OutLabel(Label):
 class LoadLabel(Label):
     """``.load`` -- the type obtained by reading through a pointer (covariant)."""
 
+    # Field-less dataclasses all hash as ``hash(())``; a fixed constant (not a
+    # seeded string hash) keeps ``.load`` and ``.store`` apart in one dict.
+    def __hash__(self) -> int:
+        return 0x6C6F6164
+
     @property
     def variance(self) -> Variance:
         return COVARIANT
@@ -135,6 +140,9 @@ class LoadLabel(Label):
 @dataclass(frozen=True, order=True)
 class StoreLabel(Label):
     """``.store`` -- the type that may be written through a pointer (contravariant)."""
+
+    def __hash__(self) -> int:
+        return 0x73746F72
 
     @property
     def variance(self) -> Variance:

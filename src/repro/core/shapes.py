@@ -15,6 +15,17 @@ Paths through the quotient graph starting at a variable's class are exactly the
 capability words derivable for that variable, so the quotient directly yields
 the sketch automaton.
 
+The construction runs on the constraint set's :class:`~repro.core.intern.
+SccEncoding`: cells are created per dtv id (memoized, walking label ids down
+from the nearest resolved prefix), union-find edges are keyed by label id,
+and constraints are processed in the encoding's order -- so cells are created
+and unioned in exactly the order a per-variable walk over the sorted
+constraints would, and cell numbering (hence ``τN``/``struct_N``) is a pure
+function of the constraint set.  Label ids decode back to labels only at the
+object API (:meth:`ShapeInference.lookup`, :meth:`ShapeInference.capabilities`,
+sketches).  The encoding is released after the solve; the quotient keeps
+only the base-name -> cell map and its small label table.
+
 The same structure also hosts:
 
 * per-class lattice bounds (joins of lower-bound constants / meets of
@@ -25,9 +36,10 @@ The same structure also hosts:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .constraints import AddConstraint, ConstraintSet, SubConstraint
+from .constraints import ConstraintSet
+from .intern import SccEncoding
 from .labels import LOAD, STORE, Label
 from .lattice import BOTTOM, TOP, TypeLattice
 from .sketches import Sketch
@@ -41,14 +53,24 @@ class ShapeInference:
         self.lattice = lattice
         self._parent: List[int] = []
         self._rank: List[int] = []
-        self._edges: Dict[int, Dict[Label, int]] = {}
-        self._lower: Dict[int, str] = {}
-        self._upper: Dict[int, str] = {}
+        #: per cell: label id -> target cell (``None`` once merged away).
+        self._edges: List[Optional[Dict[int, int]]] = []
+        self._lower: List[str] = []
+        self._upper: List[str] = []
         self._base_cells: Dict[str, int] = {}
+        #: label id <-> label (the encoding's label pool, kept for lookups).
+        self._labels: List[Label] = []
+        self._label_ids: Dict[Label, int] = {}
+        self._load = -1
+        self._store = -1
         self._int_mark: Set[int] = set()
         self._ptr_mark: Set[int] = set()
         #: pairs of type constants (lower, upper) that must satisfy lower <: upper
         self.scalar_checks: List[Tuple[str, str]] = []
+        #: the encoding the quotient was built from, until released.
+        self.encoding: Optional[SccEncoding] = None
+        #: per dtv id of the encoding: its cell, or -1 while unresolved.
+        self._cells: Optional[List[int]] = None
 
     # -- union-find --------------------------------------------------------------
 
@@ -56,31 +78,36 @@ class ShapeInference:
         ident = len(self._parent)
         self._parent.append(ident)
         self._rank.append(0)
-        self._edges[ident] = {}
-        self._lower[ident] = BOTTOM
-        self._upper[ident] = TOP
+        self._edges.append({})
+        self._lower.append(BOTTOM)
+        self._upper.append(TOP)
         return ident
 
     def find(self, cell: int) -> int:
+        parent = self._parent
         root = cell
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[cell] != root:
-            self._parent[cell], cell = root, self._parent[cell]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[cell] != root:
+            parent[cell], cell = root, parent[cell]
         return root
 
     def union(self, a: int, b: int) -> int:
         """Union with downward congruence closure (including load/store identification)."""
+        find = self.find
+        rank = self._rank
+        all_edges = self._edges
+        load, store = self._load, self._store
         worklist = [(a, b)]
         while worklist:
             x, y = worklist.pop()
-            rx, ry = self.find(x), self.find(y)
+            rx, ry = find(x), find(y)
             if rx == ry:
                 continue
-            if self._rank[rx] < self._rank[ry]:
+            if rank[rx] < rank[ry]:
                 rx, ry = ry, rx
-            if self._rank[rx] == self._rank[ry]:
-                self._rank[rx] += 1
+            if rank[rx] == rank[ry]:
+                rank[rx] += 1
             self._parent[ry] = rx
             # merge bounds and marks
             self._lower[rx] = self.lattice.join(self._lower[rx], self._lower[ry])
@@ -90,97 +117,158 @@ class ShapeInference:
             if ry in self._ptr_mark:
                 self._ptr_mark.add(rx)
             # merge outgoing edges, scheduling congruent unifications
-            edges_x = self._edges[rx]
-            for label, target in self._edges.pop(ry).items():
-                if label in edges_x:
-                    worklist.append((edges_x[label], target))
+            edges_x = all_edges[rx]
+            edges_y = all_edges[ry]
+            all_edges[ry] = None
+            for lid, target in edges_y.items():
+                if lid in edges_x:
+                    worklist.append((edges_x[lid], target))
                 else:
-                    edges_x[label] = target
+                    edges_x[lid] = target
             # S-POINTER: load and store children of one class coincide
-            if LOAD in edges_x and STORE in edges_x:
-                worklist.append((edges_x[LOAD], edges_x[STORE]))
-        return self.find(a)
+            if load in edges_x and store in edges_x:
+                worklist.append((edges_x[load], edges_x[store]))
+        return find(a)
+
+    # -- construction from the encoding ---------------------------------------------
+
+    def build(self, encoding: SccEncoding) -> None:
+        """Run INFERSHAPES over ``encoding`` (built with this quotient's lattice)."""
+        self.encoding = encoding
+        self._cells = [-1] * len(encoding.dtvs)
+        self._labels = encoding.labels.items
+        self._label_ids = encoding.labels.ids
+        self._load = self._label_ids.get(LOAD, -1)
+        self._store = self._label_ids.get(STORE, -1)
+        constant = encoding.constant
+        assert constant is not None, "shape inference needs a lattice-built encoding"
+        names = encoding.dtvs.items
+        cell_of = self._cell_of
+        for left, right in encoding.subtype:
+            if constant[left]:
+                if constant[right]:
+                    self.scalar_checks.append((names[left].base, names[right].base))
+                else:
+                    self.apply_lower(cell_of(right), names[left].base)
+            elif constant[right]:
+                self.apply_upper(cell_of(left), names[right].base)
+            else:
+                self.union(cell_of(left), cell_of(right))
+        self._close_pointer_children()
+        self._apply_additive(encoding.additive)
+
+    def _cell_of(self, did: int) -> int:
+        """Cell of non-constant dtv id ``did``, creating missing cells.
+
+        Creation follows the per-variable walk (base cell first, then one
+        cell per missing label edge, outermost last); dtv ids already
+        resolved are memoized, which is exact because a class's label edge
+        only ever moves to an equivalent target under union.
+        """
+        cells = self._cells
+        cell = cells[did]
+        if cell >= 0:
+            return self.find(cell)
+        encoding = self.encoding
+        prefix = encoding.prefix
+        chain = [did]
+        parent = prefix[did]
+        while parent >= 0 and cells[parent] < 0:
+            chain.append(parent)
+            parent = prefix[parent]
+        if parent >= 0:
+            cell = self.find(cells[parent])
+        else:
+            base = chain.pop()
+            cell = self._new_cell()
+            cells[base] = cell
+            self._base_cells[encoding.dtvs.items[base].base] = cell
+        last_lid = encoding.last_lid
+        all_edges = self._edges
+        for member in reversed(chain):
+            edges = all_edges[cell]
+            lid = last_lid[member]
+            target = edges.get(lid)
+            if target is None:
+                target = self._new_cell()
+                edges[lid] = target
+            cells[member] = target
+            cell = self.find(target)
+        return cell
+
+    def cell_at(self, did: int, word: int, base: int) -> Optional[int]:
+        """Cell of dtv id ``did`` extended by the packed label word ``word``.
+
+        ``word`` holds ``lid + 1`` digits in base ``base``, first label least
+        significant (a pending stack read top-first).  Returns ``None`` when
+        the variable has no cell; the load/store identification applies to
+        the extension as in :meth:`lookup`.
+        """
+        cell = self._cells[did]
+        if cell < 0:
+            return None
+        cell = self.find(cell)
+        while word:
+            word, digit = divmod(word, base)
+            cell = self._step(cell, digit - 1)
+            if cell is None:
+                return None
+        return cell
+
+    def _step(self, cell: int, lid: int) -> Optional[int]:
+        edges = self._edges[cell]
+        target = edges.get(lid)
+        if target is None:
+            # Respect the load/store identification when looking up.
+            if lid == self._load:
+                target = edges.get(self._store)
+            elif lid == self._store:
+                target = edges.get(self._load)
+            if target is None:
+                return None
+        return self.find(target)
+
+    def release_encoding(self) -> None:
+        """Drop the encoding and the per-dtv-id cells once the solve is done."""
+        self.encoding = None
+        self._cells = None
 
     # -- derived type variables ----------------------------------------------------
 
     def is_constant(self, dtv: DerivedTypeVariable) -> bool:
         return dtv.is_base and self.lattice.is_constant(dtv.base)
 
-    def cell_for(self, dtv: DerivedTypeVariable) -> Optional[int]:
-        """Cell representing ``dtv``, creating intermediate cells as needed.
-
-        Returns ``None`` for type constants, which live in the lattice rather
-        than the shape graph.
-        """
-        if self.is_constant(dtv):
-            return None
-        if dtv.base not in self._base_cells:
-            self._base_cells[dtv.base] = self._new_cell()
-        cell = self.find(self._base_cells[dtv.base])
-        for label in dtv.labels:
-            edges = self._edges[cell]
-            if label not in edges:
-                edges[label] = self._new_cell()
-            cell = self.find(edges[label])
-        return cell
-
     def lookup(self, dtv: DerivedTypeVariable) -> Optional[int]:
-        """Like :meth:`cell_for` but without creating missing cells."""
+        """The cell representing ``dtv``, or ``None`` (type constants, unknown paths)."""
         if self.is_constant(dtv) or dtv.base not in self._base_cells:
             return None
         cell = self.find(self._base_cells[dtv.base])
+        label_ids = self._label_ids
         for label in dtv.labels:
-            target = self._edges[cell].get(label)
-            if target is None:
-                # Respect the load/store identification when looking up.
-                alt = STORE if label == LOAD else LOAD if label == STORE else None
-                if alt is not None:
-                    target = self._edges[cell].get(alt)
-                if target is None:
-                    return None
-            cell = self.find(target)
+            lid = label_ids.get(label)
+            if lid is None:
+                return None
+            cell = self._step(cell, lid)
+            if cell is None:
+                return None
         return cell
-
-    # -- constraint processing --------------------------------------------------------
-
-    def add_constraints(self, constraints: ConstraintSet) -> None:
-        for constraint in constraints:
-            self.add_subtype(constraint.left, constraint.right)
-        self._close_pointer_children()
-        self._apply_additive(constraints)
-
-    def add_subtype(self, left: DerivedTypeVariable, right: DerivedTypeVariable) -> None:
-        left_const = self.is_constant(left)
-        right_const = self.is_constant(right)
-        if left_const and right_const:
-            self.scalar_checks.append((left.base, right.base))
-            return
-        if left_const:
-            cell = self.cell_for(right)
-            assert cell is not None
-            self.apply_lower(cell, left.base)
-            return
-        if right_const:
-            cell = self.cell_for(left)
-            assert cell is not None
-            self.apply_upper(cell, right.base)
-            return
-        a = self.cell_for(left)
-        b = self.cell_for(right)
-        assert a is not None and b is not None
-        self.union(a, b)
 
     def _close_pointer_children(self) -> None:
         """Fixpoint pass unifying load/store children created before any union."""
+        load, store = self._load, self._store
+        if load < 0 or store < 0:
+            return
+        parent = self._parent
+        all_edges = self._edges
         changed = True
         while changed:
             changed = False
-            for cell in list(self._edges):
-                if self.find(cell) != cell:
+            for cell in range(len(parent)):
+                if parent[cell] != cell:
                     continue
-                edges = self._edges[cell]
-                if LOAD in edges and STORE in edges:
-                    a, b = self.find(edges[LOAD]), self.find(edges[STORE])
+                edges = all_edges[cell]
+                if load in edges and store in edges:
+                    a, b = self.find(edges[load]), self.find(edges[store])
                     if a != b:
                         self.union(a, b)
                         changed = True
@@ -201,28 +289,22 @@ class ShapeInference:
 
     def clear_bounds(self) -> None:
         """Reset all per-class bounds (used before a direction-aware recomputation)."""
-        for rep in self._lower:
-            self._lower[rep] = BOTTOM
-            self._upper[rep] = TOP
+        count = len(self._parent)
+        self._lower = [BOTTOM] * count
+        self._upper = [TOP] * count
 
     # -- capabilities ----------------------------------------------------------------------
 
     def capabilities(self, cell: int) -> Dict[Label, int]:
         rep = self.find(cell)
-        return {label: self.find(target) for label, target in self._edges[rep].items()}
+        labels = self._labels
+        return {labels[lid]: self.find(target) for lid, target in self._edges[rep].items()}
 
     def has_capability(self, dtv: DerivedTypeVariable, label: Label) -> bool:
         cell = self.lookup(dtv)
         if cell is None:
             return False
-        return label in self._edges[self.find(cell)]
-
-    def classes(self) -> Set[int]:
-        return {self.find(i) for i in range(len(self._parent))}
-
-    def class_of_base(self, base: str) -> Optional[int]:
-        cell = self._base_cells.get(base)
-        return self.find(cell) if cell is not None else None
+        return self._label_ids.get(label, -1) in self._edges[self.find(cell)]
 
     # -- ADD / SUB constraints (Figure 13) ----------------------------------------------------
 
@@ -237,7 +319,7 @@ class ShapeInference:
         if rep in self._ptr_mark:
             return True
         edges = self._edges[rep]
-        if LOAD in edges or STORE in edges:
+        if self._load in edges or self._store in edges:
             return True
         lower, upper = self._lower[rep], self._upper[rep]
         return self.lattice.leq("ptr", upper) and upper != TOP or lower == "ptr"
@@ -256,26 +338,24 @@ class ShapeInference:
                 return True
         return False
 
-    def _apply_additive(self, constraints: ConstraintSet) -> None:
+    def _apply_additive(self, additive: List[Tuple[bool, int, int, int]]) -> None:
         """Iterate the inference rules for ADD/SUB constraints (Figure 13)."""
-        # Sorted, not set order: unions reparent by call order, and the
-        # per-process hash seed must not leak into the quotient's shape.
-        additive = sorted(constraints.additive, key=str)
+        # The encoding's order, not set order: unions reparent by call order,
+        # and the per-process hash seed must not leak into the quotient's shape.
         if not additive:
             return
+        constant = self.encoding.constant
+        cell_of = self._cell_of
         changed = True
         while changed:
             changed = False
-            for constraint in additive:
+            for is_add, left, right, result in additive:
                 cells = [
-                    self.cell_for(constraint.left),
-                    self.cell_for(constraint.right),
-                    self.cell_for(constraint.result),
+                    None if constant[did] else cell_of(did) for did in (left, right, result)
                 ]
-                if any(c is None for c in cells):
+                if None in cells:
                     continue
                 x, y, z = cells
-                is_add = isinstance(constraint, AddConstraint)
                 changed |= self._additive_step(x, y, z, is_add)
 
     def _additive_step(self, x: int, y: int, z: int, is_add: bool) -> bool:
@@ -367,15 +447,17 @@ class ShapeInference:
             if (
                 lower == BOTTOM
                 and rep in self._ptr_mark
-                and LOAD not in self._edges[rep]
-                and STORE not in self._edges[rep]
+                and self._load not in self._edges[rep]
+                and self._store not in self._edges[rep]
             ):
                 # Pointer-ness established only through the ADD/SUB rules
                 # (Figure 13): record it so the display shows a pointer.
                 lower = "ptr" if "ptr" in self.lattice else lower
             sketch.nodes[node].lower = lower
             sketch.nodes[node].upper = upper
-            for label, target in sorted(self._edges[rep].items(), key=lambda kv: str(kv[0])):
+            labels = self._labels
+            children = [(labels[lid], target) for lid, target in self._edges[rep].items()]
+            for label, target in sorted(children, key=lambda kv: str(kv[0])):
                 target = self.find(target)
                 if target not in mapping:
                     mapping[target] = sketch.add_node()
@@ -385,7 +467,14 @@ class ShapeInference:
 
 
 def infer_shapes(constraints: ConstraintSet, lattice: TypeLattice) -> ShapeInference:
-    """The INFERSHAPES procedure of Algorithm E.1."""
+    """The INFERSHAPES procedure of Algorithm E.1.
+
+    Builds the constraint set's :class:`~repro.core.intern.SccEncoding` and
+    the quotient over it.  The returned quotient still holds the encoding
+    (``shapes.encoding``) so the solver can build the constraint graph and
+    place bounds from it; callers that keep the quotient past the solve call
+    :meth:`ShapeInference.release_encoding`.
+    """
     shapes = ShapeInference(lattice)
-    shapes.add_constraints(constraints)
+    shapes.build(SccEncoding(constraints, lattice))
     return shapes

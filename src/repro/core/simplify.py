@@ -39,82 +39,23 @@ the old elementary enumeration missed: paths that revisit a node with a
 ``list.load.next.load.next <= t``) are valid derivations and are enumerated
 up to the depth bound, matching the deduction rules of Figure 3.
 
-``derive_constant_bounds`` performs the Appendix D.4 queries: which derived
-type variables are bounded above/below by which type constants.  The solver
-uses it to decorate sketch nodes with lattice elements.
+``constant_bound_ids`` performs the Appendix D.4 queries: which derived
+type variables are bounded above/below by which type constants, reported as
+dtv ids plus packed label words.  The solver uses it to decorate sketch nodes
+with lattice elements; ``derive_constant_bounds`` is its decoded form.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import (
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .constraints import ConstraintSet, SubtypeConstraint
-from .graph import (
-    ConstraintGraph,
-    Edge,
-    EdgeKind,
-    K_FORGET,
-    K_RECALL,
-    Node,
-)
+from .graph import ConstraintGraph, K_FORGET, K_RECALL, Node
 from .labels import Label, Variance, path_variance
 from .lattice import TypeLattice
 from .saturation import saturate
 from .variables import DerivedTypeVariable
-
-
-@dataclass(frozen=True)
-class _PathState:
-    """One point of a walk: current node, labels appended to the source
-    (``alpha``) and the pending stack of forgotten labels (``beta``).
-
-    Retained for the single-step semantics (:func:`_step`) shared with the
-    reference implementation kept in ``tests/``.
-    """
-
-    node: Node
-    alpha: Tuple[Label, ...]
-    beta: Tuple[Label, ...]
-
-
-def _step(state: _PathState, edge: Edge) -> Optional[_PathState]:
-    """Apply one edge to the bookkeeping state; ``None`` when the path is invalid."""
-    if edge.is_null:
-        return _PathState(edge.target, state.alpha, state.beta)
-    if edge.kind is EdgeKind.FORGET:
-        return _PathState(edge.target, state.alpha, state.beta + (edge.label,))
-    # Recall edge.
-    if state.beta:
-        if state.beta[-1] != edge.label:
-            return None
-        return _PathState(edge.target, state.alpha, state.beta[:-1])
-    return _PathState(edge.target, state.alpha + (edge.label,), state.beta)
-
-
-def _constraint_from_state(
-    source: Node, state: _PathState
-) -> Optional[SubtypeConstraint]:
-    """Read the subtype judgement witnessed by a finished path."""
-    lhs = source.dtv.with_labels(state.alpha)
-    rhs = state.node.dtv.with_labels(tuple(reversed(state.beta)))
-    orientation = source.variance * path_variance(state.alpha)
-    if orientation is Variance.COVARIANT:
-        constraint = SubtypeConstraint(lhs, rhs)
-    else:
-        constraint = SubtypeConstraint(rhs, lhs)
-    if constraint.left == constraint.right:
-        return None
-    return constraint
 
 
 def _decode_word(packed: int, base: int, labels: List[Label]) -> Tuple[Label, ...]:
@@ -404,44 +345,80 @@ def derive_constant_bounds(
 
     Returns triples ``(dtv, kind, constant)`` where ``kind`` is ``"lower"``
     (the constant flows into the variable) or ``"upper"`` (the variable flows
-    into the constant).  The traversal explores the saturated graph from every
-    type-constant node over packed int states, tracking the pending label
-    stack so the judgement's variable side can be reconstructed; recursion is
-    kept finite by bounding the pending depth and the number of visited
-    states.  Start nodes are enumerated in dtv-id (insertion) order, so the
-    result list -- and through it the order lattice bounds are applied in --
-    is a pure function of the constraint set.
+    into the constant): the decoded form of :func:`constant_bound_ids`, in
+    the same order.
     """
-    results: List[Tuple[DerivedTypeVariable, str, str]] = []
-    seen_results: Set[Tuple[DerivedTypeVariable, str, str]] = set()
-
     dtvs = graph._dtvs.items
     labels = graph._labels.items
+    lp_base = len(labels) + 1
+    return [
+        (dtvs[did].with_labels(_decode_word(word, lp_base, labels)), kind, constant)
+        for did, word, kind, constant in constant_bound_ids(
+            graph, lattice, max_pending, max_states
+        )
+    ]
+
+
+def constant_bound_ids(
+    graph: ConstraintGraph,
+    lattice: TypeLattice,
+    max_pending: int = 6,
+    max_states: int = 100_000,
+) -> List[Tuple[int, int, str, str]]:
+    """The Appendix D.4 constant-bound queries over the graph's int kernel.
+
+    Returns ``(did, word, kind, constant)``: the bounded variable is dtv id
+    ``did`` extended by the packed label word ``word`` (``lid + 1`` digits
+    in base ``len(labels) + 1``, first label least significant), ``kind`` is
+    ``"lower"`` or ``"upper"``.  The traversal explores the saturated graph
+    from every type-constant node over packed int states, tracking the
+    pending label stack so the judgement's variable side can be
+    reconstructed; recursion is kept finite by bounding the pending depth and
+    the number of visited states.
+
+    Each variable is reported in one canonical form -- the longest prefix of
+    it that has a dtv id, plus the rest of the word -- so two states that
+    read back as the same variable (``x.load`` with an empty stack and ``x``
+    with ``load`` pending) are one bound, exactly as if the variable were
+    materialized.  Start nodes are enumerated in dtv-id order, so the result
+    list -- and through it the order lattice bounds are applied in -- is a
+    pure function of the constraint set.
+    """
+    results: List[Tuple[int, int, str, str]] = []
+    seen_results: Set[int] = set()
+
+    dtvs = graph._dtvs.items
+    prefix = graph._prefix
+    last_lid = graph._last_lid
     present = graph._present
     out_recs = graph._out_recs
     num_dtvs = len(dtvs)
     num_nodes = 2 * num_dtvs
-    lp_base = len(labels) + 1
+    num_labels = len(graph._labels)
+    lp_base = num_labels + 1
     is_constant = lattice.is_constant
 
-    constant_dids = [
-        did
-        for did, dtv in enumerate(dtvs)
-        if dtv.is_base and is_constant(dtv.base)
-    ]
+    constant = [p < 0 and is_constant(dtv.base) for p, dtv in zip(prefix, dtvs)]
+    constant_dids = [did for did in range(num_dtvs) if constant[did]]
+    if not constant_dids:
+        return results
+    #: ``did * num_labels + lid`` -> the dtv id of ``did.label``.
+    children: Dict[int, int] = {
+        pid * num_labels + last_lid[did]: did
+        for did, pid in enumerate(prefix)
+        if pid >= 0
+    }
+    #: ``beta * num_dtvs + did`` -> the canonical ``rest * num_dtvs + did``
+    #: of the variable ``did . reversed(beta)``.
+    canonical: Dict[int, int] = {}
 
-    #: shared decode memos: packed beta -> reversed label word, and
-    #: ``beta * num_dtvs + did`` -> the derived variable it reads back as.
-    word_cache: Dict[int, Tuple[Label, ...]] = {0: ()}
-    dtv_cache: Dict[int, DerivedTypeVariable] = {}
-
-    for did in constant_dids:
+    for const_did in constant_dids:
         for bit in (0, 1):
-            start = did * 2 + bit
+            start = const_did * 2 + bit
             if not present[start]:
                 continue
             kind = "lower" if bit == 0 else "upper"
-            constant = dtvs[did].base
+            constant_name = dtvs[const_did].base
             visited: Set[int] = set()
             stack: List[Tuple[int, int, int]] = [(start, 0, 0)]
             states = 0
@@ -468,19 +445,24 @@ def derive_constant_bounds(
                         new_beta = beta
                         new_blen = beta_len
                     dtv_key = new_beta * num_dtvs + (target >> 1)
-                    dtv = dtv_cache.get(dtv_key)
-                    if dtv is None:
-                        word = word_cache.get(new_beta)
-                        if word is None:
-                            word = _decode_word(new_beta, lp_base, labels)
-                            word_cache[new_beta] = word
-                        dtv = dtvs[target >> 1].with_labels(word)
-                        dtv_cache[dtv_key] = dtv
-                    if not (dtv.is_base and is_constant(dtv.base)):
-                        entry = (dtv, kind, constant)
+                    key = canonical.get(dtv_key)
+                    if key is None:
+                        did = target >> 1
+                        rest = new_beta
+                        while rest:
+                            child = children.get(did * num_labels + rest % lp_base - 1)
+                            if child is None:
+                                break
+                            did = child
+                            rest //= lp_base
+                        key = rest * num_dtvs + did
+                        canonical[dtv_key] = key
+                    if key >= num_dtvs or not constant[key]:
+                        entry = (key * num_dtvs + const_did) * 2 + bit
                         if entry not in seen_results:
                             seen_results.add(entry)
-                            results.append(entry)
+                            rest, did = divmod(key, num_dtvs)
+                            results.append((did, rest, kind, constant_name))
                     if new_beta * num_nodes + target not in visited:
                         stack.append((target, new_beta, new_blen))
     return results

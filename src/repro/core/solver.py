@@ -28,14 +28,14 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..obs.trace import get_tracer
-from .constraints import ConstraintSet, SubtypeConstraint
+from .constraints import ConstraintSet
 from .graph import ConstraintGraph
-from .labels import InLabel, Label, OutLabel, Variance, path_variance
+from .labels import Variance, path_variance
 from .lattice import BOTTOM, TOP, TypeLattice, default_lattice
 from .saturation import saturate
 from .schemes import TypeScheme
 from .shapes import ShapeInference, infer_shapes
-from .simplify import derive_constant_bounds
+from .simplify import constant_bound_ids
 from .sketches import Sketch
 from .variables import DerivedTypeVariable
 
@@ -360,7 +360,7 @@ class Solver:
         if self.config.precise_bounds:
             start = timer()
             with tracer.span("solver.graph") as graph_span:
-                graph = ConstraintGraph(constraints)
+                graph = ConstraintGraph(constraints, encoding=shapes.encoding)
                 graph_span.set("nodes", graph.num_nodes)
             graph_seconds = timer() - start
 
@@ -373,11 +373,12 @@ class Solver:
             start = timer()
             with tracer.span("solver.simplify") as simplify_span:
                 shapes.clear_bounds()
-                bounds = derive_constant_bounds(graph, self.lattice)
+                bounds = constant_bound_ids(graph, self.lattice)
                 bound_count = len(bounds)
                 simplify_span.set("constant_bounds", bound_count)
-                for dtv, kind, constant in bounds:
-                    cell = shapes.lookup(dtv)
+                lp_base = len(graph._labels) + 1
+                for did, word, kind, constant in bounds:
+                    cell = shapes.cell_at(did, word, lp_base)
                     if cell is None:
                         continue
                     if kind == "lower":
@@ -385,6 +386,8 @@ class Solver:
                     else:
                         shapes.apply_upper(cell, constant)
             simplify_seconds = timer() - start
+        # Results keep the quotient; the encoding must not ride along.
+        shapes.release_encoding()
         if stats is not None:
             stats.sketch_seconds += sketch_seconds
             stats.graph_seconds += graph_seconds

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import time
 import tracemalloc
-from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..baselines import RetypdEngine, TypeInferenceEngine
 from .workloads import Workload
@@ -98,7 +98,17 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     b = sxy / sxx
     a = math.exp(mean_y - b * mean_x)
 
-    # Gauss-Newton refinement on the untransformed residuals.
+    # Gauss-Newton refinement on the untransformed residuals.  A step is
+    # taken only if it lowers the squared error (halving it until it does),
+    # so data a power law fits badly -- e.g. memory floored at 1 MB for the
+    # small programs -- cannot send the iterate off to overflow.
+    def squared_error(a: float, b: float) -> float:
+        try:
+            return sum((y - a * (x ** b)) ** 2 for x, y in zip(xs_f, ys_f))
+        except OverflowError:
+            return math.inf
+
+    error = squared_error(a, b)
     for _ in range(200):
         residuals = [y - a * (x ** b) for x, y in zip(xs_f, ys_f)]
         # Jacobian columns: d/da = x^b ; d/db = a * x^b * ln(x)
@@ -117,12 +127,18 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
             break
         delta_a = (jtr[0] * jtj[1][1] - jtr[1] * jtj[0][1]) / det
         delta_b = (jtr[1] * jtj[0][0] - jtr[0] * jtj[1][0]) / det
-        a += 0.5 * delta_a
-        b += 0.5 * delta_b
+        step = 0.5
+        while step > 1e-6:
+            next_a, next_b = max(a + step * delta_a, 1e-12), b + step * delta_b
+            next_error = squared_error(next_a, next_b)
+            if next_error <= error:
+                break
+            step /= 2
+        else:
+            break
+        a, b, error = next_a, next_b, next_error
         if abs(delta_a) < 1e-12 and abs(delta_b) < 1e-9:
             break
-        if a <= 0:
-            a = max(a, 1e-12)
 
     predictions = [a * (x ** b) for x in xs_f]
     mean = sum(ys_f) / n

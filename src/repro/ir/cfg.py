@@ -10,7 +10,7 @@ Two granularities are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from .instructions import Instruction, Jcc, Jmp, LabelPseudo, Ret
 from .program import Procedure
@@ -39,14 +39,6 @@ def successors(procedure: Procedure) -> Dict[int, List[int]]:
                 succs.append(index + 1)
         result[index] = succs
     return result
-
-
-def predecessors(procedure: Procedure) -> Dict[int, List[int]]:
-    preds: Dict[int, List[int]] = {i: [] for i in range(len(procedure.instructions))}
-    for index, succs in successors(procedure).items():
-        for succ in succs:
-            preds[succ].append(index)
-    return preds
 
 
 @dataclass

@@ -17,15 +17,38 @@ executable oracles:
 They are also what the perf-smoke benchmark measures the new core against, so
 the "2x faster than the seed" gate compares both implementations on the same
 machine in the same process.
+
+Two more references keep the construction paths the integer encoding
+replaced:
+
+* :class:`NaiveShapeInference` / :func:`naive_infer_shapes` -- INFERSHAPES
+  over :class:`~repro.core.variables.DerivedTypeVariable` objects: every
+  constraint endpoint walks its labels from the base cell, edges are keyed
+  by :class:`~repro.core.labels.Label`.  The encoded quotient must be the
+  same cell for cell (``tests/core/test_encoding_equivalence.py``).
+* :func:`naive_constant_bounds` -- the Appendix D.4 bound queries keyed on
+  materialized variables; the int-level canonical keys must produce the
+  same list in the same order.
+* :func:`naive_reaching_definitions` -- the instruction-level reaching
+  definitions fixpoint, one environment per instruction.  The per-block
+  analysis must answer every ``reaching(i, loc)`` query the same
+  (``tests/ir/test_reaching_blocks.py``).
 """
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.constraints import ConstraintSet
-from repro.core.graph import ConstraintGraph, Edge, EdgeKind, Node
-from repro.core.labels import LOAD, STORE, Label, Variance
+from repro.core.constraints import AddConstraint, ConstraintSet, SubtypeConstraint
+from repro.core.graph import K_FORGET, K_RECALL, ConstraintGraph, Edge, EdgeKind, Node
+from repro.core.labels import LOAD, STORE, Label, Variance, path_variance
+from repro.core.lattice import BOTTOM, TOP, TypeLattice
 from repro.core.saturation import saturate
-from repro.core.simplify import _PathState, _constraint_from_state, _step
+from repro.core.simplify import _decode_word
+from repro.core.variables import DerivedTypeVariable
+from repro.ir.cfg import successors
+from repro.ir.dataflow import ENTRY, Location, definitions_of
+from repro.ir.program import Procedure
+from repro.ir.stackanalysis import StackState, analyze_stack
 
 
 def naive_saturate(graph: ConstraintGraph, max_iterations: int = 10_000) -> int:
@@ -94,6 +117,49 @@ def naive_saturate(graph: ConstraintGraph, max_iterations: int = 10_000) -> int:
     return added
 
 
+@dataclass(frozen=True)
+class _PathState:
+    """One point of a walk: current node, labels appended to the source
+    (``alpha``) and the pending stack of forgotten labels (``beta``).
+
+    The single-step semantics (:func:`_step`) of the per-path DFS below.
+    """
+
+    node: Node
+    alpha: Tuple[Label, ...]
+    beta: Tuple[Label, ...]
+
+
+def _step(state: _PathState, edge: Edge) -> Optional[_PathState]:
+    """Apply one edge to the bookkeeping state; ``None`` when the path is invalid."""
+    if edge.is_null:
+        return _PathState(edge.target, state.alpha, state.beta)
+    if edge.kind is EdgeKind.FORGET:
+        return _PathState(edge.target, state.alpha, state.beta + (edge.label,))
+    # Recall edge.
+    if state.beta:
+        if state.beta[-1] != edge.label:
+            return None
+        return _PathState(edge.target, state.alpha, state.beta[:-1])
+    return _PathState(edge.target, state.alpha + (edge.label,), state.beta)
+
+
+def _constraint_from_state(
+    source: Node, state: _PathState
+) -> Optional[SubtypeConstraint]:
+    """Read the subtype judgement witnessed by a finished path."""
+    lhs = source.dtv.with_labels(state.alpha)
+    rhs = state.node.dtv.with_labels(tuple(reversed(state.beta)))
+    orientation = source.variance * path_variance(state.alpha)
+    if orientation is Variance.COVARIANT:
+        constraint = SubtypeConstraint(lhs, rhs)
+    else:
+        constraint = SubtypeConstraint(rhs, lhs)
+    if constraint.left == constraint.right:
+        return None
+    return constraint
+
+
 def naive_simplify_constraints(
     constraints: ConstraintSet,
     interesting: Iterable[str],
@@ -145,3 +211,451 @@ def naive_simplify_constraints(
         explore(source, initial, {source})
 
     return output
+
+
+class NaiveShapeInference:
+    """The per-variable INFERSHAPES construction (Label-keyed edges, a label
+    walk from the base cell for every constraint endpoint)."""
+
+    def __init__(self, lattice: TypeLattice) -> None:
+        self.lattice = lattice
+        self._parent: List[int] = []
+        self._rank: List[int] = []
+        self._edges: Dict[int, Dict[Label, int]] = {}
+        self._lower: Dict[int, str] = {}
+        self._upper: Dict[int, str] = {}
+        self._base_cells: Dict[str, int] = {}
+        self._int_mark: Set[int] = set()
+        self._ptr_mark: Set[int] = set()
+        #: pairs of type constants (lower, upper) that must satisfy lower <: upper
+        self.scalar_checks: List[Tuple[str, str]] = []
+
+    # -- union-find --------------------------------------------------------------
+
+    def _new_cell(self) -> int:
+        ident = len(self._parent)
+        self._parent.append(ident)
+        self._rank.append(0)
+        self._edges[ident] = {}
+        self._lower[ident] = BOTTOM
+        self._upper[ident] = TOP
+        return ident
+
+    def find(self, cell: int) -> int:
+        root = cell
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[cell] != root:
+            self._parent[cell], cell = root, self._parent[cell]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        """Union with downward congruence closure (including load/store identification)."""
+        worklist = [(a, b)]
+        while worklist:
+            x, y = worklist.pop()
+            rx, ry = self.find(x), self.find(y)
+            if rx == ry:
+                continue
+            if self._rank[rx] < self._rank[ry]:
+                rx, ry = ry, rx
+            if self._rank[rx] == self._rank[ry]:
+                self._rank[rx] += 1
+            self._parent[ry] = rx
+            # merge bounds and marks
+            self._lower[rx] = self.lattice.join(self._lower[rx], self._lower[ry])
+            self._upper[rx] = self.lattice.meet(self._upper[rx], self._upper[ry])
+            if ry in self._int_mark:
+                self._int_mark.add(rx)
+            if ry in self._ptr_mark:
+                self._ptr_mark.add(rx)
+            # merge outgoing edges, scheduling congruent unifications
+            edges_x = self._edges[rx]
+            for label, target in self._edges.pop(ry).items():
+                if label in edges_x:
+                    worklist.append((edges_x[label], target))
+                else:
+                    edges_x[label] = target
+            # S-POINTER: load and store children of one class coincide
+            if LOAD in edges_x and STORE in edges_x:
+                worklist.append((edges_x[LOAD], edges_x[STORE]))
+        return self.find(a)
+
+    # -- derived type variables ----------------------------------------------------
+
+    def is_constant(self, dtv: DerivedTypeVariable) -> bool:
+        return dtv.is_base and self.lattice.is_constant(dtv.base)
+
+    def cell_for(self, dtv: DerivedTypeVariable) -> Optional[int]:
+        """Cell representing ``dtv``, creating intermediate cells as needed.
+
+        Returns ``None`` for type constants, which live in the lattice rather
+        than the shape graph.
+        """
+        if self.is_constant(dtv):
+            return None
+        if dtv.base not in self._base_cells:
+            self._base_cells[dtv.base] = self._new_cell()
+        cell = self.find(self._base_cells[dtv.base])
+        for label in dtv.labels:
+            edges = self._edges[cell]
+            if label not in edges:
+                edges[label] = self._new_cell()
+            cell = self.find(edges[label])
+        return cell
+
+    def lookup(self, dtv: DerivedTypeVariable) -> Optional[int]:
+        """Like :meth:`cell_for` but without creating missing cells."""
+        if self.is_constant(dtv) or dtv.base not in self._base_cells:
+            return None
+        cell = self.find(self._base_cells[dtv.base])
+        for label in dtv.labels:
+            target = self._edges[cell].get(label)
+            if target is None:
+                # Respect the load/store identification when looking up.
+                alt = STORE if label == LOAD else LOAD if label == STORE else None
+                if alt is not None:
+                    target = self._edges[cell].get(alt)
+                if target is None:
+                    return None
+            cell = self.find(target)
+        return cell
+
+    # -- constraint processing --------------------------------------------------------
+
+    def add_constraints(self, constraints: ConstraintSet) -> None:
+        for constraint in constraints:
+            self.add_subtype(constraint.left, constraint.right)
+        self._close_pointer_children()
+        self._apply_additive(constraints)
+
+    def add_subtype(self, left: DerivedTypeVariable, right: DerivedTypeVariable) -> None:
+        left_const = self.is_constant(left)
+        right_const = self.is_constant(right)
+        if left_const and right_const:
+            self.scalar_checks.append((left.base, right.base))
+            return
+        if left_const:
+            cell = self.cell_for(right)
+            assert cell is not None
+            self.apply_lower(cell, left.base)
+            return
+        if right_const:
+            cell = self.cell_for(left)
+            assert cell is not None
+            self.apply_upper(cell, right.base)
+            return
+        a = self.cell_for(left)
+        b = self.cell_for(right)
+        assert a is not None and b is not None
+        self.union(a, b)
+
+    def _close_pointer_children(self) -> None:
+        """Fixpoint pass unifying load/store children created before any union."""
+        changed = True
+        while changed:
+            changed = False
+            for cell in list(self._edges):
+                if self.find(cell) != cell:
+                    continue
+                edges = self._edges[cell]
+                if LOAD in edges and STORE in edges:
+                    a, b = self.find(edges[LOAD]), self.find(edges[STORE])
+                    if a != b:
+                        self.union(a, b)
+                        changed = True
+
+    # -- lattice bounds ------------------------------------------------------------------
+
+    def apply_lower(self, cell: int, element: str) -> None:
+        rep = self.find(cell)
+        self._lower[rep] = self.lattice.join(self._lower[rep], element)
+
+    def apply_upper(self, cell: int, element: str) -> None:
+        rep = self.find(cell)
+        self._upper[rep] = self.lattice.meet(self._upper[rep], element)
+
+    def bounds(self, cell: int) -> Tuple[str, str]:
+        rep = self.find(cell)
+        return self._lower[rep], self._upper[rep]
+
+    def clear_bounds(self) -> None:
+        """Reset all per-class bounds (used before a direction-aware recomputation)."""
+        for rep in self._lower:
+            self._lower[rep] = BOTTOM
+            self._upper[rep] = TOP
+
+    # -- ADD / SUB constraints (Figure 13) ----------------------------------------------------
+
+    def mark_pointer(self, cell: int) -> None:
+        self._ptr_mark.add(self.find(cell))
+
+    def mark_integer(self, cell: int) -> None:
+        self._int_mark.add(self.find(cell))
+
+    def is_pointer(self, cell: int) -> bool:
+        rep = self.find(cell)
+        if rep in self._ptr_mark:
+            return True
+        edges = self._edges[rep]
+        if LOAD in edges or STORE in edges:
+            return True
+        lower, upper = self._lower[rep], self._upper[rep]
+        return self.lattice.leq("ptr", upper) and upper != TOP or lower == "ptr"
+
+    def is_integer(self, cell: int) -> bool:
+        rep = self.find(cell)
+        if rep in self._int_mark:
+            return True
+        if self.is_pointer(rep):
+            return False
+        lower, upper = self._lower[rep], self._upper[rep]
+        for bound in (lower, upper):
+            if bound in (TOP, BOTTOM):
+                continue
+            if self.lattice.leq(bound, "num64") or self.lattice.leq("num64", bound):
+                return True
+        return False
+
+    def _apply_additive(self, constraints: ConstraintSet) -> None:
+        """Iterate the inference rules for ADD/SUB constraints (Figure 13)."""
+        # Sorted, not set order: unions reparent by call order, and the
+        # per-process hash seed must not leak into the quotient's shape.
+        additive = sorted(constraints.additive, key=str)
+        if not additive:
+            return
+        changed = True
+        while changed:
+            changed = False
+            for constraint in additive:
+                cells = [
+                    self.cell_for(constraint.left),
+                    self.cell_for(constraint.right),
+                    self.cell_for(constraint.result),
+                ]
+                if any(c is None for c in cells):
+                    continue
+                x, y, z = cells
+                is_add = isinstance(constraint, AddConstraint)
+                changed |= self._additive_step(x, y, z, is_add)
+
+    def _additive_step(self, x: int, y: int, z: int, is_add: bool) -> bool:
+        """One application of the Figure 13 table; returns True if a mark was added.
+
+        In addition to the pointer/integer marks of Figure 13, pointer
+        arithmetic with an integer operand identifies the result with the
+        pointer operand: ``p + i`` points into the same object as ``p``.  This
+        is what lets array indexing (``values[i]``) attribute its loads and
+        stores back to the array parameter.
+        """
+        before = (len(self._int_mark), len(self._ptr_mark))
+        xi, yi, zi = self.is_integer(x), self.is_integer(y), self.is_integer(z)
+        xp, yp, zp = self.is_pointer(x), self.is_pointer(y), self.is_pointer(z)
+        unified = False
+        if is_add:
+            if xp and not yp and self.find(x) != self.find(z):
+                self.union(x, z)
+                unified = True
+            elif yp and not xp and self.find(y) != self.find(z):
+                self.union(y, z)
+                unified = True
+            elif zp and xi and not yp and self.find(y) != self.find(z):
+                self.union(y, z)
+                unified = True
+            elif zp and yi and not xp and self.find(x) != self.find(z):
+                self.union(x, z)
+                unified = True
+        else:
+            if xp and not yp and self.find(x) != self.find(z):
+                self.union(x, z)
+                unified = True
+            elif zp and not yp and self.find(x) != self.find(z):
+                self.union(x, z)
+                unified = True
+        if unified:
+            x, y, z = self.find(x), self.find(y), self.find(z)
+        if is_add:
+            if xi and yi:
+                self.mark_integer(z)
+            if xp:
+                self.mark_integer(y)
+                self.mark_pointer(z)
+            if yp:
+                self.mark_integer(x)
+                self.mark_pointer(z)
+            if zp and xi:
+                self.mark_pointer(y)
+            if zp and yi:
+                self.mark_pointer(x)
+            if zi:
+                if xp:
+                    pass  # inconsistent; leave for the union policy
+                else:
+                    if not (xp or yp):
+                        self.mark_integer(x)
+                        self.mark_integer(y)
+        else:
+            # SUB(X, Y; Z): Z = X - Y
+            if xi and yi:
+                self.mark_integer(z)
+            if xp and yi:
+                self.mark_pointer(z)
+            if xp and yp:
+                self.mark_integer(z)
+            if xi:
+                self.mark_integer(y)
+                self.mark_integer(z)
+            if zp:
+                self.mark_pointer(x)
+                self.mark_integer(y)
+        after = (len(self._int_mark), len(self._ptr_mark))
+        return unified or after != before
+
+
+def naive_infer_shapes(constraints: ConstraintSet, lattice: TypeLattice) -> NaiveShapeInference:
+    """INFERSHAPES over variable objects, in sorted-by-``str`` constraint order."""
+    shapes = NaiveShapeInference(lattice)
+    shapes.add_constraints(constraints)
+    return shapes
+
+
+def naive_constant_bounds(
+    graph: ConstraintGraph,
+    lattice: TypeLattice,
+    max_pending: int = 6,
+    max_states: int = 100_000,
+) -> List[Tuple[DerivedTypeVariable, str, str]]:
+    """The Appendix D.4 bound queries, deduplicated on materialized variables:
+    every state's read-back :class:`DerivedTypeVariable` is built and used as
+    the dedupe key."""
+    results: List[Tuple[DerivedTypeVariable, str, str]] = []
+    seen_results: Set[Tuple[DerivedTypeVariable, str, str]] = set()
+
+    dtvs = graph._dtvs.items
+    labels = graph._labels.items
+    present = graph._present
+    out_recs = graph._out_recs
+    num_dtvs = len(dtvs)
+    num_nodes = 2 * num_dtvs
+    lp_base = len(labels) + 1
+    is_constant = lattice.is_constant
+
+    constant_dids = [
+        did
+        for did, dtv in enumerate(dtvs)
+        if dtv.is_base and is_constant(dtv.base)
+    ]
+
+    #: shared decode memos: packed beta -> reversed label word, and
+    #: ``beta * num_dtvs + did`` -> the derived variable it reads back as.
+    word_cache: Dict[int, Tuple[Label, ...]] = {0: ()}
+    dtv_cache: Dict[int, DerivedTypeVariable] = {}
+
+    for did in constant_dids:
+        for bit in (0, 1):
+            start = did * 2 + bit
+            if not present[start]:
+                continue
+            kind = "lower" if bit == 0 else "upper"
+            constant = dtvs[did].base
+            visited: Set[int] = set()
+            stack: List[Tuple[int, int, int]] = [(start, 0, 0)]
+            states = 0
+            while stack and states < max_states:
+                nid, beta, beta_len = stack.pop()
+                state = beta * num_nodes + nid
+                if state in visited:
+                    continue
+                visited.add(state)
+                states += 1
+                for edge_kind, lidp, target in out_recs[nid]:
+                    if edge_kind == K_FORGET:
+                        if beta_len >= max_pending:
+                            continue
+                        new_beta = beta * lp_base + lidp
+                        new_blen = beta_len + 1
+                    elif edge_kind == K_RECALL:
+                        # Constants have no capabilities of their own.
+                        if not beta or beta % lp_base != lidp:
+                            continue
+                        new_beta = beta // lp_base
+                        new_blen = beta_len - 1
+                    else:
+                        new_beta = beta
+                        new_blen = beta_len
+                    dtv_key = new_beta * num_dtvs + (target >> 1)
+                    dtv = dtv_cache.get(dtv_key)
+                    if dtv is None:
+                        word = word_cache.get(new_beta)
+                        if word is None:
+                            word = _decode_word(new_beta, lp_base, labels)
+                            word_cache[new_beta] = word
+                        dtv = dtvs[target >> 1].with_labels(word)
+                        dtv_cache[dtv_key] = dtv
+                    if not (dtv.is_base and is_constant(dtv.base)):
+                        entry = (dtv, kind, constant)
+                        if entry not in seen_results:
+                            seen_results.add(entry)
+                            results.append(entry)
+                    if new_beta * num_nodes + target not in visited:
+                        stack.append((target, new_beta, new_blen))
+    return results
+
+
+def naive_reaching_definitions(
+    procedure: Procedure,
+) -> Tuple[Dict[int, StackState], Dict[int, Dict[Location, FrozenSet[int]]]]:
+    """Instruction-level reaching definitions: ``(stack_states, before)``,
+    where ``before[i]`` maps each location to its definition sites before
+    instruction ``i`` (missing: only ``ENTRY``; unreached ``i``: absent)."""
+    stack_states = analyze_stack(procedure)
+    succ_map = successors(procedure)
+    count = len(procedure.instructions)
+
+    before: Dict[int, Dict[Location, FrozenSet[int]]] = {}
+    if count == 0:
+        return stack_states, before
+
+    entry_env: Dict[Location, FrozenSet[int]] = {}
+    before[0] = entry_env
+
+    worklist: List[int] = [0]
+    while worklist:
+        index = worklist.pop()
+        env = before.get(index, {})
+        state = stack_states.get(index, StackState(None, None))
+        instruction = procedure.instructions[index]
+        out_env = dict(env)
+        for location in definitions_of(instruction, index, state):
+            out_env[location] = frozenset({index})
+        for succ in succ_map.get(index, []):
+            existing = before.get(succ)
+            merged = _naive_merge(existing, out_env)
+            if existing is None or merged != existing:
+                before[succ] = merged
+                worklist.append(succ)
+    return stack_states, before
+
+
+def naive_reaching(
+    before: Dict[int, Dict[Location, FrozenSet[int]]], index: int, location: Location
+) -> FrozenSet[int]:
+    return before.get(index, {}).get(location, frozenset({ENTRY}))
+
+
+def _naive_merge(
+    existing: Optional[Dict[Location, FrozenSet[int]]],
+    incoming: Dict[Location, FrozenSet[int]],
+) -> Dict[Location, FrozenSet[int]]:
+    if existing is None:
+        return dict(incoming)
+    merged = dict(existing)
+    for location, defs in incoming.items():
+        merged[location] = merged.get(location, frozenset()) | defs
+    for location in existing:
+        if location not in incoming:
+            merged[location] = merged[location] | frozenset({ENTRY})
+    for location in incoming:
+        if location not in existing:
+            merged[location] = merged[location] | frozenset({ENTRY})
+    return merged

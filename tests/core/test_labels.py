@@ -128,3 +128,12 @@ def test_interned_labels_equal_fresh_ones(text):
     }[text]
     assert interned == fresh and hash(interned) == hash(fresh)
     assert {fresh: 1}[interned] == 1
+
+
+def test_load_and_store_hash_apart():
+    """Field-less labels would all hash as ``hash(())``; ``.load`` and
+    ``.store`` share dicts in every capability map, so they must not collide."""
+    assert hash(LoadLabel()) != hash(StoreLabel())
+    assert hash(LoadLabel()) == hash(parse_label("load"))
+    assert hash(StoreLabel()) == hash(parse_label("store"))
+    assert len({LoadLabel(), StoreLabel(), LoadLabel()}) == 2

@@ -136,6 +136,17 @@ def test_fit_power_law_recovers_synthetic_exponent():
     assert fit.r_squared > 0.99
 
 
+def test_fit_power_law_survives_floored_data():
+    # Figure 12 floors peak memory at 1 MB, so a memory pass of its own can
+    # read flat for the small programs; full Gauss-Newton steps on these
+    # points overflow.
+    xs = [27, 49, 93, 209, 398, 748, 1483]
+    ys = [1.0, 1.0, 1.0, 1.343, 2.749, 5.595, 11.369]
+    fit = fit_power_law(xs, ys)
+    assert 0.5 < fit.b < 1.5
+    assert fit.r_squared > 0.9
+
+
 def test_fit_power_law_degenerate_input():
     fit = fit_power_law([1.0], [1.0])
     assert fit.a == 0.0 and fit.b == 0.0
