@@ -22,7 +22,7 @@ and constraints are processed in the encoding's order -- so cells are created
 and unioned in exactly the order a per-variable walk over the sorted
 constraints would, and cell numbering (hence ``τN``/``struct_N``) is a pure
 function of the constraint set.  Label ids decode back to labels only at the
-object API (:meth:`ShapeInference.lookup`, :meth:`ShapeInference.capabilities`,
+object API (:meth:`ShapeInference.lookup`, :meth:`ShapeInference.children`,
 sketches).  The encoding is released after the solve; the quotient keeps
 only the base-name -> cell map and its small label table.
 
@@ -36,7 +36,7 @@ The same structure also hosts:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .constraints import ConstraintSet
 from .intern import SccEncoding
@@ -61,6 +61,8 @@ class ShapeInference:
         #: label id <-> label (the encoding's label pool, kept for lookups).
         self._labels: List[Label] = []
         self._label_ids: Dict[Label, int] = {}
+        #: per label id: ``str`` of the label, the order capabilities sort in.
+        self._label_keys: List[str] = []
         self._load = -1
         self._store = -1
         self._int_mark: Set[int] = set()
@@ -196,24 +198,56 @@ class ShapeInference:
             cell = self.find(target)
         return cell
 
-    def cell_at(self, did: int, word: int, base: int) -> Optional[int]:
-        """Cell of dtv id ``did`` extended by the packed label word ``word``.
+    def place_bounds(self, bounds: Iterable[Tuple[int, int, str, str]], base: int) -> None:
+        """Apply the Appendix D.4 bound list to the cells the bounds read back as.
 
-        ``word`` holds ``lid + 1`` digits in base ``base``, first label least
-        significant (a pending stack read top-first).  Returns ``None`` when
-        the variable has no cell; the load/store identification applies to
-        the extension as in :meth:`lookup`.
+        Each bound is ``(did, word, kind, constant)``: dtv id ``did``
+        extended by the packed label word ``word`` (``lid + 1`` digits in
+        base ``base``, first label least significant -- a pending stack read
+        top-first) gets ``constant`` as its ``kind`` (``"lower"`` or
+        ``"upper"``) bound.  A variable without a cell, or a word leaving
+        the quotient, places nothing; the load/store identification applies
+        to the extension as in :meth:`lookup`.  Placing bounds never unions
+        cells, so every walk from a cell along a remaining word is memoized
+        for the rest of the list.
         """
-        cell = self._cells[did]
-        if cell < 0:
-            return None
-        cell = self.find(cell)
+        cells = self._cells
+        find = self.find
+        walked: Dict[Tuple[int, int], Optional[int]] = {}
+        for did, word, kind, constant in bounds:
+            cell = cells[did]
+            if cell < 0:
+                continue
+            cell = find(cell)
+            if word:
+                cell = self._walk(cell, word, base, walked)
+                if cell is None:
+                    continue
+            if kind == "lower":
+                self._lower[cell] = self.lattice.join(self._lower[cell], constant)
+            else:
+                self._upper[cell] = self.lattice.meet(self._upper[cell], constant)
+
+    def _walk(
+        self, cell: int, word: int, base: int, walked: Dict[Tuple[int, int], Optional[int]]
+    ) -> Optional[int]:
+        """The cell ``word`` leads to from ``cell``, memoized per ``(cell, remaining word)``."""
+        path = []
+        target: Optional[int] = cell
         while word:
+            key = (cell, word)
+            if key in walked:
+                target = walked[key]
+                break
+            path.append(key)
             word, digit = divmod(word, base)
-            cell = self._step(cell, digit - 1)
-            if cell is None:
-                return None
-        return cell
+            target = self._step(cell, digit - 1)
+            if target is None:
+                break
+            cell = target
+        for key in path:
+            walked[key] = target
+        return target
 
     def _step(self, cell: int, lid: int) -> Optional[int]:
         edges = self._edges[cell]
@@ -295,10 +329,15 @@ class ShapeInference:
 
     # -- capabilities ----------------------------------------------------------------------
 
-    def capabilities(self, cell: int) -> Dict[Label, int]:
-        rep = self.find(cell)
+    def children(self, cell: int) -> List[Tuple[Label, int]]:
+        """The class's capabilities as ``(label, target class)``, sorted by ``str(label)``."""
+        keys = self._label_keys
         labels = self._labels
-        return {labels[lid]: self.find(target) for lid, target in self._edges[rep].items()}
+        if len(keys) < len(labels):
+            keys.extend(str(label) for label in labels[len(keys):])
+        find = self.find
+        edges = sorted(self._edges[find(cell)].items(), key=lambda item: keys[item[0]])
+        return [(labels[lid], find(target)) for lid, target in edges]
 
     def has_capability(self, dtv: DerivedTypeVariable, label: Label) -> bool:
         cell = self.lookup(dtv)
@@ -455,10 +494,7 @@ class ShapeInference:
                 lower = "ptr" if "ptr" in self.lattice else lower
             sketch.nodes[node].lower = lower
             sketch.nodes[node].upper = upper
-            labels = self._labels
-            children = [(labels[lid], target) for lid, target in self._edges[rep].items()]
-            for label, target in sorted(children, key=lambda kv: str(kv[0])):
-                target = self.find(target)
+            for label, target in self.children(rep):
                 if target not in mapping:
                     mapping[target] = sketch.add_node()
                     worklist.append(target)

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 from ..obs.trace import get_tracer
 from .constraints import ConstraintSet
 from .graph import ConstraintGraph
-from .labels import Variance, path_variance
+from .labels import Label, Variance, path_variance
 from .lattice import BOTTOM, TOP, TypeLattice, default_lattice
 from .saturation import saturate
 from .schemes import TypeScheme
@@ -376,15 +376,7 @@ class Solver:
                 bounds = constant_bound_ids(graph, self.lattice)
                 bound_count = len(bounds)
                 simplify_span.set("constant_bounds", bound_count)
-                lp_base = len(graph._labels) + 1
-                for did, word, kind, constant in bounds:
-                    cell = shapes.cell_at(did, word, lp_base)
-                    if cell is None:
-                        continue
-                    if kind == "lower":
-                        shapes.apply_lower(cell, constant)
-                    else:
-                        shapes.apply_upper(cell, constant)
+                shapes.place_bounds(bounds, len(graph._labels) + 1)
             simplify_seconds = timer() - start
         # Results keep the quotient; the encoding must not ride along.
         shapes.release_encoding()
@@ -539,10 +531,11 @@ def scheme_from_shapes(
     Existential variables are introduced for sketch nodes that are shared
     (in-degree >= 2) or recursive, which yields exactly the compact presentation
     of Figure 2: ``F.in_stack0 <= t``, ``t.load.sigma32@0 <= t``, bounds on the
-    remaining paths.
+    remaining paths.  Each reachable class's sorted children are read once and
+    shared by the reachability, in-degree, cycle and emission passes; the
+    variance of the path being emitted is carried down the walk.
     """
     constraints = ConstraintSet()
-    quantified: Set[str] = set()
 
     formals: List[Tuple[DerivedTypeVariable, Variance]] = []
     for dtv in procedure.formal_ins:
@@ -556,121 +549,97 @@ def scheme_from_shapes(
         if cell is not None:
             roots[dtv] = cell
 
-    # Determine which classes are reachable and which need existential names.
-    reachable: Set[int] = set()
+    # The classes reachable from the formals, each with its children.
+    children: Dict[int, List[Tuple[Label, int]]] = {}
     worklist = list(roots.values())
     while worklist:
         cell = worklist.pop()
-        if cell in reachable:
-            continue
-        reachable.add(cell)
-        for target in shapes.capabilities(cell).values():
-            worklist.append(target)
-
-    indegree: Dict[int, int] = {cell: 0 for cell in reachable}
-    cyclic: Set[int] = set()
-    for cell in reachable:
-        for target in shapes.capabilities(cell).values():
-            if target in indegree:
-                indegree[target] += 1
-            if target == cell:
-                cyclic.add(cell)
-    cyclic |= _cyclic_classes(shapes, reachable)
+        if cell not in children:
+            children[cell] = shapes.children(cell)
+            worklist.extend(target for _, target in children[cell])
 
     # A class shared between several formals, or reachable both as a formal
     # root and through a capability path, must be named so the sharing is
-    # expressible in the serialized constraints (e.g. ``id.in <= t <= id.out``).
-    root_count: Dict[int, int] = {}
+    # expressible in the serialized constraints (e.g. ``id.in <= t <= id.out``);
+    # so must every class on a cycle.
+    shared = dict.fromkeys(children, 0)
     for cell in roots.values():
-        root_count[cell] = root_count.get(cell, 0) + 1
-
-    needs_var = {
-        cell
-        for cell in reachable
-        if cell in cyclic
-        or indegree.get(cell, 0) + root_count.get(cell, 0) >= 2
+        shared[cell] += 1
+    for kids in children.values():
+        for _, target in kids:
+            shared[target] += 1
+    needs_var = _cyclic_classes(children)
+    needs_var.update(cell for cell, count in shared.items() if count >= 2)
+    var_dtvs: Dict[int, DerivedTypeVariable] = {
+        cell: DerivedTypeVariable(f"τ{position}")
+        for position, cell in enumerate(sorted(needs_var))
     }
-    var_names: Dict[int, str] = {}
-    counter = itertools.count()
-    for cell in sorted(needs_var):
-        var_names[cell] = f"τ{next(counter)}"
-        quantified.add(var_names[cell])
 
     def bounds_constraints(expr: DerivedTypeVariable, cell: int) -> bool:
         lower, upper = shapes.bounds(cell)
-        emitted = False
         if lower != BOTTOM:
             constraints.add_subtype(DerivedTypeVariable(lower), expr)
-            emitted = True
         if upper != TOP:
             constraints.add_subtype(expr, DerivedTypeVariable(upper))
-            emitted = True
-        return emitted
+        return lower != BOTTOM or upper != TOP
 
-    def emit_from(expr: DerivedTypeVariable, cell: int, depth: int, seen: Set[int]) -> None:
+    def emit_from(
+        expr: DerivedTypeVariable, cell: int, variance: Variance, depth: int, seen: Set[int]
+    ) -> None:
         emitted = bounds_constraints(expr, cell)
         if depth >= max_depth:
             return
-        children = sorted(shapes.capabilities(cell).items(), key=lambda kv: str(kv[0]))
-        if not children and not emitted and expr.labels:
+        kids = children[cell]
+        if not kids and not emitted and expr.labels:
             # Record the bare capability so the path is preserved by callers
             # (an unconstrained leaf still asserts VAR expr).
             constraints.add_subtype(expr, DerivedTypeVariable(TOP))
             return
-        for label, target in children:
+        for label, target in kids:
             child_expr = expr.with_label(label)
-            if target in var_names:
-                var_dtv = DerivedTypeVariable(var_names[target])
-                if path_variance(child_expr.labels) is Variance.COVARIANT:
+            child_variance = variance * label.variance
+            var_dtv = var_dtvs.get(target)
+            if var_dtv is not None:
+                if child_variance is Variance.COVARIANT:
                     constraints.add_subtype(child_expr, var_dtv)
                 else:
                     constraints.add_subtype(var_dtv, child_expr)
-                continue
-            if target in seen:
-                continue
-            emit_from(child_expr, target, depth + 1, seen | {target})
+            elif target not in seen:
+                emit_from(child_expr, target, child_variance, depth + 1, seen | {target})
 
     # Formals first: either link to their existential or expand inline.
     for dtv, variance in formals:
         cell = roots.get(dtv)
         if cell is None:
             continue
-        if cell in var_names:
-            var_dtv = DerivedTypeVariable(var_names[cell])
-            if variance is Variance.CONTRAVARIANT:
-                constraints.add_subtype(dtv, var_dtv)
-            else:
-                constraints.add_subtype(var_dtv, dtv)
+        var_dtv = var_dtvs.get(cell)
+        if var_dtv is None:
+            emit_from(dtv, cell, path_variance(dtv.labels), 0, {cell})
+        elif variance is Variance.CONTRAVARIANT:
+            constraints.add_subtype(dtv, var_dtv)
         else:
-            emit_from(dtv, cell, 0, {cell})
+            constraints.add_subtype(var_dtv, dtv)
 
     # Then each existential variable's own structure.
-    for cell, name in sorted(var_names.items()):
-        emit_from(DerivedTypeVariable(name), cell, 0, {cell})
+    for cell, var_dtv in var_dtvs.items():
+        emit_from(var_dtv, cell, Variance.COVARIANT, 0, {cell})
 
     return TypeScheme(
         proc=procedure.name,
         constraints=constraints,
-        quantified=frozenset(quantified),
+        quantified=frozenset(var_dtv.base for var_dtv in var_dtvs.values()),
         formal_ins=tuple(procedure.formal_ins),
         formal_outs=tuple(procedure.formal_outs),
     )
 
 
-def _cyclic_classes(shapes: ShapeInference, reachable: Set[int]) -> Set[int]:
-    """Classes that participate in a cycle of the quotient graph (restricted)."""
-    # Iterative Tarjan over the restricted graph.
-    edges = {
-        cell: [t for t in shapes.capabilities(cell).values() if t in reachable]
-        for cell in reachable
-    }
-    sccs = tarjan_sccs(edges)
+def _cyclic_classes(children: Mapping[int, List[Tuple[Label, int]]]) -> Set[int]:
+    """Classes on a cycle of the quotient graph restricted to ``children``'s keys."""
+    edges = {cell: [target for _, target in kids] for cell, kids in children.items()}
     cyclic: Set[int] = set()
-    for component in sccs:
-        if len(component) > 1:
+    for component in tarjan_sccs(edges):
+        if len(component) > 1 or component[0] in edges[component[0]]:
             cyclic.update(component)
-        elif component and component[0] in edges.get(component[0], []):
-            cyclic.add(component[0])
     return cyclic
 
 

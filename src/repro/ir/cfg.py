@@ -1,8 +1,10 @@
 """Control-flow graphs over procedures.
 
-Two granularities are provided:
+Three views are provided:
 
-* an instruction-level successor map (used by the dataflow analyses), and
+* an instruction-level successor map,
+* the straight-line blocks the dataflow analyses (stack tracking, reaching
+  definitions) run over, split from that map, and
 * basic blocks (used by the evaluation harness to report program sizes in
   "CFG nodes", the unit of Figures 11/12).
 """
@@ -39,6 +41,28 @@ def successors(procedure: Procedure) -> Dict[int, List[int]]:
                 succs.append(index + 1)
         result[index] = succs
     return result
+
+
+def flow_blocks(succ_map: Dict[int, List[int]], count: int) -> List[int]:
+    """Start indices of the straight-line blocks of ``count`` instructions.
+
+    An instruction continues its predecessor's block exactly when it is that
+    instruction's only successor and has no other predecessor, so control
+    inside a block is straight-line and every successor of a block's last
+    instruction starts a block.  Block ``b`` spans ``starts[b]`` up to (not
+    including) ``starts[b + 1]``, the last one up to ``count``.
+    """
+    if count == 0:
+        return []
+    pred_count = [0] * count
+    for succs in succ_map.values():
+        for succ in succs:
+            pred_count[succ] += 1
+    starts = [0]
+    for index in range(1, count):
+        if pred_count[index] != 1 or succ_map[index - 1] != [index]:
+            starts.append(index)
+    return starts
 
 
 @dataclass

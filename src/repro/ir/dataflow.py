@@ -25,12 +25,25 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .cfg import successors
-from .instructions import WORD_SIZE, BinaryOp, Compare, Instruction, Mem, Mov, Push
+from .cfg import flow_blocks, successors
+from .instructions import (
+    WORD_SIZE,
+    BinaryOp,
+    Call,
+    Compare,
+    Lea,
+    Mem,
+    Mov,
+    Operand,
+    Pop,
+    Push,
+    Reg,
+    Ret,
+)
 from .program import Procedure
-from .stackanalysis import StackState, analyze_stack, frame_offset
+from .stackanalysis import UNKNOWN, StackState, block_stack_states, frame_offset
 
 ENTRY = -1
 
@@ -39,6 +52,7 @@ Location = Union[str, int]
 Definition = Tuple[Location, int]
 
 _TRACKED_REGISTERS = ("eax", "ebx", "ecx", "edx", "esi", "edi")
+_TRACKED = frozenset(_TRACKED_REGISTERS)
 
 _ENTRY_ONLY: FrozenSet[int] = frozenset({ENTRY})
 
@@ -49,13 +63,19 @@ Environment = Dict[Location, FrozenSet[int]]
 
 @dataclass
 class ReachingDefinitions:
-    """Result of the analysis, kept per basic block.
+    """Result of the analysis, kept per basic block, plus each instruction's
+    recorded facts: its stack state and the locations it defines and uses.
 
-    An instruction no path reaches sees only ``ENTRY`` for every location.
+    An instruction no path reaches has the unknown stack state and sees only
+    ``ENTRY`` for every location.
     """
 
     procedure: Procedure
-    stack_states: Dict[int, StackState]
+    #: per instruction index: the stack state before it.
+    states: List[StackState]
+    #: per instruction index: the tracked locations it writes, and reads.
+    defs: List[Sequence[Location]]
+    uses: List[Sequence[Location]]
     #: per instruction index: its block's number, or -1 when unreachable.
     block_of: List[int]
     #: per block: the reaching-definition environment on block entry.
@@ -76,98 +96,156 @@ class ReachingDefinitions:
         return self.entry[block].get(location, _ENTRY_ONLY)
 
     def state(self, index: int) -> StackState:
-        return self.stack_states.get(index, StackState(None, None))
+        return self.states[index] if 0 <= index < len(self.states) else UNKNOWN
 
-    def slot_for(self, index: int, memory: Mem) -> Optional[int]:
-        """Frame offset addressed by a memory operand at ``index`` (or None)."""
-        return frame_offset(memory, self.state(index))
-
-
-def definitions_of(
-    instruction: Instruction, index: int, state: StackState
-) -> Set[Location]:
-    """Locations written by an instruction."""
-    defs: Set[Location] = set()
-    for register in instruction.register_defs():
-        if register in _TRACKED_REGISTERS:
-            defs.add(register)
-    if isinstance(instruction, Mov) and isinstance(instruction.dst, Mem):
-        offset = frame_offset(instruction.dst, state)
-        if offset is not None:
-            defs.add(offset)
-    if isinstance(instruction, Push):
-        if state.esp is not None:
-            defs.add(state.esp - WORD_SIZE)
-    return defs
+    @property
+    def stack_states(self) -> Dict[int, StackState]:
+        """State before each reachable instruction (what ``analyze_stack`` returns)."""
+        return {index: self.states[index] for index, block in enumerate(self.block_of) if block >= 0}
 
 
-def uses_of(
-    instruction: Instruction, index: int, state: StackState
-) -> Set[Location]:
-    """Locations read by an instruction (registers and stack slots)."""
-    uses: Set[Location] = set()
-    for register in instruction.register_uses():
-        if register in _TRACKED_REGISTERS:
-            uses.add(register)
-    for operand in _memory_operands_read(instruction):
+def _operand_reads(operand: Operand, state: StackState, uses: List[Location]) -> None:
+    """Registers an operand reads; for memory, also the stack slot it loads."""
+    if type(operand) is Reg:
+        if operand.name in _TRACKED:
+            uses.append(operand.name)
+    elif type(operand) is Mem:
+        _address_reads(operand, uses)
         offset = frame_offset(operand, state)
         if offset is not None:
-            uses.add(offset)
-    return uses
+            uses.append(offset)
 
 
-def _memory_operands_read(instruction: Instruction) -> List[Mem]:
-    read: List[Mem] = []
-    if isinstance(instruction, Mov) and isinstance(instruction.src, Mem):
-        read.append(instruction.src)
-    if isinstance(instruction, Push) and isinstance(instruction.src, Mem):
-        read.append(instruction.src)
-    if isinstance(instruction, BinaryOp) and isinstance(instruction.src, Mem):
-        read.append(instruction.src)
-    if isinstance(instruction, Compare):
-        for operand in (instruction.left, instruction.right):
-            if isinstance(operand, Mem):
-                read.append(operand)
-    return read
+def _address_reads(memory: Mem, uses: List[Location]) -> None:
+    if memory.base in _TRACKED:
+        uses.append(memory.base)
+    if memory.index in _TRACKED:
+        uses.append(memory.index)
+
+
+def _mov_facts(instruction: Mov, state: StackState):
+    uses: List[Location] = []
+    _operand_reads(instruction.src, state, uses)
+    dst = instruction.dst
+    if type(dst) is Reg:
+        return ((dst.name,) if dst.name in _TRACKED else ()), uses
+    if type(dst) is Mem:
+        _address_reads(dst, uses)
+        offset = frame_offset(dst, state)
+        if offset is not None:
+            return (offset,), uses
+    return (), uses
+
+
+def _lea_facts(instruction: Lea, state: StackState):
+    uses: List[Location] = []
+    _address_reads(instruction.src, uses)
+    name = instruction.dst.name
+    return ((name,) if name in _TRACKED else ()), uses
+
+
+def _binop_facts(instruction: BinaryOp, state: StackState):
+    name = instruction.dst.name
+    defs = (name,) if name in _TRACKED else ()
+    src = instruction.src
+    if instruction.op == "xor" and type(src) is Reg and src.name == name:
+        return defs, ()  # xor reg, reg zeroes the register without reading it
+    uses: List[Location] = [name] if defs else []
+    _operand_reads(src, state, uses)
+    return defs, uses
+
+
+def _compare_facts(instruction: Compare, state: StackState):
+    uses: List[Location] = []
+    _operand_reads(instruction.left, state, uses)
+    _operand_reads(instruction.right, state, uses)
+    return (), uses
+
+
+def _push_facts(instruction: Push, state: StackState):
+    uses: List[Location] = []
+    _operand_reads(instruction.src, state, uses)
+    esp = state.esp
+    return ((esp - WORD_SIZE,) if esp is not None else ()), uses
+
+
+def _pop_facts(instruction: Pop, state: StackState):
+    name = instruction.dst.name
+    return ((name,) if name in _TRACKED else ()), ()
+
+
+_CALL_DEFS = ("eax", "ecx", "edx")
+
+
+def _call_facts(instruction: Call, state: StackState):
+    target = instruction.target
+    uses = (target.name,) if type(target) is Reg and target.name in _TRACKED else ()
+    return _CALL_DEFS, uses
+
+
+def _ret_facts(instruction: Ret, state: StackState):
+    return (), ("eax",)
+
+
+#: per instruction type: ``(defs, uses)``, the tracked locations it writes
+#: and reads given its stack state.  Registers are those
+#: ``Instruction.register_defs``/``register_uses`` name, less esp/ebp (the
+#: stack analysis owns them); stack slots are the frame offsets a written or
+#: read memory operand resolves to; ``uses`` may repeat a location.  Labels,
+#: jumps, ``nop`` and ``leave`` (which touches only esp/ebp) have neither.
+_FACTS = {
+    Mov: _mov_facts,
+    Lea: _lea_facts,
+    BinaryOp: _binop_facts,
+    Compare: _compare_facts,
+    Push: _push_facts,
+    Pop: _pop_facts,
+    Call: _call_facts,
+    Ret: _ret_facts,
+}
 
 
 def analyze_reaching_definitions(procedure: Procedure) -> ReachingDefinitions:
-    """Forward may-analysis computing reaching definitions, one basic block at a time."""
-    stack_states = analyze_stack(procedure)
+    """One pass over a procedure: successors and blocks, stack states, each
+    instruction's defs and uses, then the reaching-definitions fixpoint one
+    basic block at a time."""
     instructions = procedure.instructions
     count = len(instructions)
     if count == 0:
-        return ReachingDefinitions(procedure, stack_states, [], [], [])
+        return ReachingDefinitions(procedure, [], [], [], [], [], [])
     succ_map = successors(procedure)
+    starts = flow_blocks(succ_map, count)
+    reached = block_stack_states(instructions, succ_map, starts)
 
-    # Basic blocks: an instruction continues its predecessor's block exactly
-    # when it is that instruction's only successor and has no other
-    # predecessor, so every successor of a block's last instruction starts a
-    # block.
-    pred_count = [0] * count
-    for succs in succ_map.values():
-        for succ in succs:
-            pred_count[succ] += 1
-    starts = [0]
-    for index in range(1, count):
-        if pred_count[index] != 1 or succ_map[index - 1] != [index]:
-            starts.append(index)
+    states: List[StackState] = []
+    defs: List[Sequence[Location]] = []
+    uses: List[Sequence[Location]] = []
+    for instruction, state in zip(instructions, reached):
+        if state is None:
+            state = UNKNOWN
+        states.append(state)
+        facts = _FACTS.get(type(instruction))
+        if facts is None:
+            defs.append(())
+            uses.append(())
+        else:
+            written, read = facts(instruction, state)
+            defs.append(written)
+            uses.append(read)
+
     block_at = {start: block for block, start in enumerate(starts)}
     ends = starts[1:] + [count]
-
     entry: List[Optional[Environment]] = [None] * len(starts)
     local: List[Optional[Dict[Location, List[int]]]] = [None] * len(starts)
     gen: List[Environment] = [{}] * len(starts)
     entry[0] = {}
     worklist: List[int] = [0]
-    unknown = StackState(None, None)
     while worklist:
         block = worklist.pop()
         if local[block] is None:
             sites: Dict[Location, List[int]] = {}
             for index in range(starts[block], ends[block]):
-                state = stack_states.get(index, unknown)
-                for location in definitions_of(instructions[index], index, state):
+                for location in defs[index]:
                     sites.setdefault(location, []).append(index)
             local[block] = sites
             gen[block] = {location: frozenset((at[-1],)) for location, at in sites.items()}
@@ -185,7 +263,7 @@ def analyze_reaching_definitions(procedure: Procedure) -> ReachingDefinitions:
     for block, start in enumerate(starts):
         if entry[block] is not None:
             block_of[start:ends[block]] = [block] * (ends[block] - start)
-    return ReachingDefinitions(procedure, stack_states, block_of, entry, local)
+    return ReachingDefinitions(procedure, states, defs, uses, block_of, entry, local)
 
 
 def _merge(

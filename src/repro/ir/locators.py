@@ -11,17 +11,18 @@ substrate:
   caller's value);
 * **return value** -- ``eax`` when a definition of it reaches some ``ret``.
 
-The same module knows where a *caller* materializes actuals: the ``j``-th cdecl
-argument of a call sits ``4*j`` bytes above ``esp`` at the call instruction.
+It reads the facts :func:`~repro.ir.dataflow.analyze_reaching_definitions`
+recorded per instruction (the locations each one uses) rather than deriving
+them again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
-from .dataflow import ENTRY, ReachingDefinitions, analyze_reaching_definitions, uses_of
-from .instructions import WORD_SIZE, Call, Instruction, Push, Ret
+from .dataflow import ENTRY, ReachingDefinitions, analyze_reaching_definitions
+from .instructions import WORD_SIZE, Push, Ret
 from .program import Procedure
 
 
@@ -68,8 +69,7 @@ def discover_interface(
     has_return = False
 
     for index, instruction in enumerate(procedure.instructions):
-        state = reaching.state(index)
-        for location in uses_of(instruction, index, state):
+        for location in reaching.uses[index]:
             defs = reaching.reaching(index, location)
             if ENTRY not in defs:
                 continue
@@ -92,13 +92,3 @@ def discover_interface(
         register_args=tuple(sorted(register_args)),
         has_return=has_return,
     )
-
-
-def actual_argument_offsets(arity: int, esp_at_call: int) -> List[int]:
-    """Frame offsets (caller frame) of the ``arity`` stack actuals of a call."""
-    return [esp_at_call + WORD_SIZE * j for j in range(arity)]
-
-
-def formal_location_for_actual_index(index: int) -> str:
-    """Location name of the callee formal matching the caller's ``index``-th push."""
-    return f"stack{WORD_SIZE * index}"

@@ -13,28 +13,14 @@ address slot).  Stack memory operands can then be resolved to *frame offsets*:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
-from .cfg import successors
-from .instructions import (
-    WORD_SIZE,
-    BinaryOp,
-    Call,
-    Imm,
-    Instruction,
-    Leave,
-    Mem,
-    Mov,
-    Pop,
-    Push,
-    Reg,
-)
+from .cfg import flow_blocks, successors
+from .instructions import WORD_SIZE, BinaryOp, Imm, Instruction, Leave, Mem, Mov, Pop, Push, Reg
 from .program import Procedure
 
 
-@dataclass(frozen=True)
-class StackState:
+class StackState(NamedTuple):
     """Offsets of esp and ebp relative to the entry esp; ``None`` = unknown."""
 
     esp: Optional[int] = 0
@@ -46,66 +32,111 @@ class StackState:
         return StackState(esp, ebp)
 
 
+#: the state on procedure entry, and the state of an instruction no path reaches.
+ENTRY_STATE = StackState(0, None)
+UNKNOWN = StackState(None, None)
+
+
 def analyze_stack(procedure: Procedure) -> Dict[int, StackState]:
-    """State *before* each instruction index."""
+    """State *before* each instruction index a path from the entry reaches."""
+    instructions = procedure.instructions
     succ_map = successors(procedure)
-    states: Dict[int, StackState] = {}
-    if not procedure.instructions:
+    states = block_stack_states(instructions, succ_map, flow_blocks(succ_map, len(instructions)))
+    return {index: state for index, state in enumerate(states) if state is not None}
+
+
+def block_stack_states(
+    instructions: List[Instruction], succ_map: Dict[int, List[int]], starts: List[int]
+) -> List[Optional[StackState]]:
+    """State before each instruction (``None`` where no path reaches it).
+
+    The fixpoint keeps a state only at each block's entry (``starts`` from
+    :func:`~repro.ir.cfg.flow_blocks`) and derives its instructions' states
+    in one walk through the block.  Inside a block control is straight-line,
+    so this is the instruction-level fixpoint's solution; a block is walked
+    again whenever its entry state changes, so its last walk starts from
+    the final entry state.
+    """
+    count = len(instructions)
+    states: List[Optional[StackState]] = [None] * count
+    if not count:
         return states
-    worklist: List[int] = [0]
-    states[0] = StackState(esp=0, ebp=None)
+    ends = starts[1:] + [count]
+    block_at = {start: block for block, start in enumerate(starts)}
+    entry: List[Optional[StackState]] = [None] * len(starts)
+    entry[0] = ENTRY_STATE
+    transfers = _TRANSFERS
+    worklist = [0]
     while worklist:
-        index = worklist.pop()
-        state = states[index]
-        after = transfer(procedure.instructions[index], state)
-        for succ in succ_map.get(index, []):
-            merged = after if succ not in states else states[succ].merge(after)
-            if succ not in states or merged != states[succ]:
-                states[succ] = merged
-                worklist.append(succ)
+        block = worklist.pop()
+        state = entry[block]
+        for index in range(starts[block], ends[block]):
+            states[index] = state
+            instruction = instructions[index]
+            step = transfers.get(type(instruction))
+            if step is not None:
+                state = step(instruction, state)
+        for succ in succ_map[ends[block] - 1]:
+            target = block_at[succ]
+            existing = entry[target]
+            merged = state if existing is None else existing.merge(state)
+            if merged != existing:
+                entry[target] = merged
+                worklist.append(target)
     return states
 
 
-def transfer(instruction: Instruction, state: StackState) -> StackState:
-    esp, ebp = state.esp, state.ebp
-    if isinstance(instruction, Push):
-        esp = esp - WORD_SIZE if esp is not None else None
-    elif isinstance(instruction, Pop):
-        if instruction.dst.name == "ebp":
-            ebp = None
-        if instruction.dst.name == "esp":
-            esp = None
-        else:
-            esp = esp + WORD_SIZE if esp is not None else None
-    elif isinstance(instruction, Leave):
-        esp = ebp + WORD_SIZE if ebp is not None else None
+def _push(instruction: Push, state: StackState) -> StackState:
+    esp = state.esp
+    return state if esp is None else StackState(esp - WORD_SIZE, state.ebp)
+
+
+def _pop(instruction: Pop, state: StackState) -> StackState:
+    esp, ebp = state
+    register = instruction.dst.name
+    if register == "esp":
+        return StackState(None, ebp)
+    if register == "ebp":
         ebp = None
-    elif isinstance(instruction, Mov):
-        if isinstance(instruction.dst, Reg) and instruction.dst.name == "ebp":
-            if isinstance(instruction.src, Reg) and instruction.src.name == "esp":
-                ebp = esp
-            else:
-                ebp = None
-        elif isinstance(instruction.dst, Reg) and instruction.dst.name == "esp":
-            if isinstance(instruction.src, Reg) and instruction.src.name == "ebp":
-                esp = ebp
-            else:
-                esp = None
-    elif isinstance(instruction, BinaryOp) and instruction.dst.name == "esp":
-        if isinstance(instruction.src, Imm) and esp is not None:
-            if instruction.op == "add":
-                esp = esp + instruction.src.value
-            elif instruction.op == "sub":
-                esp = esp - instruction.src.value
-            else:
-                esp = None
-        else:
-            esp = None
-    elif isinstance(instruction, BinaryOp) and instruction.dst.name == "ebp":
-        ebp = None
-    elif isinstance(instruction, Call):
-        pass  # net esp change of a cdecl call is zero from the caller's view
-    return StackState(esp, ebp)
+    return StackState(esp + WORD_SIZE if esp is not None else None, ebp)
+
+
+def _leave(instruction: Leave, state: StackState) -> StackState:
+    ebp = state.ebp
+    return StackState(ebp + WORD_SIZE if ebp is not None else None, None)
+
+
+def _mov(instruction: Mov, state: StackState) -> StackState:
+    dst, src = instruction.dst, instruction.src
+    if type(dst) is not Reg:
+        return state
+    if dst.name == "ebp":
+        is_esp = type(src) is Reg and src.name == "esp"
+        return StackState(state.esp, state.esp if is_esp else None)
+    if dst.name == "esp":
+        is_ebp = type(src) is Reg and src.name == "ebp"
+        return StackState(state.ebp if is_ebp else None, state.ebp)
+    return state
+
+
+def _binop(instruction: BinaryOp, state: StackState) -> StackState:
+    register = instruction.dst.name
+    if register == "ebp":
+        return StackState(state.esp, None)
+    if register != "esp":
+        return state
+    esp, src = state.esp, instruction.src
+    if type(src) is not Imm or esp is None or instruction.op not in ("add", "sub"):
+        return StackState(None, state.ebp)
+    delta = src.value if instruction.op == "add" else -src.value
+    return StackState(esp + delta, state.ebp)
+
+
+#: per instruction type: the state after it, given the state before (the
+#: same object when esp and ebp keep their offsets).  A cdecl call's net esp
+#: change is zero from the caller's view; every type not listed leaves both
+#: alone.
+_TRANSFERS = {Push: _push, Pop: _pop, Leave: _leave, Mov: _mov, BinaryOp: _binop}
 
 
 def frame_offset(memory: Mem, state: StackState) -> Optional[int]:

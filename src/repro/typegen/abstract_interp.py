@@ -20,11 +20,11 @@ constraints over derived type variables:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
 from ..core.constraints import AddConstraint, ConstraintSet, SubConstraint
-from ..core.labels import FieldLabel, InLabel, Label, LoadLabel, OutLabel, StoreLabel
+from ..core.labels import FieldLabel, InLabel, LoadLabel, OutLabel, StoreLabel
 from ..core.solver import Callsite, ProcedureTypingInput
 from ..core.variables import DerivedTypeVariable
 from ..obs.trace import get_tracer
@@ -34,17 +34,10 @@ from ..ir.instructions import (
     WORD_SIZE,
     BinaryOp,
     Call,
-    Compare,
     Imm,
-    Instruction,
-    Jcc,
-    Jmp,
-    LabelPseudo,
     Lea,
-    Leave,
     Mem,
     Mov,
-    Nop,
     Operand,
     Pop,
     Push,
@@ -67,6 +60,8 @@ _BITSTEAL_OR_MASKS = {1, 2, 3}
 #: Maximum distance (bytes) between an address-taken local and a direct access
 #: that we still attribute to the same stack object (a crude data delineation).
 _MAX_OBJECT_EXTENT = 64
+
+_OUT_EAX = OutLabel("eax")
 
 
 class Formals(Protocol):
@@ -133,12 +128,16 @@ class ProcedureConstraintGenerator:
         reaching: Optional[ReachingDefinitions] = None,
     ) -> None:
         self.procedure = procedure
+        self.name = procedure.name
         self.interface = interface
         self.callees = callees
         self.reaching = reaching or analyze_reaching_definitions(procedure)
         self.constraints = ConstraintSet()
         self.callsites: List[Callsite] = []
         self._phi_cache: Dict[Tuple[int, Location], DerivedTypeVariable] = {}
+        self._def_vars: Dict[Tuple[Location, int], DerivedTypeVariable] = {}
+        self._formal_ins: Dict[str, DerivedTypeVariable] = {}
+        self._in_labels: Dict[str, InLabel] = {}
         self._aliases: Dict[DerivedTypeVariable, Tuple[DerivedTypeVariable, int]] = {}
         self._frame_aliases: Dict[DerivedTypeVariable, int] = {}
         self._address_taken: Set[int] = set()
@@ -146,23 +145,33 @@ class ProcedureConstraintGenerator:
 
     # -- type variable naming ----------------------------------------------------------
 
-    @property
-    def name(self) -> str:
-        return self.procedure.name
-
-    def _location_name(self, location: Location) -> str:
-        if isinstance(location, int):
-            return f"stk{location}"
-        return location
+    def _in_label(self, location_name: str) -> InLabel:
+        # Building an InLabel re-validates its location; labels are immutable.
+        label = self._in_labels.get(location_name)
+        if label is None:
+            label = self._in_labels[location_name] = InLabel(location_name)
+        return label
 
     def formal_in(self, location_name: str) -> DerivedTypeVariable:
-        return DerivedTypeVariable(self.name, (InLabel(location_name),))
+        var = self._formal_ins.get(location_name)
+        if var is None:
+            var = DerivedTypeVariable(self.name, (self._in_label(location_name),))
+            self._formal_ins[location_name] = var
+        return var
 
     def formal_out(self) -> DerivedTypeVariable:
-        return DerivedTypeVariable(self.name, (OutLabel("eax"),))
+        return DerivedTypeVariable(self.name, (_OUT_EAX,))
 
     def def_var(self, location: Location, index: int) -> DerivedTypeVariable:
         """Type variable for the definition of ``location`` at instruction ``index``."""
+        key = (location, index)
+        var = self._def_vars.get(key)
+        if var is None:
+            var = self._def_vars[key] = self._make_def_var(location, index)
+        return var
+
+    def _make_def_var(self, location: Location, index: int) -> DerivedTypeVariable:
+        location_name = f"stk{location}" if isinstance(location, int) else location
         if index == ENTRY:
             if isinstance(location, int) and is_argument_offset(location):
                 loc_name = argument_location(location)
@@ -171,8 +180,8 @@ class ProcedureConstraintGenerator:
                 return DerivedTypeVariable(f"{self.name}~arg_{loc_name}")
             if isinstance(location, str) and location in self.interface.register_args:
                 return self.formal_in(location)
-            return DerivedTypeVariable(f"{self.name}~{self._location_name(location)}@entry")
-        return DerivedTypeVariable(f"{self.name}~{self._location_name(location)}@{index}")
+            return DerivedTypeVariable(f"{self.name}~{location_name}@entry")
+        return DerivedTypeVariable(f"{self.name}~{location_name}@{index}")
 
     def use_var(self, location: Location, index: int) -> DerivedTypeVariable:
         """Type variable for a use of ``location`` at instruction ``index``.
@@ -187,9 +196,8 @@ class ProcedureConstraintGenerator:
             return self.def_var(location, defs[0])
         key = (index, location)
         if key not in self._phi_cache:
-            var = DerivedTypeVariable(
-                f"{self.name}~phi_{self._location_name(location)}@{index}"
-            )
+            location_name = f"stk{location}" if isinstance(location, int) else location
+            var = DerivedTypeVariable(f"{self.name}~phi_{location_name}@{index}")
             self._phi_cache[key] = var
             for definition in defs:
                 self.constraints.add_subtype(self.def_var(location, definition), var)
@@ -241,7 +249,7 @@ class ProcedureConstraintGenerator:
 
     def load_source(self, memory: Mem, index: int) -> Optional[DerivedTypeVariable]:
         """The derived type variable whose value a memory *read* produces."""
-        state = self.reaching.state(index)
+        state = self.reaching.states[index]
         offset = frame_offset(memory, state)
         if offset is not None:
             value = self.use_var(offset, index)
@@ -254,7 +262,7 @@ class ProcedureConstraintGenerator:
             return value
         if memory.is_global:
             return self.global_var(memory.base, memory.offset)
-        if memory.base is None or memory.index is not None and memory.base is None:
+        if memory.base is None:
             return None
         pointer = self.use_var(memory.base, index)
         base_var, delta, frame = self._resolve_alias(pointer)
@@ -267,7 +275,7 @@ class ProcedureConstraintGenerator:
 
     def store_target(self, memory: Mem, index: int) -> Optional[DerivedTypeVariable]:
         """The derived type variable a memory *write* flows into."""
-        state = self.reaching.state(index)
+        state = self.reaching.states[index]
         offset = frame_offset(memory, state)
         if offset is not None:
             target = self.def_var(offset, index)
@@ -294,8 +302,12 @@ class ProcedureConstraintGenerator:
 
     def generate(self) -> ProcedureTypingInput:
         self._collect_address_taken()
+        visitors = _VISITORS
         for index, instruction in enumerate(self.procedure.instructions):
-            self._visit(index, instruction)
+            # Labels, jumps, nop, flag-only compares and leave generate nothing.
+            visit = visitors.get(type(instruction))
+            if visit is not None:
+                visit(self, index, instruction)
         formal_ins = tuple(
             self.formal_in(location) for location in self.interface.input_locations
         )
@@ -311,27 +323,9 @@ class ProcedureConstraintGenerator:
     def _collect_address_taken(self) -> None:
         for index, instruction in enumerate(self.procedure.instructions):
             if isinstance(instruction, Lea):
-                offset = frame_offset(instruction.src, self.reaching.state(index))
+                offset = frame_offset(instruction.src, self.reaching.states[index])
                 if offset is not None:
                     self._address_taken.add(offset)
-
-    def _visit(self, index: int, instruction: Instruction) -> None:
-        if isinstance(instruction, (LabelPseudo, Nop, Jmp, Jcc, Compare, Leave)):
-            return
-        if isinstance(instruction, Mov):
-            self._visit_mov(index, instruction)
-        elif isinstance(instruction, Lea):
-            self._visit_lea(index, instruction)
-        elif isinstance(instruction, BinaryOp):
-            self._visit_binop(index, instruction)
-        elif isinstance(instruction, Push):
-            self._visit_push(index, instruction)
-        elif isinstance(instruction, Pop):
-            self._visit_pop(index, instruction)
-        elif isinstance(instruction, Call):
-            self._visit_call(index, instruction)
-        elif isinstance(instruction, Ret):
-            self._visit_ret(index, instruction)
 
     # -- individual instruction kinds ----------------------------------------------------------
 
@@ -367,7 +361,7 @@ class ProcedureConstraintGenerator:
 
     def _visit_lea(self, index: int, instruction: Lea) -> None:
         destination = self.def_var(instruction.dst.name, index)
-        offset = frame_offset(instruction.src, self.reaching.state(index))
+        offset = frame_offset(instruction.src, self.reaching.states[index])
         if offset is not None:
             # The register now holds the address of a stack object.
             self._frame_aliases[destination] = offset
@@ -424,7 +418,7 @@ class ProcedureConstraintGenerator:
         self.constraints.add_subtype(destination, DerivedTypeVariable("int"))
 
     def _visit_push(self, index: int, instruction: Push) -> None:
-        state = self.reaching.state(index)
+        state = self.reaching.states[index]
         if state.esp is None:
             return
         slot = state.esp - WORD_SIZE
@@ -436,7 +430,7 @@ class ProcedureConstraintGenerator:
     def _visit_pop(self, index: int, instruction: Pop) -> None:
         if instruction.dst.name in ("esp", "ebp"):
             return
-        state = self.reaching.state(index)
+        state = self.reaching.states[index]
         if state.esp is None:
             return
         slot = state.esp
@@ -448,22 +442,24 @@ class ProcedureConstraintGenerator:
         if isinstance(instruction.target, Reg):
             return  # indirect call: no interface information
         callee = instruction.target
-        info = self.callees.get(callee, CalleeInfo(name=callee, known=False))
+        info = self.callees.get(callee)
+        if info is None:
+            info = CalleeInfo(name=callee, known=False)
         base = f"{callee}${self.name}_{index}"
-        state = self.reaching.state(index)
+        state = self.reaching.states[index]
 
         if info.stack_params and state.esp is not None:
             for position in range(info.stack_params):
                 slot = state.esp + WORD_SIZE * position
                 actual = self.use_var(slot, index)
-                formal = DerivedTypeVariable(base, (InLabel(f"stack{WORD_SIZE * position}"),))
+                formal = DerivedTypeVariable(base, (self._in_label(f"stack{WORD_SIZE * position}"),))
                 self.constraints.add_subtype(actual, formal)
         for register in info.register_params:
             actual = self.use_var(register, index)
-            formal = DerivedTypeVariable(base, (InLabel(register),))
+            formal = DerivedTypeVariable(base, (self._in_label(register),))
             self.constraints.add_subtype(actual, formal)
         if info.has_return:
-            result = DerivedTypeVariable(base, (OutLabel("eax"),))
+            result = DerivedTypeVariable(base, (_OUT_EAX,))
             self.constraints.add_subtype(result, self.def_var("eax", index))
         self.callsites.append(Callsite(callee=callee, base=base))
 
@@ -474,6 +470,17 @@ class ProcedureConstraintGenerator:
         if all(definition == ENTRY for definition in defs):
             return
         self.constraints.add_subtype(self.use_var("eax", index), self.formal_out())
+
+
+_VISITORS = {
+    Mov: ProcedureConstraintGenerator._visit_mov,
+    Lea: ProcedureConstraintGenerator._visit_lea,
+    BinaryOp: ProcedureConstraintGenerator._visit_binop,
+    Push: ProcedureConstraintGenerator._visit_push,
+    Pop: ProcedureConstraintGenerator._visit_pop,
+    Call: ProcedureConstraintGenerator._visit_call,
+    Ret: ProcedureConstraintGenerator._visit_ret,
+}
 
 
 def generate_program_constraints(

@@ -33,8 +33,26 @@ replaced:
   definitions fixpoint, one environment per instruction.  The per-block
   analysis must answer every ``reaching(i, loc)`` query the same
   (``tests/ir/test_reaching_blocks.py``).
+
+The per-procedure IR pass (successors and blocks once, block-level stack
+states, each instruction's defs and uses recorded once) and the per-cell
+scheme and bound work replaced these; ``tests/ir/test_procedure_pass.py``
+and ``tests/core/test_scheme_placement_equivalence.py`` hold the new code to
+them:
+
+* :func:`naive_analyze_stack` / :func:`naive_transfer` -- the
+  instruction-level stack-pointer worklist, one state per instruction;
+* :func:`naive_definitions_of` / :func:`naive_uses_of` -- defs and uses
+  re-derived from ``register_defs``/``register_uses`` on every query, and
+  :func:`naive_discover_interface` reading them;
+* :func:`naive_scheme_from_shapes` -- scheme serialization that re-reads a
+  class's decoded capabilities in every pass and recomputes each child
+  path's variance;
+* :func:`naive_cell_at` -- one bound's label word walked from its
+  variable's cell, with no memo.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -43,12 +61,31 @@ from repro.core.graph import K_FORGET, K_RECALL, ConstraintGraph, Edge, EdgeKind
 from repro.core.labels import LOAD, STORE, Label, Variance, path_variance
 from repro.core.lattice import BOTTOM, TOP, TypeLattice
 from repro.core.saturation import saturate
+from repro.core.schemes import TypeScheme
+from repro.core.shapes import ShapeInference
 from repro.core.simplify import _decode_word
+from repro.core.solver import ProcedureTypingInput, tarjan_sccs
 from repro.core.variables import DerivedTypeVariable
 from repro.ir.cfg import successors
-from repro.ir.dataflow import ENTRY, Location, definitions_of
+from repro.ir.dataflow import _TRACKED_REGISTERS, ENTRY, Location
+from repro.ir.instructions import (
+    WORD_SIZE,
+    BinaryOp,
+    Call,
+    Compare,
+    Imm,
+    Instruction,
+    Leave,
+    Mem,
+    Mov,
+    Pop,
+    Push,
+    Reg,
+    Ret,
+)
+from repro.ir.locators import REGISTER_PARAM_CANDIDATES, ProcedureInterface
 from repro.ir.program import Procedure
-from repro.ir.stackanalysis import StackState, analyze_stack
+from repro.ir.stackanalysis import StackState, frame_offset
 
 
 def naive_saturate(graph: ConstraintGraph, max_iterations: int = 10_000) -> int:
@@ -608,7 +645,7 @@ def naive_reaching_definitions(
     """Instruction-level reaching definitions: ``(stack_states, before)``,
     where ``before[i]`` maps each location to its definition sites before
     instruction ``i`` (missing: only ``ENTRY``; unreached ``i``: absent)."""
-    stack_states = analyze_stack(procedure)
+    stack_states = naive_analyze_stack(procedure)
     succ_map = successors(procedure)
     count = len(procedure.instructions)
 
@@ -626,7 +663,7 @@ def naive_reaching_definitions(
         state = stack_states.get(index, StackState(None, None))
         instruction = procedure.instructions[index]
         out_env = dict(env)
-        for location in definitions_of(instruction, index, state):
+        for location in naive_definitions_of(instruction, index, state):
             out_env[location] = frozenset({index})
         for succ in succ_map.get(index, []):
             existing = before.get(succ)
@@ -659,3 +696,305 @@ def _naive_merge(
         if location not in existing:
             merged[location] = merged[location] | frozenset({ENTRY})
     return merged
+
+
+# ---------------------------------------------------------------------------
+# The instruction-level stack analysis and per-query defs/uses
+# ---------------------------------------------------------------------------
+
+
+def naive_analyze_stack(procedure: Procedure) -> Dict[int, StackState]:
+    """State *before* each instruction index: one worklist entry per instruction."""
+    succ_map = successors(procedure)
+    states: Dict[int, StackState] = {}
+    if not procedure.instructions:
+        return states
+    worklist: List[int] = [0]
+    states[0] = StackState(esp=0, ebp=None)
+    while worklist:
+        index = worklist.pop()
+        state = states[index]
+        after = naive_transfer(procedure.instructions[index], state)
+        for succ in succ_map.get(index, []):
+            merged = after if succ not in states else states[succ].merge(after)
+            if succ not in states or merged != states[succ]:
+                states[succ] = merged
+                worklist.append(succ)
+    return states
+
+
+def naive_transfer(instruction: Instruction, state: StackState) -> StackState:
+    esp, ebp = state.esp, state.ebp
+    if isinstance(instruction, Push):
+        esp = esp - WORD_SIZE if esp is not None else None
+    elif isinstance(instruction, Pop):
+        if instruction.dst.name == "ebp":
+            ebp = None
+        if instruction.dst.name == "esp":
+            esp = None
+        else:
+            esp = esp + WORD_SIZE if esp is not None else None
+    elif isinstance(instruction, Leave):
+        esp = ebp + WORD_SIZE if ebp is not None else None
+        ebp = None
+    elif isinstance(instruction, Mov):
+        if isinstance(instruction.dst, Reg) and instruction.dst.name == "ebp":
+            if isinstance(instruction.src, Reg) and instruction.src.name == "esp":
+                ebp = esp
+            else:
+                ebp = None
+        elif isinstance(instruction.dst, Reg) and instruction.dst.name == "esp":
+            if isinstance(instruction.src, Reg) and instruction.src.name == "ebp":
+                esp = ebp
+            else:
+                esp = None
+    elif isinstance(instruction, BinaryOp) and instruction.dst.name == "esp":
+        if isinstance(instruction.src, Imm) and esp is not None:
+            if instruction.op == "add":
+                esp = esp + instruction.src.value
+            elif instruction.op == "sub":
+                esp = esp - instruction.src.value
+            else:
+                esp = None
+        else:
+            esp = None
+    elif isinstance(instruction, BinaryOp) and instruction.dst.name == "ebp":
+        ebp = None
+    elif isinstance(instruction, Call):
+        pass  # net esp change of a cdecl call is zero from the caller's view
+    return StackState(esp, ebp)
+
+
+def naive_definitions_of(
+    instruction: Instruction, index: int, state: StackState
+) -> Set[Location]:
+    """Locations written by an instruction."""
+    defs: Set[Location] = set()
+    for register in instruction.register_defs():
+        if register in _TRACKED_REGISTERS:
+            defs.add(register)
+    if isinstance(instruction, Mov) and isinstance(instruction.dst, Mem):
+        offset = frame_offset(instruction.dst, state)
+        if offset is not None:
+            defs.add(offset)
+    if isinstance(instruction, Push):
+        if state.esp is not None:
+            defs.add(state.esp - WORD_SIZE)
+    return defs
+
+
+def naive_uses_of(
+    instruction: Instruction, index: int, state: StackState
+) -> Set[Location]:
+    """Locations read by an instruction (registers and stack slots)."""
+    uses: Set[Location] = set()
+    for register in instruction.register_uses():
+        if register in _TRACKED_REGISTERS:
+            uses.add(register)
+    for operand in _memory_operands_read(instruction):
+        offset = frame_offset(operand, state)
+        if offset is not None:
+            uses.add(offset)
+    return uses
+
+
+def _memory_operands_read(instruction: Instruction) -> List[Mem]:
+    read: List[Mem] = []
+    if isinstance(instruction, Mov) and isinstance(instruction.src, Mem):
+        read.append(instruction.src)
+    if isinstance(instruction, Push) and isinstance(instruction.src, Mem):
+        read.append(instruction.src)
+    if isinstance(instruction, BinaryOp) and isinstance(instruction.src, Mem):
+        read.append(instruction.src)
+    if isinstance(instruction, Compare):
+        for operand in (instruction.left, instruction.right):
+            if isinstance(operand, Mem):
+                read.append(operand)
+    return read
+
+
+def naive_discover_interface(procedure: Procedure) -> ProcedureInterface:
+    """Interface discovery over the instruction-level analyses, re-deriving
+    each instruction's uses from its stack state."""
+    stack_states, before = naive_reaching_definitions(procedure)
+    unknown = StackState(None, None)
+    stack_args: Set[int] = set()
+    register_args: Set[str] = set()
+    has_return = False
+    for index, instruction in enumerate(procedure.instructions):
+        state = stack_states.get(index, unknown)
+        for location in naive_uses_of(instruction, index, state):
+            if ENTRY not in naive_reaching(before, index, location):
+                continue
+            if isinstance(location, int):
+                if location >= WORD_SIZE:
+                    stack_args.add(location)
+            elif location in REGISTER_PARAM_CANDIDATES:
+                if not isinstance(instruction, Push):
+                    register_args.add(location)
+        if isinstance(instruction, Ret):
+            if any(definition != ENTRY for definition in naive_reaching(before, index, "eax")):
+                has_return = True
+    return ProcedureInterface(
+        name=procedure.name,
+        stack_args=tuple(sorted(stack_args)),
+        register_args=tuple(sorted(register_args)),
+        has_return=has_return,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Scheme serialization and bound placement, re-deriving per cell and per bound
+# ---------------------------------------------------------------------------
+
+
+def naive_scheme_from_shapes(
+    procedure: ProcedureTypingInput,
+    shapes: ShapeInference,
+    lattice: TypeLattice,
+    max_depth: int = 6,
+) -> TypeScheme:
+    """Scheme serialization decoding a class's capabilities in every pass."""
+    constraints = ConstraintSet()
+    quantified: Set[str] = set()
+
+    formals: List[Tuple[DerivedTypeVariable, Variance]] = []
+    for dtv in procedure.formal_ins:
+        formals.append((dtv, Variance.CONTRAVARIANT))
+    for dtv in procedure.formal_outs:
+        formals.append((dtv, Variance.COVARIANT))
+
+    roots: Dict[DerivedTypeVariable, int] = {}
+    for dtv, _ in formals:
+        cell = shapes.lookup(dtv)
+        if cell is not None:
+            roots[dtv] = cell
+
+    reachable: Set[int] = set()
+    worklist = list(roots.values())
+    while worklist:
+        cell = worklist.pop()
+        if cell in reachable:
+            continue
+        reachable.add(cell)
+        for target in _capabilities(shapes, cell).values():
+            worklist.append(target)
+
+    indegree: Dict[int, int] = {cell: 0 for cell in reachable}
+    cyclic: Set[int] = set()
+    for cell in reachable:
+        for target in _capabilities(shapes, cell).values():
+            if target in indegree:
+                indegree[target] += 1
+            if target == cell:
+                cyclic.add(cell)
+    cyclic |= _naive_cyclic_classes(shapes, reachable)
+
+    root_count: Dict[int, int] = {}
+    for cell in roots.values():
+        root_count[cell] = root_count.get(cell, 0) + 1
+
+    needs_var = {
+        cell
+        for cell in reachable
+        if cell in cyclic
+        or indegree.get(cell, 0) + root_count.get(cell, 0) >= 2
+    }
+    var_names: Dict[int, str] = {}
+    counter = itertools.count()
+    for cell in sorted(needs_var):
+        var_names[cell] = f"τ{next(counter)}"
+        quantified.add(var_names[cell])
+
+    def bounds_constraints(expr: DerivedTypeVariable, cell: int) -> bool:
+        lower, upper = shapes.bounds(cell)
+        emitted = False
+        if lower != BOTTOM:
+            constraints.add_subtype(DerivedTypeVariable(lower), expr)
+            emitted = True
+        if upper != TOP:
+            constraints.add_subtype(expr, DerivedTypeVariable(upper))
+            emitted = True
+        return emitted
+
+    def emit_from(expr: DerivedTypeVariable, cell: int, depth: int, seen: Set[int]) -> None:
+        emitted = bounds_constraints(expr, cell)
+        if depth >= max_depth:
+            return
+        children = sorted(_capabilities(shapes, cell).items(), key=lambda kv: str(kv[0]))
+        if not children and not emitted and expr.labels:
+            constraints.add_subtype(expr, DerivedTypeVariable(TOP))
+            return
+        for label, target in children:
+            child_expr = expr.with_label(label)
+            if target in var_names:
+                var_dtv = DerivedTypeVariable(var_names[target])
+                if path_variance(child_expr.labels) is Variance.COVARIANT:
+                    constraints.add_subtype(child_expr, var_dtv)
+                else:
+                    constraints.add_subtype(var_dtv, child_expr)
+                continue
+            if target in seen:
+                continue
+            emit_from(child_expr, target, depth + 1, seen | {target})
+
+    for dtv, variance in formals:
+        cell = roots.get(dtv)
+        if cell is None:
+            continue
+        if cell in var_names:
+            var_dtv = DerivedTypeVariable(var_names[cell])
+            if variance is Variance.CONTRAVARIANT:
+                constraints.add_subtype(dtv, var_dtv)
+            else:
+                constraints.add_subtype(var_dtv, dtv)
+        else:
+            emit_from(dtv, cell, 0, {cell})
+
+    for cell, name in sorted(var_names.items()):
+        emit_from(DerivedTypeVariable(name), cell, 0, {cell})
+
+    return TypeScheme(
+        proc=procedure.name,
+        constraints=constraints,
+        quantified=frozenset(quantified),
+        formal_ins=tuple(procedure.formal_ins),
+        formal_outs=tuple(procedure.formal_outs),
+    )
+
+
+def _capabilities(shapes: ShapeInference, cell: int) -> Dict[Label, int]:
+    """A class's capabilities decoded into a fresh ``label -> target`` dict."""
+    rep = shapes.find(cell)
+    return {shapes._labels[lid]: shapes.find(target) for lid, target in shapes._edges[rep].items()}
+
+
+def _naive_cyclic_classes(shapes: ShapeInference, reachable: Set[int]) -> Set[int]:
+    edges = {
+        cell: [t for t in _capabilities(shapes, cell).values() if t in reachable]
+        for cell in reachable
+    }
+    cyclic: Set[int] = set()
+    for component in tarjan_sccs(edges):
+        if len(component) > 1:
+            cyclic.update(component)
+        elif component and component[0] in edges.get(component[0], []):
+            cyclic.add(component[0])
+    return cyclic
+
+
+def naive_cell_at(shapes: ShapeInference, did: int, word: int, base: int) -> Optional[int]:
+    """Cell of dtv id ``did`` extended by the packed label word ``word``
+    (``lid + 1`` digits in base ``base``, first label least significant),
+    walked from scratch; ``None`` when the variable has no cell or the word
+    leaves the quotient."""
+    cell = shapes._cells[did]
+    if cell < 0:
+        return None
+    cell = shapes.find(cell)
+    while word:
+        word, digit = divmod(word, base)
+        cell = shapes._step(cell, digit - 1)
+        if cell is None:
+            return None
+    return cell

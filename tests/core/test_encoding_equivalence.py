@@ -102,16 +102,7 @@ def _place_bounds_fast(constraints):
     graph = ConstraintGraph(constraints, encoding=shapes.encoding)
     saturate(graph)
     shapes.clear_bounds()
-    bounds = constant_bound_ids(graph, LATTICE)
-    base = len(graph._labels) + 1
-    for did, word, kind, constant in bounds:
-        cell = shapes.cell_at(did, word, base)
-        if cell is None:
-            continue
-        if kind == "lower":
-            shapes.apply_lower(cell, constant)
-        else:
-            shapes.apply_upper(cell, constant)
+    shapes.place_bounds(constant_bound_ids(graph, LATTICE), len(graph._labels) + 1)
     return shapes, graph
 
 

@@ -9,11 +9,23 @@
   to time shape inference, so a solve that bypassed it would read zero.
 * Each solved SCC is encoded once: shape inference builds the encoding and
   the constraint graph reuses it.
+* ``repro.service.incremental.generate_program_constraints`` runs once per
+  cold ``analyze_program``, looked up through that module: the ledger wraps
+  that name to time constraint generation (``typegen.constraints``).
+* Constraint generation walks each procedure once: its successor map is
+  built once per generated procedure, shared by the stack analysis,
+  reaching definitions and interface discovery.
 """
+
+import collections
 
 import pytest
 
 import repro.core.solver as solver_module
+import repro.ir.cfg as cfg_module
+import repro.ir.dataflow as dataflow_module
+import repro.ir.stackanalysis as stackanalysis_module
+import repro.service.incremental as incremental_module
 from repro import analyze_program
 from repro.core.intern import SccEncoding
 from repro.frontend import compile_c
@@ -75,3 +87,33 @@ def test_each_solved_scc_is_encoded_once(monkeypatch):
     monkeypatch.setattr(SccEncoding, "__init__", counting)
     types = analyze_program(_program(7, "default"))
     assert len(encodings) == types.stats["sccs_solved"]
+
+
+def test_constraint_generation_runs_once_per_cold_analysis(monkeypatch):
+    calls = []
+    real = incremental_module.generate_program_constraints
+
+    def counting(program, *args, **kwargs):
+        calls.append(program)
+        return real(program, *args, **kwargs)
+
+    monkeypatch.setattr(incremental_module, "generate_program_constraints", counting)
+    types = analyze_program(_program(7, "default"))
+    assert len(calls) == 1
+    assert types.stats["generated_procedures"]
+
+
+def test_successors_built_once_per_generated_procedure(monkeypatch):
+    built = collections.Counter()
+    real = cfg_module.successors
+
+    def counting(procedure):
+        built[procedure.name] += 1
+        return real(procedure)
+
+    for module in (cfg_module, dataflow_module, stackanalysis_module):
+        monkeypatch.setattr(module, "successors", counting)
+    types = analyze_program(_program(7, "default"))
+    generated = types.stats["generated_procedures"]
+    assert sorted(built) == sorted(generated)
+    assert set(built.values()) == {1}
