@@ -176,7 +176,11 @@ def _parse_chunk(
             parts = line.split()
             if len(parts) < 2:
                 raise AsmSyntaxError("missing global name", line_number, raw_line)
-            globals_.append((parts[1], int(parts[2]) if len(parts) > 2 else 4))
+            try:
+                size = int(parts[2]) if len(parts) > 2 else 4
+            except ValueError:
+                raise AsmSyntaxError("bad global size", line_number, raw_line) from None
+            globals_.append((parts[1], size))
             continue
         label_match = _LABEL_RE.match(line)
         if label_match:

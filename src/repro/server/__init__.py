@@ -11,8 +11,9 @@ Modules
     The versioned wire format: request/response schema, typed error codes and
     the result-payload builders (also used by the one-shot CLI).
 ``repro.server.registry``
-    Content-hash -> :class:`~repro.pipeline.ProgramTypes` LRU; repeat queries
-    are dict lookups.
+    Content-hash -> :class:`~repro.pipeline.ProgramTypes` LRU, each entry
+    with its whole-program ``query`` reply encoded once; repeat queries are
+    dict lookups.
 ``repro.server.app``
     The asyncio daemon: per-connection backpressure, a global concurrency
     gate, and the ``analyze``/``query``/``corpus``/``session.*`` verbs.

@@ -11,8 +11,9 @@ clients connect over TCP and speak the newline-delimited JSON protocol of
     straight from the registry when the content hash is known) and its id
     returned for later queries.
 ``query``
-    look up an analyzed program: the whole-program payload, or one procedure's
-    signature / type scheme / formal sketches / struct layout.
+    look up an analyzed program: the whole-program payload (encoded once per
+    registry entry, then served as bytes), or one procedure's signature /
+    type scheme / formal sketches / struct layout.
 ``corpus``
     submit a batch of programs routed through :func:`repro.analyze_corpus`
     against the shared store, so cluster members reuse each other's SCC
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from .. import __version__
+from ..ir.asmparser import AsmSyntaxError, parse_program
 from ..obs.metrics import install_default
 from ..obs.trace import get_tracer
 from ..service.incremental import AnalysisService, IncrementalSession, ServiceConfig
@@ -255,8 +257,7 @@ class TypeQueryServer:
                     break
                 if not line.strip():
                     continue
-                response = await self._respond(line)
-                writer.write(protocol.encode(response))
+                writer.write(await self._respond(line))
                 # Backpressure: never read the next request while this
                 # client's socket buffer is still full of the last answer.
                 await writer.drain()
@@ -276,7 +277,8 @@ class TypeQueryServer:
                 pass
             logger.debug("connection from %s closed", peer)
 
-    async def _respond(self, line: bytes) -> Dict[str, object]:
+    async def _respond(self, line: bytes) -> bytes:
+        """One request line -> one encoded response line (never raises)."""
         request_id: Optional[int] = None
         op = "unknown"
         tracer = get_tracer()
@@ -303,19 +305,23 @@ class TypeQueryServer:
             self.metrics.histogram("server_request_seconds", verb=op).observe(
                 time.perf_counter() - start
             )
-            return protocol.make_response(request_id, result)
+            if isinstance(result, bytes):  # already encoded: a whole-program query
+                return protocol.encode_response(request_id, result)
+            return protocol.encode(protocol.make_response(request_id, result))
         except ProtocolError as exc:
             self.errors_returned += 1
             self.metrics.counter("server_errors_total", verb=op, code=exc.code).inc()
-            return protocol.make_error(request_id, exc.code, exc.message)
+            return protocol.encode(protocol.make_error(request_id, exc.code, exc.message))
         except Exception as exc:  # noqa: BLE001 - the daemon must not die
             logger.exception("internal error handling request")
             self.errors_returned += 1
             self.metrics.counter(
                 "server_errors_total", verb=op, code=ErrorCode.INTERNAL_ERROR
             ).inc()
-            return protocol.make_error(
-                request_id, ErrorCode.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
+            return protocol.encode(
+                protocol.make_error(
+                    request_id, ErrorCode.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
+                )
             )
         finally:
             if token is not None:
@@ -433,8 +439,6 @@ class TypeQueryServer:
                 from ..frontend import compile_c
 
                 return compile_c(source).program
-            from ..ir.asmparser import parse_program
-
             return parse_program(source)
         except Exception as exc:  # parse/typecheck/codegen failures are client errors
             raise ProtocolError(
@@ -614,7 +618,8 @@ class TypeQueryServer:
             types, program_id, cached, full=bool(params.get("full", False))
         )
 
-    async def _op_query(self, params: Dict[str, object]) -> Dict[str, object]:
+    async def _op_query(self, params: Dict[str, object]) -> object:
+        """One procedure's payload, or the whole program's as cached bytes."""
         program_id = protocol.require_str(params, "program_id")
         types = self.registry.get(program_id)
         if types is None:
@@ -625,7 +630,13 @@ class TypeQueryServer:
             )
         procedure = params.get("procedure")
         if procedure is None:
-            return protocol.program_payload(types, program_id)
+            return self.registry.reply(
+                program_id,
+                types,
+                lambda analyzed: protocol.encode_value(
+                    protocol.program_payload(analyzed, program_id)
+                ),
+            )
         if not isinstance(procedure, str):
             raise ProtocolError(ErrorCode.INVALID_PARAMS, "procedure must be a string")
         return protocol.procedure_payload(types, program_id, procedure)
@@ -722,9 +733,12 @@ class TypeQueryServer:
         program_id = self._program_id(source, kind)
 
         def run():
-            program = self._parse_source(source, kind)
+            # Asm goes in as text, so the session re-parses only changed chunks.
+            text_or_program = source if kind == "asm" else self._parse_source(source, kind)
             try:
-                return state.session.analyze(program)
+                return state.session.analyze(text_or_program)
+            except AsmSyntaxError as exc:
+                raise ProtocolError(ErrorCode.PARSE_ERROR, f"{kind} source rejected: {exc}")
             except Exception as exc:
                 raise ProtocolError(ErrorCode.ANALYSIS_ERROR, f"analysis failed: {exc}")
 

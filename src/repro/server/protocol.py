@@ -147,11 +147,31 @@ def make_error(
     }
 
 
+def encode_value(value: object) -> bytes:
+    """One JSON value, serialized exactly as :func:`encode` serializes it in a message."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str).encode(
+        "utf-8"
+    )
+
+
 def encode(message: Mapping[str, object]) -> bytes:
     """One protocol message -> one UTF-8 JSON line (compact, key-sorted)."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":"), default=str) + "\n"
-    ).encode("utf-8")
+    return encode_value(message) + b"\n"
+
+
+def encode_response(request_id: Optional[int], result: bytes) -> bytes:
+    """A success line around a result already serialized by :func:`encode_value`.
+
+    Byte-identical to ``encode(make_response(request_id, value))`` where
+    ``result == encode_value(value)``: the envelope's keys sort as ``id``,
+    ``ok``, ``result``, ``v``, and the id goes through the same encoder.  The
+    server answers whole-program queries this way from bytes it encoded once.
+    """
+    return b'{"id":%s,"ok":true,"result":%s,"v":%d}\n' % (
+        encode_value(request_id),
+        result,
+        PROTOCOL_VERSION,
+    )
 
 
 def decode_line(line: bytes) -> Dict[str, object]:

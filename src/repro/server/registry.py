@@ -1,13 +1,26 @@
-"""The program registry: analyzed :class:`~repro.pipeline.ProgramTypes` by content hash.
+"""The program registry: analyzed programs by content hash, and their encoded replies.
 
 The server's hot path.  A program's identity is the SHA-256 of its source
 kind, its source text and the analysis environment (lattice + externs + solver
-config fingerprint, the same notion the summary store keys on), so
+config fingerprint, the same notion the summary store keys on), so submitting
+the same source twice -- from any client -- analyzes once, and changing the
+server's environment can never serve stale types, because the id itself
+changes.
 
-* submitting the same source twice -- from any client -- analyzes once;
-* every ``query`` against an analyzed program is a dict lookup, no solving;
-* changing the server's environment can never serve stale types, because the
-  id itself changes.
+An entry holds two things:
+
+* the analyzed :class:`~repro.pipeline.ProgramTypes`, which every verb that
+  names the program reads (``query``, ``stats``, an ``analyze`` hit);
+* the whole-program ``query`` result, JSON-encoded once.  It is built on the
+  first ``query`` without a ``procedure`` (so ``analyze`` never pays for it),
+  after which such a query is a dict lookup that copies bytes: no
+  ``to_json``, no ``json.dumps``.
+
+The bytes go with their entry.  An LRU eviction drops both, and so does
+re-admission of the same id through :meth:`ProgramRegistry.admit` (a session
+edit or a ``corpus`` batch installs a ``ProgramTypes`` whose ``stats``
+differ), so a reply never outlives the types it encodes and the cache is
+bounded by the registry's capacity.
 
 The registry is a bounded LRU guarded by a lock: analyses are produced on
 executor threads while queries are answered from the event loop.
@@ -18,9 +31,19 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..obs.metrics import get_registry as _metrics_registry
+
+
+class _Entry:
+    """One analyzed program and, once a whole-program query asked, its reply."""
+
+    __slots__ = ("types", "reply")
+
+    def __init__(self, types) -> None:
+        self.types = types
+        self.reply: Optional[bytes] = None
 
 
 class ProgramRegistry:
@@ -30,7 +53,7 @@ class ProgramRegistry:
         if capacity < 1:
             raise ValueError("program registry capacity must be at least 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -58,12 +81,34 @@ class ProgramRegistry:
             _metrics_registry().counter("registry_misses_total").inc()
             return None
         _metrics_registry().counter("registry_hits_total").inc()
-        return entry
+        return entry.types
+
+    def reply(self, program_id: str, types, build: Callable[[object], bytes]) -> bytes:
+        """The encoded whole-program reply for ``types``, built on first use.
+
+        ``types`` is what :meth:`get` just returned for ``program_id``.  The
+        bytes are kept only while that same ``ProgramTypes`` is still the
+        entry, so a reply built across a re-admission or an eviction is
+        returned to this caller but never cached.
+        """
+        with self._lock:
+            entry = self._entries.get(program_id)
+            if entry is not None and entry.types is types and entry.reply is not None:
+                return entry.reply
+        encoded = build(types)
+        with self._lock:
+            entry = self._entries.get(program_id)
+            if entry is not None and entry.types is types:
+                entry.reply = encoded
+        return encoded
 
     def admit(self, program_id: str, types) -> None:
-        """Publish an analyzed program, evicting least-recently-used entries."""
+        """Publish an analyzed program, evicting least-recently-used entries.
+
+        Replaces any entry under this id, dropping its cached reply.
+        """
         with self._lock:
-            self._entries[program_id] = types
+            self._entries[program_id] = _Entry(types)
             self._entries.move_to_end(program_id)
             self.admits += 1
             while len(self._entries) > self.capacity:
@@ -82,8 +127,8 @@ class ProgramRegistry:
             existing = self._entries.get(program_id)
             if existing is not None:
                 self._entries.move_to_end(program_id)
-                return existing
-            self._entries[program_id] = types
+                return existing.types
+            self._entries[program_id] = _Entry(types)
             self.admits += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

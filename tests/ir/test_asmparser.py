@@ -91,6 +91,14 @@ def test_parse_error_reports_line():
         parse_program("f:\n    bogus eax, ebx\n")
 
 
+def test_bad_global_size_is_a_syntax_error():
+    # Every malformed line is an AsmSyntaxError, which the server maps to a
+    # typed parse_error; a bare ValueError would read as an analysis failure.
+    with pytest.raises(AsmSyntaxError) as info:
+        parse_program("    .global_var g big\nf:\n    ret\n")
+    assert info.value.line_number == 1
+
+
 def test_instruction_outside_procedure_rejected():
     with pytest.raises(AsmSyntaxError):
         parse_program("    mov eax, ebx\n")
@@ -181,8 +189,6 @@ def _outcome(text, previous=None):
         program = parse_program(text, previous=previous)
     except AsmSyntaxError as error:
         return ("error", error.line_number, str(error))
-    except ValueError as error:  # e.g. a non-numeric .global_var size
-        return ("value-error", str(error))
     return (
         "ok",
         str(program),

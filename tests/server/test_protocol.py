@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import analyze_program
 from repro.core.ctype import ctype_from_json, ctype_to_json
@@ -135,3 +136,39 @@ def test_analyze_payload_summary_and_full(analyzed):
 def test_ctype_json_survives_recursive_struct(analyzed):
     for struct in analyzed.procedure_structs("total").values():
         assert ctype_from_json(json.loads(json.dumps(ctype_to_json(struct)))) == struct
+
+
+# ---------------------------------------------------------------------------
+# Spliced responses: a pre-encoded result inside the envelope
+# ---------------------------------------------------------------------------
+
+#: every request id ``validate_request`` lets through: int (bool included,
+#: it is an int), null, and any string.
+_REQUEST_IDS = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(request_id=_REQUEST_IDS, result=_JSON_VALUES)
+@example(request_id='a "quoted" id', result={})
+@example(request_id="back\\slash\\", result=[])
+@example(request_id="nön-ÄSCII ✓ \u2028 \U0001f600", result={"ü": "\n"})
+@example(request_id=None, result=None)
+@example(request_id=-(2**70), result={"b": 1, "a": [2, {"d": 3, "c": 4}]})
+def test_encode_response_matches_plain_encoding(request_id, result):
+    spliced = protocol.encode_response(request_id, protocol.encode_value(result))
+    assert spliced == protocol.encode(protocol.make_response(request_id, result))

@@ -53,3 +53,61 @@ def test_concurrent_admits_and_gets_are_safe():
         results = list(pool.map(worker, range(8)))
     assert all(count > 0 for count in results)
     assert len(registry) <= 64
+
+
+def _counting_build():
+    built = []
+
+    def build(types):
+        built.append(types)
+        return f"encoded {types}".encode()
+
+    return built, build
+
+
+def test_reply_is_built_once_per_entry():
+    registry = ProgramRegistry(capacity=4)
+    registry.admit("k", "types-1")
+    built, build = _counting_build()
+    first = registry.reply("k", registry.get("k"), build)
+    assert registry.reply("k", registry.get("k"), build) is first
+    assert first == b"encoded types-1" and built == ["types-1"]
+
+
+def test_readmission_drops_the_cached_reply():
+    registry = ProgramRegistry(capacity=4)
+    registry.admit("k", "types-1")
+    built, build = _counting_build()
+    registry.reply("k", "types-1", build)
+    registry.admit("k", "types-2")  # a session edit or corpus batch re-admits
+    assert registry.reply("k", registry.get("k"), build) == b"encoded types-2"
+    assert built == ["types-1", "types-2"]
+    # The first writer kept by admit_if_absent keeps its bytes too.
+    assert registry.admit_if_absent("k", "types-3") == "types-2"
+    assert registry.reply("k", "types-2", build) == b"encoded types-2"
+    assert built == ["types-1", "types-2"]
+
+
+def test_eviction_drops_the_cached_reply():
+    registry = ProgramRegistry(capacity=1)
+    registry.admit("a", "types-a")
+    built, build = _counting_build()
+    registry.reply("a", "types-a", build)
+    registry.admit("b", "types-b")
+    assert "a" not in registry and registry.evictions == 1
+    registry.admit("a", "types-a")  # same object, but a new entry: rebuilt
+    registry.reply("a", "types-a", build)
+    assert built == ["types-a", "types-a"]
+
+
+def test_reply_for_a_replaced_entry_is_not_cached():
+    registry = ProgramRegistry(capacity=4)
+    registry.admit("k", "types-2")
+    built, build = _counting_build()
+    # A caller still holding the types an entry no longer has gets its reply,
+    # but the entry does not take it.
+    assert registry.reply("k", "types-1", build) == b"encoded types-1"
+    assert registry.reply("k", "types-2", build) == b"encoded types-2"
+    registry.reply("gone", "types-x", build)
+    assert "gone" not in registry
+    assert built == ["types-1", "types-2", "types-x"]
