@@ -40,7 +40,7 @@ from .constraints import (
 )
 from .lattice import BOTTOM, TOP, TypeLattice, default_lattice
 from .deduction import DeductionEngine, entails
-from .graph import ConstraintGraph, Edge, EdgeKind, Node
+from .graph import ConstraintGraph
 from .saturation import saturate, saturated
 from .simplify import derive_constant_bounds, derives, proves, simplify_constraints
 from .sketches import Sketch, SketchNode, top_sketch
@@ -90,8 +90,6 @@ __all__ = [
     "ConstraintSet",
     "DeductionEngine",
     "DerivedTypeVariable",
-    "Edge",
-    "EdgeKind",
     "FieldLabel",
     "FloatType",
     "FunctionType",
@@ -100,7 +98,6 @@ __all__ = [
     "LOAD",
     "Label",
     "LoadLabel",
-    "Node",
     "OutLabel",
     "PointerType",
     "ProcedureResult",

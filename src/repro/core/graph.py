@@ -20,17 +20,16 @@ shortcut edges so every derivable judgement is witnessed by a path whose
 forgets all precede its recalls.
 
 The representation is an **integer kernel** (see DESIGN.md): derived type
-variables and labels are the dense-ID pools of the constraint set's
+variables and labels are the dense ids of the SCC's
 :class:`~repro.core.intern.SccEncoding`, a node is ``did * 2 +
 variance_bit``, and every index the hot algorithms touch -- per-node
 out-records, null adjacency, recall-successors-by-label, the forget list --
 is a flat list/dict over those ints.  Saturation and the memoized path
 traversal run entirely on this layer (``_out_recs`` / ``_null_out`` /
-``_recall`` / ``add_saturation_id``); the :class:`Node`/:class:`Edge` object
-API is a decode view kept for tests, debugging and the naive reference
-oracles, materialized lazily and cached per node id.  ``add_edge`` keeps
-every index coherent, which is what lets saturation propagate along an edge
-the moment it is created.
+``_recall`` / ``add_saturation_id``); ``add_saturation_id`` keeps every
+index coherent, which is what lets saturation propagate along an edge the
+moment it is created.  The only object entry point is :meth:`node_id`,
+which :func:`~repro.core.simplify.derives` uses to find a variable's node.
 
 The graph does no sorting of its own: the encoding is the only place the
 canonical order is established (dtv ids in sorted-by-``str`` order, the
@@ -48,73 +47,20 @@ constraint set, reproducible across processes regardless of
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .constraints import ConstraintSet
 from .intern import SccEncoding
-from .labels import Label, Variance
+from .labels import Variance
 from .variables import DerivedTypeVariable
 
 
-@dataclass(frozen=True, order=True)
-class Node:
-    """A derived type variable tagged with the current variance of its context."""
-
-    dtv: DerivedTypeVariable
-    variance: Variance
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.dtv, self.variance)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
-    def __str__(self) -> str:
-        tag = "+" if self.variance is Variance.COVARIANT else "-"
-        return f"{self.dtv}.{tag}"
-
-
-class EdgeKind(enum.Enum):
-    ORIGINAL = "original"      # a constraint axiom (an empty stack operation)
-    FORGET = "forget"          # push the final label onto the pending stack
-    RECALL = "recall"          # pop a pending label / extend the source variable
-    SATURATION = "saturation"  # shortcut added by Algorithm D.2
-
-
-#: integer edge kinds used by the int layer; null kinds sort below K_FORGET so
-#: the hot loops test ``kind < K_FORGET`` instead of comparing enum members.
+#: integer edge kinds; null kinds sort below K_FORGET so the hot loops test
+#: ``kind < K_FORGET``.
 K_ORIGINAL = 0
 K_SATURATION = 1
 K_FORGET = 2
 K_RECALL = 3
-
-_KIND_OBJS = (EdgeKind.ORIGINAL, EdgeKind.SATURATION, EdgeKind.FORGET, EdgeKind.RECALL)
-_KIND_IDS = {
-    EdgeKind.ORIGINAL: K_ORIGINAL,
-    EdgeKind.SATURATION: K_SATURATION,
-    EdgeKind.FORGET: K_FORGET,
-    EdgeKind.RECALL: K_RECALL,
-}
-
-
-@dataclass(frozen=True, order=True)
-class Edge:
-    source: Node
-    target: Node
-    kind: EdgeKind
-    label: Optional[Label] = None
-
-    def __str__(self) -> str:
-        if self.label is not None:
-            return f"{self.source} --{self.kind.value} {self.label}--> {self.target}"
-        return f"{self.source} --{self.kind.value}--> {self.target}"
-
-    @property
-    def is_null(self) -> bool:
-        """True for edges that do not touch the pending label stack."""
-        return self.kind in (EdgeKind.ORIGINAL, EdgeKind.SATURATION)
 
 
 class ConstraintGraph:
@@ -122,33 +68,27 @@ class ConstraintGraph:
 
     def __init__(
         self,
-        constraints: ConstraintSet,
+        constraints: Optional[ConstraintSet] = None,
         extra_dtvs: Iterable[DerivedTypeVariable] = (),
         encoding: Optional[SccEncoding] = None,
     ) -> None:
         if encoding is None:
-            encoding = SccEncoding(constraints, extra_dtvs=extra_dtvs)
-        self.constraints = constraints
-        #: dense-ID pools adopted from the encoding: ``did`` per variable,
-        #: ``lid`` per label, with the per-did prefix/last-label arrays
-        #: (extended by the object API when it interns a new variable).
-        self._dtvs = encoding.dtvs
+            encoding = SccEncoding.from_constraints(constraints, extra_dtvs=extra_dtvs)
+        #: the encoding the graph was built from: per-did strings, the label
+        #: pool and the per-did prefix/last-label arrays.
+        self.encoding = encoding
+        self._names = encoding.names
         self._labels = encoding.labels
         self._prefix = encoding.prefix
         self._last_lid = encoding.last_lid
-        count = 2 * len(self._dtvs)
+        count = 2 * len(self._names)
         # Per-nid flat indexes (two slots per dtv):
-        #: does the node participate in the graph (constructor or edge endpoint)?
-        self._present: List[bool] = [True] * count
-        self._num_present = count
         #: out-records ``(kind, lidp, target_nid)`` in insertion order.
         self._out_recs: List[List[Tuple[int, int, int]]] = [[] for _ in range(count)]
         #: targets of null (original + saturation) out-edges.
         self._null_out: List[List[int]] = [[] for _ in range(count)]
         #: recall successors by label: ``lid -> [target_nid, ...]`` (or None).
         self._recall: List[Optional[Dict[int, List[int]]]] = [None] * count
-        #: lazily decoded Node object per nid.
-        self._node_objs: List[Optional[Node]] = [None] * count
         #: every edge as an int record ``(src_nid, tgt_nid, kind, lidp)``, in
         #: deterministic insertion order.
         self._edge_list: List[Tuple[int, int, int, int]] = []
@@ -156,9 +96,6 @@ class ConstraintGraph:
         self._edge_seen: Set[Tuple[int, int, int, int]] = set()
         #: forget records ``(src_nid, lid, tgt_nid)`` (saturation seeds).
         self._forget_recs: List[Tuple[int, int, int]] = []
-        self._nodes_cache: Optional[Set[Node]] = None
-        #: decoded out-edge lists per nid (views for the object API).
-        self._out_edge_cache: Dict[int, List[Edge]] = {}
 
         out_recs = self._out_recs
         null_out = self._null_out
@@ -201,47 +138,17 @@ class ConstraintGraph:
 
     # -- int-layer mutation ---------------------------------------------------------
 
-    def _intern_dtv(self, dtv: DerivedTypeVariable) -> int:
-        """The variable's did, interning it (and its prefixes, keeping the
-        pool prefix-closed) for the object API."""
-        did = self._dtvs.ids.get(dtv)
-        if did is None:
-            if dtv.labels:
-                pid = self._intern_dtv(dtv.prefix)
-                lid = self._labels.intern(dtv.labels[-1])
-            else:
-                pid = lid = -1
-            did = self._dtvs.intern(dtv)
-            self._prefix.append(pid)
-            self._last_lid.append(lid)
-            for _ in range(2):
-                self._present.append(False)
-                self._out_recs.append([])
-                self._null_out.append([])
-                self._recall.append(None)
-                self._node_objs.append(None)
-        return did
-
-    def _materialize(self, nid: int) -> None:
-        if not self._present[nid]:
-            self._present[nid] = True
-            self._num_present += 1
-            self._nodes_cache = None
-
     def _add_edge_ids(self, src: int, tgt: int, kind: int, lidp: int) -> bool:
         """Add an int edge record after construction, updating every index;
         True if it was new.  The duplicate guard covers edges added after
         construction, which is all saturation can collide with (its kind
-        never occurs at construction); :meth:`add_edge` checks the rest."""
+        never occurs at construction)."""
         record = (src, tgt, kind, lidp)
         if record in self._edge_seen:
             return False
         self._edge_seen.add(record)
-        self._materialize(src)
-        self._materialize(tgt)
         self._edge_list.append(record)
         self._out_recs[src].append((kind, lidp, tgt))
-        self._out_edge_cache.pop(src, None)
         if kind < K_FORGET:
             self._null_out[src].append(tgt)
         elif kind == K_FORGET:
@@ -262,8 +169,15 @@ class ConstraintGraph:
 
     @property
     def num_nodes(self) -> int:
-        """Number of nodes without decoding them (what the stats record)."""
-        return self._num_present
+        """Number of nodes (two per derived type variable)."""
+        return 2 * len(self._names)
+
+    def node_id(self, dtv: DerivedTypeVariable, variance: Variance) -> Optional[int]:
+        """The nid of ``dtv`` under ``variance``, or ``None`` if it is not in the graph."""
+        did = self.encoding.did(dtv)
+        if did is None:
+            return None
+        return did * 2 + (1 if variance is Variance.CONTRAVARIANT else 0)
 
     def out_records(self, nid: int) -> List[Tuple[int, int, int]]:
         """Int out-records ``(kind, lidp, target_nid)`` of one node (live)."""
@@ -285,128 +199,8 @@ class ConstraintGraph:
         """Every forget edge as ``(src_nid, lid, tgt_nid)`` in insertion order."""
         return self._forget_recs
 
-    # -- object-view decode ---------------------------------------------------------
-
-    def _node_obj(self, nid: int) -> Node:
-        node = self._node_objs[nid]
-        if node is None:
-            variance = Variance.CONTRAVARIANT if nid & 1 else Variance.COVARIANT
-            node = Node(self._dtvs.items[nid >> 1], variance)
-            self._node_objs[nid] = node
-        return node
-
-    def _node_nid(self, node: Node, create: bool = False) -> Optional[int]:
-        """The nid of an object-API node; interns/materializes when ``create``."""
-        if create:
-            did = self._intern_dtv(node.dtv)
-            nid = did * 2 + (1 if node.variance is Variance.CONTRAVARIANT else 0)
-            self._materialize(nid)
-            return nid
-        did = self._dtvs.ids.get(node.dtv)
-        if did is None:
-            return None
-        nid = did * 2 + (1 if node.variance is Variance.CONTRAVARIANT else 0)
-        return nid if self._present[nid] else None
-
-    def _decode_edge(self, record: Tuple[int, int, int, int]) -> Edge:
-        src, tgt, kind, lidp = record
-        label = None if lidp == 0 else self._labels.items[lidp - 1]
-        return Edge(self._node_obj(src), self._node_obj(tgt), _KIND_OBJS[kind], label)
-
-    # -- object-view mutation -------------------------------------------------------
-
-    def add_edge(self, edge: Edge) -> bool:
-        """Add an edge, updating every index; returns True if it was new."""
-        src = self._node_nid(edge.source, create=True)
-        tgt = self._node_nid(edge.target, create=True)
-        lidp = 0 if edge.label is None else self._labels.intern(edge.label) + 1
-        kind = _KIND_IDS[edge.kind]
-        if (kind, lidp, tgt) in self._out_recs[src]:
-            return False
-        return self._add_edge_ids(src, tgt, kind, lidp)
-
-    # -- object-view queries --------------------------------------------------------
-
-    @property
-    def nodes(self) -> Set[Node]:
-        """All nodes, decoded (cached until a new node appears)."""
-        cache = self._nodes_cache
-        if cache is None:
-            node_obj = self._node_obj
-            cache = {
-                node_obj(nid)
-                for nid, present in enumerate(self._present)
-                if present
-            }
-            self._nodes_cache = cache
-        return cache
-
-    def out_edges(self, node: Node) -> List[Edge]:
-        """All out-edges of ``node``, decoded from the int records.
-
-        The returned list is a cached decode view -- do not mutate it; it is
-        rebuilt when an edge is added at this node.
-        """
-        nid = self._node_nid(node)
-        if nid is None:
-            return _EMPTY_EDGES
-        cached = self._out_edge_cache.get(nid)
-        if cached is None:
-            cached = [
-                self._decode_edge((nid, tgt, kind, lidp))
-                for kind, lidp, tgt in self._out_recs[nid]
-            ]
-            self._out_edge_cache[nid] = cached
-        return cached
-
-    def in_edges(self, node: Node) -> List[Edge]:
-        """All in-edges of ``node``, decoded from the int records."""
-        nid = self._node_nid(node)
-        if nid is None:
-            return _EMPTY_EDGES
-        return [self._decode_edge(record) for record in self._edge_list if record[1] == nid]
-
-    def null_out_edges(self, node: Node) -> List[Edge]:
-        """Out-edges that leave the pending stack alone (original + saturation)."""
-        return [edge for edge in self.out_edges(node) if edge.is_null]
-
-    def edges(self) -> Iterator[Edge]:
-        """All edges in deterministic (insertion) order."""
-        decode = self._decode_edge
-        return (decode(record) for record in self._edge_list)
-
-    def has_edge(
-        self,
-        source: Node,
-        target: Node,
-        kind: Optional[EdgeKind] = None,
-        label: Optional[Label] = None,
-    ) -> bool:
-        src = self._node_nid(source)
-        tgt = self._node_nid(target)
-        if src is None or tgt is None:
-            return False
-        want_kind = None if kind is None else _KIND_IDS[kind]
-        if label is None:
-            want_lidp = None
-        else:
-            lid = self._labels.ids.get(label)
-            if lid is None:
-                return False
-            want_lidp = lid + 1
-        for rec_kind, rec_lidp, rec_tgt in self._out_recs[src]:
-            if rec_tgt != tgt:
-                continue
-            if want_kind is not None and rec_kind != want_kind:
-                continue
-            if want_lidp is not None and rec_lidp != want_lidp:
-                continue
-            return True
-        return False
-
     def __len__(self) -> int:
         return len(self._edge_list)
 
 
-_EMPTY_EDGES: List[Edge] = []
 _EMPTY_IDS: List[int] = []

@@ -67,7 +67,7 @@ def saturate(graph: ConstraintGraph, max_iterations: int = 10_000_000) -> int:
 
     # Pack bases.  Labels are fixed for the whole run: saturation only adds
     # unlabeled shortcut edges, so the label pool cannot grow under us.
-    num_nodes = 2 * len(graph._dtvs)
+    num_nodes = graph.num_nodes
     lp_base = len(graph._labels) + 1  # lidp digits; lidp = lid + 1
     load_lid = graph._labels.ids.get(LOAD, -2)
     store_lid = graph._labels.ids.get(STORE, -2)

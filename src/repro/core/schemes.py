@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .constraints import AddConstraint, ConstraintSet, SubConstraint, parse_constraint
+from .intern import ConstraintTable
 from .variables import DerivedTypeVariable, parse_dtv
 
 _instantiation_counter = itertools.count()
@@ -33,6 +34,17 @@ class TypeScheme:
     quantified: FrozenSet[str] = frozenset()
     formal_ins: Tuple[DerivedTypeVariable, ...] = ()
     formal_outs: Tuple[DerivedTypeVariable, ...] = ()
+    #: the constraints as a sealed table, encoded on first instantiation.
+    _table: Optional[ConstraintTable] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def table(self) -> ConstraintTable:
+        """The constraints as a sealed :class:`ConstraintTable`, encoded once."""
+        table = self._table
+        if table is None:
+            table = self._table = ConstraintTable.from_constraints(self.constraints)
+        return table
 
     def instantiate(self, tag: str) -> Tuple[str, ConstraintSet]:
         """Return (instantiated procedure variable name, instantiated constraints).
@@ -56,11 +68,19 @@ class TypeScheme:
         variables still receive fresh names so separate instantiations never
         interfere.
         """
+        return self.constraints.substitute(self._renames_as(base))
+
+    def instance_as(self, base: str) -> Tuple[ConstraintTable, Dict[str, str]]:
+        """:meth:`instantiate_as` as a table part: the scheme's table and the
+        base renames that instantiate it (the solver's merge applies them)."""
+        return self.table(), self._renames_as(base)
+
+    def _renames_as(self, base: str) -> Dict[str, str]:
         unique = next(_instantiation_counter)
         mapping: Dict[str, str] = {self.proc: base}
         for var in self.quantified:
             mapping[var] = f"{var}${unique}"
-        return self.constraints.substitute(mapping)
+        return mapping
 
     def instantiate_monomorphic(self, base: str) -> ConstraintSet:
         """Instantiate without freshening the existential variables.

@@ -36,10 +36,10 @@ The same structure also hosts:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .constraints import ConstraintSet
-from .intern import SccEncoding
+from .intern import Part, SccEncoding
 from .labels import LOAD, STORE, Label
 from .lattice import BOTTOM, TOP, TypeLattice
 from .sketches import Sketch
@@ -137,23 +137,24 @@ class ShapeInference:
     def build(self, encoding: SccEncoding) -> None:
         """Run INFERSHAPES over ``encoding`` (built with this quotient's lattice)."""
         self.encoding = encoding
-        self._cells = [-1] * len(encoding.dtvs)
+        self._cells = [-1] * len(encoding.names)
         self._labels = encoding.labels.items
         self._label_ids = encoding.labels.ids
         self._load = self._label_ids.get(LOAD, -1)
         self._store = self._label_ids.get(STORE, -1)
         constant = encoding.constant
         assert constant is not None, "shape inference needs a lattice-built encoding"
-        names = encoding.dtvs.items
+        # A constant is a base variable: its string is its name.
+        names = encoding.names
         cell_of = self._cell_of
         for left, right in encoding.subtype:
             if constant[left]:
                 if constant[right]:
-                    self.scalar_checks.append((names[left].base, names[right].base))
+                    self.scalar_checks.append((names[left], names[right]))
                 else:
-                    self.apply_lower(cell_of(right), names[left].base)
+                    self.apply_lower(cell_of(right), names[left])
             elif constant[right]:
-                self.apply_upper(cell_of(left), names[right].base)
+                self.apply_upper(cell_of(left), names[right])
             else:
                 self.union(cell_of(left), cell_of(right))
         self._close_pointer_children()
@@ -184,7 +185,7 @@ class ShapeInference:
             base = chain.pop()
             cell = self._new_cell()
             cells[base] = cell
-            self._base_cells[encoding.dtvs.items[base].base] = cell
+            self._base_cells[encoding.names[base]] = cell
         last_lid = encoding.last_lid
         all_edges = self._edges
         for member in reversed(chain):
@@ -502,15 +503,22 @@ class ShapeInference:
         return sketch
 
 
-def infer_shapes(constraints: ConstraintSet, lattice: TypeLattice) -> ShapeInference:
+def infer_shapes(
+    constraints: Union[ConstraintSet, Sequence[Part]], lattice: TypeLattice
+) -> ShapeInference:
     """The INFERSHAPES procedure of Algorithm E.1.
 
-    Builds the constraint set's :class:`~repro.core.intern.SccEncoding` and
-    the quotient over it.  The returned quotient still holds the encoding
+    ``constraints`` is a constraint set or an SCC's sealed table parts (see
+    :class:`~repro.core.intern.SccEncoding`).  Builds their encoding and the
+    quotient over it.  The returned quotient still holds the encoding
     (``shapes.encoding``) so the solver can build the constraint graph and
     place bounds from it; callers that keep the quotient past the solve call
     :meth:`ShapeInference.release_encoding`.
     """
+    if isinstance(constraints, ConstraintSet):
+        encoding = SccEncoding.from_constraints(constraints, lattice)
+    else:
+        encoding = SccEncoding(constraints, lattice)
     shapes = ShapeInference(lattice)
-    shapes.build(SccEncoding(constraints, lattice))
+    shapes.build(encoding)
     return shapes

@@ -51,7 +51,7 @@ from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from .constraints import ConstraintSet, SubtypeConstraint
-from .graph import ConstraintGraph, K_FORGET, K_RECALL, Node
+from .graph import ConstraintGraph, K_FORGET, K_RECALL
 from .labels import Label, Variance, path_variance
 from .lattice import TypeLattice
 from .saturation import saturate
@@ -88,18 +88,17 @@ def simplify_constraints(
         saturate(graph)
 
     depth_bound = max_label_depth
-    dtvs = graph._dtvs.items
+    encoding = graph.encoding
     labels = graph._labels.items
-    num_nodes = 2 * len(dtvs)
+    num_nodes = graph.num_nodes
     lp_base = len(labels) + 1
     #: one more digit than any suffix/stack can hold, so a completion packs
     #: as ``(suffix * suffix_base + beta) * num_nodes + end_nid``.
     suffix_base = lp_base ** (depth_bound + 1)
     depth_base = depth_bound + 1
 
-    present = graph._present
     out_recs = graph._out_recs
-    interesting_dtv = [dtv.base in interesting_bases for dtv in dtvs]
+    interesting_dtv = [base in interesting_bases for base in encoding.bases()]
 
     # -- forward pass: discover the shared state graph --------------------------
     #
@@ -127,11 +126,7 @@ def simplify_constraints(
             propagate.append((key, completion))
 
     # A source state has empty alpha and beta, so its key is just its nid.
-    initial_nids = [
-        nid
-        for nid in range(num_nodes)
-        if present[nid] and interesting_dtv[nid >> 1]
-    ]
+    initial_nids = [nid for nid in range(num_nodes) if interesting_dtv[nid >> 1]]
     for nid in initial_nids:
         if nid not in seen:
             seen.add(nid)
@@ -212,14 +207,14 @@ def simplify_constraints(
         entries = comp.get(nid)
         if not entries:
             continue
-        source_dtv = dtvs[nid >> 1]
+        source_dtv = encoding.dtv(nid >> 1)
         source_variance = Variance.CONTRAVARIANT if nid & 1 else Variance.COVARIANT
         for completion in entries:
             rest, end = divmod(completion, num_nodes)
             suffix, final_beta = divmod(rest, suffix_base)
             alpha = _decode_word(suffix, lp_base, labels)
             lhs = source_dtv.with_labels(alpha)
-            rhs = dtvs[end >> 1].with_labels(_decode_word(final_beta, lp_base, labels))
+            rhs = encoding.dtv(end >> 1).with_labels(_decode_word(final_beta, lp_base, labels))
             orientation = source_variance * path_variance(alpha)
             if orientation is Variance.COVARIANT:
                 constraint = SubtypeConstraint(lhs, rhs)
@@ -249,31 +244,32 @@ def derives(
     """
     if left == right:
         return False
-    if _reaches(graph, Node(left, Variance.COVARIANT), right, max_label_depth):
+    if _reaches(graph, graph.node_id(left, Variance.COVARIANT), right, max_label_depth):
         return True
-    return _reaches(graph, Node(right, Variance.CONTRAVARIANT), left, max_label_depth)
+    return _reaches(
+        graph, graph.node_id(right, Variance.CONTRAVARIANT), left, max_label_depth
+    )
 
 
 def _reaches(
     graph: ConstraintGraph,
-    start: Node,
+    start_nid: Optional[int],
     goal: DerivedTypeVariable,
     max_label_depth: int,
 ) -> bool:
-    """Is there a path from ``start`` to a state reading back as ``goal``?
+    """Is there a path from node ``start_nid`` to a state reading back as ``goal``?
 
-    Alpha never grows here: a judgement about ``start.dtv`` itself is wanted,
+    Alpha never grows here: a judgement about the start variable itself is wanted,
     and recalls that would extend the source are simulated by the explicit
     forget/recall pairs of the prefix nodes (the graph always contains them
     for the goal endpoints).
     """
-    start_nid = graph._node_nid(start)
     if start_nid is None:
         return False
-    dtvs = graph._dtvs.items
+    dtv_of = graph.encoding.dtv
     labels = graph._labels.items
     out_recs = graph._out_recs
-    num_nodes = 2 * len(dtvs)
+    num_nodes = graph.num_nodes
     lp_base = len(labels) + 1
     goal_base = goal.base
     goal_labels = goal.labels
@@ -283,7 +279,7 @@ def _reaches(
     stack: List[Tuple[int, int, int]] = [(start_nid, 0, 0)]
     while stack:
         nid, beta, beta_len = stack.pop()
-        dtv = dtvs[nid >> 1]
+        dtv = dtv_of(nid >> 1)
         own_labels = dtv.labels
         if (
             dtv.base == goal_base
@@ -348,11 +344,11 @@ def derive_constant_bounds(
     into the constant): the decoded form of :func:`constant_bound_ids`, in
     the same order.
     """
-    dtvs = graph._dtvs.items
+    dtv_of = graph.encoding.dtv
     labels = graph._labels.items
     lp_base = len(labels) + 1
     return [
-        (dtvs[did].with_labels(_decode_word(word, lp_base, labels)), kind, constant)
+        (dtv_of(did).with_labels(_decode_word(word, lp_base, labels)), kind, constant)
         for did, word, kind, constant in constant_bound_ids(
             graph, lattice, max_pending, max_states
         )
@@ -387,18 +383,17 @@ def constant_bound_ids(
     results: List[Tuple[int, int, str, str]] = []
     seen_results: Set[int] = set()
 
-    dtvs = graph._dtvs.items
+    names = graph._names
     prefix = graph._prefix
     last_lid = graph._last_lid
-    present = graph._present
     out_recs = graph._out_recs
-    num_dtvs = len(dtvs)
+    num_dtvs = len(names)
     num_nodes = 2 * num_dtvs
     num_labels = len(graph._labels)
     lp_base = num_labels + 1
     is_constant = lattice.is_constant
 
-    constant = [p < 0 and is_constant(dtv.base) for p, dtv in zip(prefix, dtvs)]
+    constant = [p < 0 and is_constant(name) for p, name in zip(prefix, names)]
     constant_dids = [did for did in range(num_dtvs) if constant[did]]
     if not constant_dids:
         return results
@@ -415,10 +410,8 @@ def constant_bound_ids(
     for const_did in constant_dids:
         for bit in (0, 1):
             start = const_did * 2 + bit
-            if not present[start]:
-                continue
             kind = "lower" if bit == 0 else "upper"
-            constant_name = dtvs[const_did].base
+            constant_name = names[const_did]
             visited: Set[int] = set()
             stack: List[Tuple[int, int, int]] = [(start, 0, 0)]
             states = 0

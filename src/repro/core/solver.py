@@ -4,7 +4,7 @@ This module glues the pieces of the core together, following Algorithms F.1
 and F.2:
 
 1. Strongly-connected components of the call graph are processed bottom-up.
-2. For every SCC the per-procedure constraint sets are combined; callsites to
+2. For every SCC the per-procedure constraint tables are merged; callsites to
    already-processed procedures instantiate the callee's *type scheme* with a
    callsite tag (polymorphism), calls within the SCC are linked monomorphically.
 3. The combined constraint set is solved: shapes via the Steensgaard quotient
@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.trace import get_tracer
 from .constraints import ConstraintSet
 from .graph import ConstraintGraph
+from .intern import ConstraintTable, Part, TableConstraints
 from .labels import Label, Variance, path_variance
 from .lattice import BOTTOM, TOP, TypeLattice, default_lattice
 from .saturation import saturate
@@ -44,15 +45,17 @@ from .variables import DerivedTypeVariable
 class SolveStats:
     """Per-stage timings and counters for one solve (or an aggregate of many).
 
-    The stages mirror the core algorithm: ``graph`` is constraint-graph
-    construction, ``saturate`` the worklist fixpoint of Algorithm D.2,
-    ``simplify`` the path queries over the saturated graph (the Appendix D.4
-    constant-bound derivation feeding lattice decorations), and ``sketch`` the
-    Steensgaard shape inference plus scheme/sketch serialization.  Instances
+    The stages mirror the core algorithm: ``shapes`` is the SCC's encoding
+    plus the Steensgaard shape inference of Algorithm E.1, ``graph``
+    constraint-graph construction, ``saturate`` the worklist fixpoint of
+    Algorithm D.2, ``simplify`` the path queries over the saturated graph
+    (the Appendix D.4 constant-bound derivation feeding lattice decorations),
+    and ``sketch`` the scheme and formal-sketch serialization.  Instances
     merge, so the service can aggregate per-SCC records into one program-level
     record and the server can report where a live daemon spends its time.
     """
 
+    shapes_seconds: float = 0.0
     graph_seconds: float = 0.0
     saturate_seconds: float = 0.0
     simplify_seconds: float = 0.0
@@ -75,13 +78,15 @@ class SolveStats:
     @property
     def total_seconds(self) -> float:
         return (
-            self.graph_seconds
+            self.shapes_seconds
+            + self.graph_seconds
             + self.saturate_seconds
             + self.simplify_seconds
             + self.sketch_seconds
         )
 
     def merge(self, other: "SolveStats") -> None:
+        self.shapes_seconds += other.shapes_seconds
         self.graph_seconds += other.graph_seconds
         self.saturate_seconds += other.saturate_seconds
         self.simplify_seconds += other.simplify_seconds
@@ -97,6 +102,7 @@ class SolveStats:
     def to_json(self) -> Dict[str, float]:
         """A flat JSON-able record (the shape served by the server's ``stats`` verb)."""
         return {
+            "shapes_seconds": self.shapes_seconds,
             "graph_seconds": self.graph_seconds,
             "saturate_seconds": self.saturate_seconds,
             "simplify_seconds": self.simplify_seconds,
@@ -117,6 +123,7 @@ class SolveStats:
         backend to carry per-SCC worker timings back across the pipe)."""
         out = cls()
         for field_name in (
+            "shapes_seconds",
             "graph_seconds",
             "saturate_seconds",
             "simplify_seconds",
@@ -142,15 +149,41 @@ class Callsite:
     base: str
 
 
-@dataclass
 class ProcedureTypingInput:
-    """Everything the solver needs to know about one procedure."""
+    """Everything the solver needs to know about one procedure.
 
-    name: str
-    constraints: ConstraintSet
-    formal_ins: Tuple[DerivedTypeVariable, ...] = ()
-    formal_outs: Tuple[DerivedTypeVariable, ...] = ()
-    callsites: Tuple[Callsite, ...] = ()
+    The constraints live in a sealed :class:`~repro.core.intern.
+    ConstraintTable` (``table``); constraint generation builds one directly,
+    and a :class:`ConstraintSet` given here is encoded once.
+    ``constraints`` is a read-only view decoded on first use: its ``len``
+    (distinct subtype constraints) is free, and the solver never reads it.
+    """
+
+    __slots__ = ("name", "table", "formal_ins", "formal_outs", "callsites", "_view")
+
+    def __init__(
+        self,
+        name: str,
+        constraints: Union[ConstraintSet, ConstraintTable],
+        formal_ins: Sequence[DerivedTypeVariable] = (),
+        formal_outs: Sequence[DerivedTypeVariable] = (),
+        callsites: Sequence[Callsite] = (),
+    ) -> None:
+        self.name = name
+        if not isinstance(constraints, ConstraintTable):
+            constraints = ConstraintTable.from_constraints(constraints)
+        self.table: ConstraintTable = constraints
+        self.formal_ins: Tuple[DerivedTypeVariable, ...] = tuple(formal_ins)
+        self.formal_outs: Tuple[DerivedTypeVariable, ...] = tuple(formal_outs)
+        self.callsites: Tuple[Callsite, ...] = tuple(callsites)
+        self._view: Optional[TableConstraints] = None
+
+    @property
+    def constraints(self) -> ConstraintSet:
+        view = self._view
+        if view is None:
+            view = self._view = TableConstraints(self.table)
+        return view
 
 
 @dataclass
@@ -224,7 +257,7 @@ class Solver:
             scc_timings.append((",".join(scc), time.perf_counter() - scc_start))
             results.update(scc_results)
             for name in scc:
-                constraint_count += len(procedures[name].constraints)
+                constraint_count += len(procedures[name].table)
         self.stats["constraints"] = constraint_count
         self.stats["procedures"] = len(procedures)
         self.stats["scc_count"] = len(order)
@@ -270,17 +303,17 @@ class Solver:
         tracer = get_tracer()
         with tracer.span("solver.solve_scc", scc=",".join(scc)) as scc_span:
             scc_set = set(scc)
-            combined = ConstraintSet()
+            parts: List[Part] = []
             for name in scc:
                 proc = procedures[name]
-                combined.update(proc.constraints)
+                parts.append(proc.table)
                 for callsite in proc.callsites:
-                    combined.update(
-                        self._callsite_constraints(callsite, scc_set, procedures, results)
-                    )
-            scc_span.set("constraints", len(combined))
+                    part = self._callsite_part(callsite, scc_set, results)
+                    if part is not None:
+                        parts.append(part)
 
-            shapes, graph = self._solve_constraints(combined, stats)
+            shapes, graph, count = self._solve_constraints(parts, stats)
+            scc_span.set("constraints", count)
 
             sketch_start = time.perf_counter()
             out: Dict[str, ProcedureResult] = {}
@@ -312,47 +345,44 @@ class Solver:
                 stats.sccs_timed += 1
             return out
 
-    def _callsite_constraints(
+    def _callsite_part(
         self,
         callsite: Callsite,
         scc_set: Set[str],
-        procedures: Mapping[str, ProcedureTypingInput],
         results: Mapping[str, ProcedureResult],
-    ) -> ConstraintSet:
-        """Constraints contributed by one callsite (scheme instantiation)."""
-        out = ConstraintSet()
+    ) -> Optional[Part]:
+        """The table part one callsite contributes (scheme instantiation)."""
         callee = callsite.callee
         if callee in results:
-            if self.config.polymorphic:
-                out.update(results[callee].scheme.instantiate_as(callsite.base))
-            else:
-                out.update(results[callee].scheme.instantiate_monomorphic(callsite.base))
+            scheme = results[callee].scheme
         elif callee in scc_set:
             # Monomorphic link within a recursive SCC: identify the callsite
             # base with the callee's own variable.
-            here = DerivedTypeVariable(callsite.base)
-            there = DerivedTypeVariable(callee)
-            out.add_subtype(here, there)
-            out.add_subtype(there, here)
+            link = ConstraintTable()
+            here = link.var(callsite.base)
+            there = link.var(callee)
+            link.subtype.update(((here, there), (there, here)))
+            return link.seal()
         elif callee in self.extern_schemes:
             scheme = self.extern_schemes[callee]
-            if self.config.polymorphic:
-                out.update(scheme.instantiate_as(callsite.base))
-            else:
-                out.update(scheme.instantiate_monomorphic(callsite.base))
-        # Unknown externals contribute nothing.
-        return out
+        else:
+            return None  # unknown externals contribute nothing
+        if self.config.polymorphic:
+            return scheme.instance_as(callsite.base)
+        return scheme.table(), {scheme.proc: callsite.base}
 
     def _solve_constraints(
-        self, constraints: ConstraintSet, stats: Optional[SolveStats] = None
-    ) -> Tuple[ShapeInference, Optional[ConstraintGraph]]:
+        self, parts: Sequence[Part], stats: Optional[SolveStats] = None
+    ) -> Tuple[ShapeInference, Optional[ConstraintGraph], int]:
+        """Solve one SCC's parts; also returns its distinct subtype constraints."""
         timer = time.perf_counter
         tracer = get_tracer()
 
         start = timer()
         with tracer.span("solver.shapes"):
-            shapes = infer_shapes(constraints, self.lattice)
-        sketch_seconds = timer() - start
+            shapes = infer_shapes(parts, self.lattice)
+        shapes_seconds = timer() - start
+        count = len(shapes.encoding.subtype)
 
         graph: Optional[ConstraintGraph] = None
         graph_seconds = saturate_seconds = simplify_seconds = 0.0
@@ -360,7 +390,7 @@ class Solver:
         if self.config.precise_bounds:
             start = timer()
             with tracer.span("solver.graph") as graph_span:
-                graph = ConstraintGraph(constraints, encoding=shapes.encoding)
+                graph = ConstraintGraph(encoding=shapes.encoding)
                 graph_span.set("nodes", graph.num_nodes)
             graph_seconds = timer() - start
 
@@ -381,7 +411,7 @@ class Solver:
         # Results keep the quotient; the encoding must not ride along.
         shapes.release_encoding()
         if stats is not None:
-            stats.sketch_seconds += sketch_seconds
+            stats.shapes_seconds += shapes_seconds
             stats.graph_seconds += graph_seconds
             stats.saturate_seconds += saturate_seconds
             stats.simplify_seconds += simplify_seconds
@@ -390,7 +420,7 @@ class Solver:
             if graph is not None:
                 stats.graph_nodes += graph.num_nodes
                 stats.graph_edges += len(graph)
-        return shapes, graph
+        return shapes, graph, count
 
     # -- REFINEPARAMETERS (Algorithm F.3) ------------------------------------------------------
 

@@ -293,7 +293,7 @@ class MetricsRegistry:
         ``solver_worker_failed_total``.  Additive, so per-request records
         accumulate into process-lifetime totals.
         """
-        for stage in ("graph", "saturate", "simplify", "sketch", "codec"):
+        for stage in ("shapes", "graph", "saturate", "simplify", "sketch", "codec"):
             seconds = float(stage_stats.get(f"{stage}_seconds", 0.0) or 0.0)
             if seconds:
                 self.counter("solver_stage_seconds_total", stage=stage).inc(seconds)

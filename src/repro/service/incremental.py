@@ -497,7 +497,7 @@ class AnalysisService:
         stats: Dict[str, object] = {
             # Generation work this run: only SCCs the store could not serve
             # (on the corpus fan-out path, the inputs a worker generated).
-            "constraints": sum(len(proc.constraints) for proc in inputs.values()),
+            "constraints": sum(len(proc.table) for proc in inputs.values()),
             "generated_procedures": sorted(inputs),
             "procedures": len(program.procedures),
             "scc_count": len(sccs),

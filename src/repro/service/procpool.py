@@ -8,7 +8,8 @@ the service runs with ``executor="processes"``:
 
 * **a pickle-free codec** -- programs travel to a worker as their canonical
   assembly text; per-SCC summaries (``serialize_summary``), typing inputs
-  (one string-intern table per reply plus flat int arrays) and per-stage
+  (one string-intern table per reply plus each input's constraint table as
+  flat int arrays) and per-stage
   :class:`~repro.core.solver.SolveStats` come back as JSON text.  Worker
   processes never unpickle live solver objects;
 * **warm workers** -- each worker builds its :class:`~repro.core.solver.
@@ -44,13 +45,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.constraints import (
-    AddConstraint,
-    ConstraintSet,
-    SubConstraint,
-    SubtypeConstraint,
-)
-from ..core.intern import StringTable
+from ..core.intern import ConstraintTable, StringTable
+from ..core.labels import parse_label
 from ..core.lattice import TypeLattice
 from ..core.solver import (
     Callsite,
@@ -78,8 +74,8 @@ from .store import (
 #: bump when the environment/task payload layout changes so a stale worker
 #: (from a hot-reloaded parent) can never misinterpret a task.  v2 introduced
 #: the integer-table codec; v3 dropped the per-SCC wave tasks, so every task
-#: is a chunk of whole programs.
-PROCPOOL_FORMAT = "retypd-procpool-v3"
+#: is a chunk of whole programs; v4 ships each input's constraint table.
+PROCPOOL_FORMAT = "retypd-procpool-v4"
 
 #: multiprocessing start method; ``spawn`` is deliberate -- the parent may be
 #: a threaded asyncio daemon, and forking a threaded process is undefined
@@ -146,12 +142,13 @@ def encode_environment(
 # Typing-input codec (worker -> parent, inside each reply)
 # ---------------------------------------------------------------------------
 #
-# Every reply carries one string-intern table (``strings``) and all
-# derived-type-variable occurrences are table ids in *flat int arrays* -- a
-# constraint set is ``{"s": [lhs, rhs, lhs, rhs, ...], "a": [op, l, r, res,
-# ...]}``.  The decoder parses each distinct string at most once
-# (``_TableReader`` memoizes per id) no matter how many constraint slots
-# reference it.
+# Every reply carries one string-intern table (``strings``); a typing input
+# ships its sealed :class:`~repro.core.intern.ConstraintTable` as it is --
+# variable strings and label strings as table ids, the prefix and last-label
+# arrays, the constraints as flat id arrays over the table's own variable
+# ids (``"s": [lhs, rhs, lhs, rhs, ...]``, ``"a": [is_add, l, r, res, ...]``).
+# Decoding rebuilds the table without parsing a variable: only the formals
+# become objects (``_TableReader`` parses each at most once).
 
 
 class _TableReader:
@@ -174,51 +171,25 @@ class _TableReader:
         return dtv
 
 
-def encode_constraints(
-    constraints: ConstraintSet, intern: Callable[[str], int]
-) -> Dict[str, List[int]]:
-    """A constraint set as flat id arrays (sorted, hence canonical)."""
-    subtype: List[int] = []
-    for c in sorted(constraints.subtype, key=str):
-        subtype.append(intern(str(c.left)))
-        subtype.append(intern(str(c.right)))
-    additive: List[int] = []
-    for c in sorted(constraints.additive, key=str):
-        additive.append(0 if isinstance(c, AddConstraint) else 1)
-        additive.append(intern(str(c.left)))
-        additive.append(intern(str(c.right)))
-        additive.append(intern(str(c.result)))
-    return {"s": subtype, "a": additive}
-
-
-def decode_constraints(
-    entry: Mapping[str, Sequence[int]], reader: _TableReader
-) -> ConstraintSet:
-    """Inverse of :func:`encode_constraints`."""
-    out = ConstraintSet()
-    dtv = reader.dtv
-    subtype = entry["s"]
-    for i in range(0, len(subtype), 2):
-        out.subtype.add(SubtypeConstraint(dtv(subtype[i]), dtv(subtype[i + 1])))
-    additive = entry["a"]
-    for i in range(0, len(additive), 4):
-        ctor = AddConstraint if additive[i] == 0 else SubConstraint
-        out.additive.add(
-            ctor(dtv(additive[i + 1]), dtv(additive[i + 2]), dtv(additive[i + 3]))
-        )
-    return out
-
-
 def encode_input(
     proc: ProcedureTypingInput, intern: Callable[[str], int]
 ) -> Dict[str, object]:
     """One procedure's solver input as flat table-ref arrays."""
+    table = proc.table
     callsites: List[int] = []
     for c in proc.callsites:
         callsites.append(intern(c.callee))
         callsites.append(intern(c.base))
+    additive: List[int] = []
+    for is_add, left, right, result in table.additive:
+        additive.extend((int(is_add), left, right, result))
     return {
-        "c": encode_constraints(proc.constraints, intern),
+        "n": [intern(name) for name in table.names],
+        "p": table.prefix,
+        "l": table.last_label,
+        "ln": [intern(name) for name in table.label_names],
+        "s": [ident for pair in table.subtype for ident in pair],
+        "a": additive,
         "fi": [intern(str(dtv)) for dtv in proc.formal_ins],
         "fo": [intern(str(dtv)) for dtv in proc.formal_outs],
         "cs": callsites,
@@ -229,14 +200,28 @@ def decode_input(
     name: str, entry: Mapping[str, object], reader: _TableReader
 ) -> ProcedureTypingInput:
     """Inverse of :func:`encode_input` (parent side)."""
+    text = reader.text
+    subtype = entry["s"]
+    additive = entry["a"]
+    table = ConstraintTable.from_arrays(
+        names=[text(sid) for sid in entry["n"]],
+        prefix=entry["p"],
+        last_label=entry["l"],
+        labels=[parse_label(text(sid)) for sid in entry["ln"]],
+        subtype=list(zip(subtype[0::2], subtype[1::2])),
+        additive=[
+            (bool(additive[i]), additive[i + 1], additive[i + 2], additive[i + 3])
+            for i in range(0, len(additive), 4)
+        ],
+    )
     callsites = entry["cs"]
     return ProcedureTypingInput(
         name=name,
-        constraints=decode_constraints(entry["c"], reader),
+        constraints=table,
         formal_ins=tuple(reader.dtv(sid) for sid in entry["fi"]),
         formal_outs=tuple(reader.dtv(sid) for sid in entry["fo"]),
         callsites=tuple(
-            Callsite(reader.text(callsites[i]), reader.text(callsites[i + 1]))
+            Callsite(text(callsites[i]), text(callsites[i + 1]))
             for i in range(0, len(callsites), 2)
         ),
     )

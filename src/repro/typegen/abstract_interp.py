@@ -1,7 +1,9 @@
 """Constraint generation by abstract interpretation of the IR (Appendix A).
 
 For every procedure the generator walks the instructions once and emits type
-constraints over derived type variables:
+constraints over derived type variables, straight into the procedure's
+integer :class:`~repro.core.intern.ConstraintTable` (no variable or
+constraint object is built per site; only the formals are objects):
 
 * every *definition site* of a register or stack slot gets its own type
   variable (flow sensitivity via reaching definitions, Example A.2);
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
 
-from ..core.constraints import AddConstraint, ConstraintSet, SubConstraint
+from ..core.intern import ConstraintTable
 from ..core.labels import FieldLabel, InLabel, LoadLabel, OutLabel, StoreLabel
 from ..core.solver import Callsite, ProcedureTypingInput
 from ..core.variables import DerivedTypeVariable
@@ -118,7 +120,13 @@ class CalleeInfo:
 
 
 class ProcedureConstraintGenerator:
-    """Generates the constraint set for a single procedure."""
+    """Generates the constraint table for a single procedure.
+
+    Variables are ids of the procedure's :class:`~repro.core.intern.
+    ConstraintTable`, memoized per definition site, use and label, and
+    constraints go into it as id tuples; only the formals become
+    :class:`DerivedTypeVariable` objects.
+    """
 
     def __init__(
         self,
@@ -132,37 +140,46 @@ class ProcedureConstraintGenerator:
         self.interface = interface
         self.callees = callees
         self.reaching = reaching or analyze_reaching_definitions(procedure)
-        self.constraints = ConstraintSet()
+        self.table = ConstraintTable()
         self.callsites: List[Callsite] = []
-        self._phi_cache: Dict[Tuple[int, Location], DerivedTypeVariable] = {}
-        self._def_vars: Dict[Tuple[Location, int], DerivedTypeVariable] = {}
-        self._formal_ins: Dict[str, DerivedTypeVariable] = {}
-        self._in_labels: Dict[str, InLabel] = {}
-        self._aliases: Dict[DerivedTypeVariable, Tuple[DerivedTypeVariable, int]] = {}
-        self._frame_aliases: Dict[DerivedTypeVariable, int] = {}
+        self._var = self.table.var
+        self._derive = self.table.derive
+        #: ``(left, right)`` -> record ``left <= right``.
+        self._sub = self.table.subtype.add
+        self._load = self.table.label(LOAD)
+        self._store = self.table.label(STORE)
+        self._out = self.table.label(_OUT_EAX)
+        self._phi_cache: Dict[Tuple[int, Location], int] = {}
+        self._def_vars: Dict[Tuple[Location, int], int] = {}
+        self._in_lids: Dict[str, int] = {}
+        self._field_lids: Dict[Tuple[int, int], int] = {}
+        self._aliases: Dict[int, Tuple[int, int]] = {}
+        self._frame_aliases: Dict[int, int] = {}
         self._address_taken: Set[int] = set()
-        self._fresh = 0
 
     # -- type variable naming ----------------------------------------------------------
 
-    def _in_label(self, location_name: str) -> InLabel:
+    def _in_lid(self, location_name: str) -> int:
         # Building an InLabel re-validates its location; labels are immutable.
-        label = self._in_labels.get(location_name)
-        if label is None:
-            label = self._in_labels[location_name] = InLabel(location_name)
-        return label
+        lid = self._in_lids.get(location_name)
+        if lid is None:
+            lid = self._in_lids[location_name] = self.table.label(InLabel(location_name))
+        return lid
 
-    def formal_in(self, location_name: str) -> DerivedTypeVariable:
-        var = self._formal_ins.get(location_name)
-        if var is None:
-            var = DerivedTypeVariable(self.name, (self._in_label(location_name),))
-            self._formal_ins[location_name] = var
-        return var
+    def _field(self, size_bits: int, offset: int) -> int:
+        key = (size_bits, offset)
+        lid = self._field_lids.get(key)
+        if lid is None:
+            lid = self._field_lids[key] = self.table.label(FieldLabel(size_bits, offset))
+        return lid
 
-    def formal_out(self) -> DerivedTypeVariable:
-        return DerivedTypeVariable(self.name, (_OUT_EAX,))
+    def formal_in(self, location_name: str) -> int:
+        return self._derive(self._var(self.name), self._in_lid(location_name))
 
-    def def_var(self, location: Location, index: int) -> DerivedTypeVariable:
+    def formal_out(self) -> int:
+        return self._derive(self._var(self.name), self._out)
+
+    def def_var(self, location: Location, index: int) -> int:
         """Type variable for the definition of ``location`` at instruction ``index``."""
         key = (location, index)
         var = self._def_vars.get(key)
@@ -170,20 +187,20 @@ class ProcedureConstraintGenerator:
             var = self._def_vars[key] = self._make_def_var(location, index)
         return var
 
-    def _make_def_var(self, location: Location, index: int) -> DerivedTypeVariable:
+    def _make_def_var(self, location: Location, index: int) -> int:
         location_name = f"stk{location}" if isinstance(location, int) else location
         if index == ENTRY:
             if isinstance(location, int) and is_argument_offset(location):
                 loc_name = argument_location(location)
                 if location in self.interface.stack_args:
                     return self.formal_in(loc_name)
-                return DerivedTypeVariable(f"{self.name}~arg_{loc_name}")
+                return self._var(f"{self.name}~arg_{loc_name}")
             if isinstance(location, str) and location in self.interface.register_args:
                 return self.formal_in(location)
-            return DerivedTypeVariable(f"{self.name}~{location_name}@entry")
-        return DerivedTypeVariable(f"{self.name}~{location_name}@{index}")
+            return self._var(f"{self.name}~{location_name}@entry")
+        return self._var(f"{self.name}~{location_name}@{index}")
 
-    def use_var(self, location: Location, index: int) -> DerivedTypeVariable:
+    def use_var(self, location: Location, index: int) -> int:
         """Type variable for a use of ``location`` at instruction ``index``.
 
         Single reaching definition: the definition's variable.  Multiple
@@ -195,31 +212,25 @@ class ProcedureConstraintGenerator:
         if len(defs) == 1:
             return self.def_var(location, defs[0])
         key = (index, location)
-        if key not in self._phi_cache:
+        var = self._phi_cache.get(key)
+        if var is None:
             location_name = f"stk{location}" if isinstance(location, int) else location
-            var = DerivedTypeVariable(f"{self.name}~phi_{location_name}@{index}")
-            self._phi_cache[key] = var
+            var = self._phi_cache[key] = self._var(f"{self.name}~phi_{location_name}@{index}")
             for definition in defs:
-                self.constraints.add_subtype(self.def_var(location, definition), var)
-        return self._phi_cache[key]
+                self._sub((self.def_var(location, definition), var))
+        return var
 
-    def fresh(self, hint: str = "t") -> DerivedTypeVariable:
-        self._fresh += 1
-        return DerivedTypeVariable(f"{self.name}~{hint}{self._fresh}")
-
-    def global_var(self, symbol: str, offset: int = 0) -> DerivedTypeVariable:
+    def global_var(self, symbol: str, offset: int = 0) -> int:
         suffix = f"_{offset}" if offset else ""
-        return DerivedTypeVariable(f"g_{symbol}{suffix}")
+        return self._var(f"g_{symbol}{suffix}")
 
-    def object_var(self, offset: int) -> DerivedTypeVariable:
+    def object_var(self, offset: int) -> int:
         """Pointer-valued variable for the address of an address-taken local."""
-        return DerivedTypeVariable(f"{self.name}~addr{offset}")
+        return self._var(f"{self.name}~addr{offset}")
 
     # -- alias resolution ------------------------------------------------------------------
 
-    def _resolve_alias(
-        self, var: DerivedTypeVariable
-    ) -> Tuple[Optional[DerivedTypeVariable], int, Optional[int]]:
+    def _resolve_alias(self, var: int) -> Tuple[Optional[int], int, Optional[int]]:
         """Chase pointer-offset aliases.
 
         Returns ``(base_var, delta, frame_offset)``: either ``base_var`` (with a
@@ -247,7 +258,11 @@ class ProcedureConstraintGenerator:
         ]
         return max(candidates) if candidates else None
 
-    def load_source(self, memory: Mem, index: int) -> Optional[DerivedTypeVariable]:
+    def _access(self, base_var: int, pointer_lid: int, size_bits: int, offset: int) -> int:
+        """``base_var.load.sigmaN@k`` (or ``.store``): one memory access."""
+        return self._derive(self._derive(base_var, pointer_lid), self._field(size_bits, offset))
+
+    def load_source(self, memory: Mem, index: int) -> Optional[int]:
         """The derived type variable whose value a memory *read* produces."""
         state = self.reaching.states[index]
         offset = frame_offset(memory, state)
@@ -255,10 +270,8 @@ class ProcedureConstraintGenerator:
             value = self.use_var(offset, index)
             base = self._object_base(offset)
             if base is not None:
-                field = FieldLabel(memory.size * 8, offset - base)
-                self.constraints.add_subtype(
-                    self.object_var(base).with_labels((LOAD, field)), value
-                )
+                field = self._access(self.object_var(base), self._load, memory.size * 8, offset - base)
+                self._sub((field, value))
             return value
         if memory.is_global:
             return self.global_var(memory.base, memory.offset)
@@ -270,10 +283,9 @@ class ProcedureConstraintGenerator:
             # Reading through a pointer into our own frame: use the slot value.
             slot = frame + memory.offset
             return self.use_var(slot, index)
-        field = FieldLabel(memory.size * 8, memory.offset + delta)
-        return base_var.with_labels((LOAD, field))
+        return self._access(base_var, self._load, memory.size * 8, memory.offset + delta)
 
-    def store_target(self, memory: Mem, index: int) -> Optional[DerivedTypeVariable]:
+    def store_target(self, memory: Mem, index: int) -> Optional[int]:
         """The derived type variable a memory *write* flows into."""
         state = self.reaching.states[index]
         offset = frame_offset(memory, state)
@@ -281,10 +293,8 @@ class ProcedureConstraintGenerator:
             target = self.def_var(offset, index)
             base = self._object_base(offset)
             if base is not None:
-                field = FieldLabel(memory.size * 8, offset - base)
-                self.constraints.add_subtype(
-                    target, self.object_var(base).with_labels((STORE, field))
-                )
+                field = self._access(self.object_var(base), self._store, memory.size * 8, offset - base)
+                self._sub((target, field))
             return target
         if memory.is_global:
             return self.global_var(memory.base, memory.offset)
@@ -295,8 +305,7 @@ class ProcedureConstraintGenerator:
         if frame is not None:
             slot = frame + memory.offset
             return self.def_var(slot, index)
-        field = FieldLabel(memory.size * 8, memory.offset + delta)
-        return base_var.with_labels((STORE, field))
+        return self._access(base_var, self._store, memory.size * 8, memory.offset + delta)
 
     # -- main generation loop ------------------------------------------------------------------
 
@@ -308,13 +317,17 @@ class ProcedureConstraintGenerator:
             visit = visitors.get(type(instruction))
             if visit is not None:
                 visit(self, index, instruction)
+        labels = self.table.labels
         formal_ins = tuple(
-            self.formal_in(location) for location in self.interface.input_locations
+            DerivedTypeVariable(self.name, (labels[self._in_lid(location)],))
+            for location in self.interface.input_locations
         )
-        formal_outs = (self.formal_out(),) if self.interface.has_return else ()
+        formal_outs = (
+            (DerivedTypeVariable(self.name, (_OUT_EAX,)),) if self.interface.has_return else ()
+        )
         return ProcedureTypingInput(
             name=self.name,
-            constraints=self.constraints,
+            constraints=self.table.seal(),
             formal_ins=formal_ins,
             formal_outs=formal_outs,
             callsites=tuple(self.callsites),
@@ -329,7 +342,7 @@ class ProcedureConstraintGenerator:
 
     # -- individual instruction kinds ----------------------------------------------------------
 
-    def _value_of(self, operand: Operand, index: int) -> Optional[DerivedTypeVariable]:
+    def _value_of(self, operand: Operand, index: int) -> Optional[int]:
         if isinstance(operand, Reg):
             if operand.name in ("esp", "ebp"):
                 return None
@@ -345,7 +358,7 @@ class ProcedureConstraintGenerator:
             destination = self.def_var(instruction.dst.name, index)
             source = self._value_of(instruction.src, index)
             if source is not None:
-                self.constraints.add_subtype(source, destination)
+                self._sub((source, destination))
                 # A register copy propagates pointer-offset aliases.
                 if isinstance(instruction.src, Reg):
                     base_var, delta, frame = self._resolve_alias(source)
@@ -357,7 +370,7 @@ class ProcedureConstraintGenerator:
             target = self.store_target(instruction.dst, index)
             source = self._value_of(instruction.src, index)
             if target is not None and source is not None:
-                self.constraints.add_subtype(source, target)
+                self._sub((source, target))
 
     def _visit_lea(self, index: int, instruction: Lea) -> None:
         destination = self.def_var(instruction.dst.name, index)
@@ -366,13 +379,13 @@ class ProcedureConstraintGenerator:
             # The register now holds the address of a stack object.
             self._frame_aliases[destination] = offset
             pointer = self.object_var(offset)
-            self.constraints.add_subtype(pointer, destination)
-            self.constraints.add_subtype(destination, pointer)
+            self._sub((pointer, destination))
+            self._sub((destination, pointer))
             return
         if instruction.src.base is not None and instruction.src.base not in ("esp", "ebp"):
             if instruction.src.is_global:
                 base = self.global_var(instruction.src.base)
-                self.constraints.add_subtype(base, destination)
+                self._sub((base, destination))
                 return
             base = self.use_var(instruction.src.base, index)
             resolved, delta, frame = self._resolve_alias(base)
@@ -401,21 +414,20 @@ class ProcedureConstraintGenerator:
 
         if instruction.op in ("add", "sub") and isinstance(instruction.src, Reg):
             other = self.use_var(instruction.src.name, index)
-            constraint_cls = AddConstraint if instruction.op == "add" else SubConstraint
-            self.constraints.add(constraint_cls(source_use, other, destination))
+            self.table.additive.add((instruction.op == "add", source_use, other, destination))
             return
 
         if instruction.op == "and" and isinstance(instruction.src, Imm):
             if instruction.src.value in _BITSTEAL_AND_MASKS:
-                self.constraints.add_subtype(source_use, destination)
+                self._sub((source_use, destination))
                 return
         if instruction.op == "or" and isinstance(instruction.src, Imm):
             if instruction.src.value in _BITSTEAL_OR_MASKS:
-                self.constraints.add_subtype(source_use, destination)
+                self._sub((source_use, destination))
                 return
 
         # Remaining bit manipulation / multiplication: integral result.
-        self.constraints.add_subtype(destination, DerivedTypeVariable("int"))
+        self._sub((destination, self._var("int")))
 
     def _visit_push(self, index: int, instruction: Push) -> None:
         state = self.reaching.states[index]
@@ -425,7 +437,7 @@ class ProcedureConstraintGenerator:
         destination = self.def_var(slot, index)
         source = self._value_of(instruction.src, index)
         if source is not None:
-            self.constraints.add_subtype(source, destination)
+            self._sub((source, destination))
 
     def _visit_pop(self, index: int, instruction: Pop) -> None:
         if instruction.dst.name in ("esp", "ebp"):
@@ -436,7 +448,7 @@ class ProcedureConstraintGenerator:
         slot = state.esp
         destination = self.def_var(instruction.dst.name, index)
         source = self.use_var(slot, index)
-        self.constraints.add_subtype(source, destination)
+        self._sub((source, destination))
 
     def _visit_call(self, index: int, instruction: Call) -> None:
         if isinstance(instruction.target, Reg):
@@ -446,21 +458,20 @@ class ProcedureConstraintGenerator:
         if info is None:
             info = CalleeInfo(name=callee, known=False)
         base = f"{callee}${self.name}_{index}"
+        base_var = self._var(base)
         state = self.reaching.states[index]
 
         if info.stack_params and state.esp is not None:
             for position in range(info.stack_params):
                 slot = state.esp + WORD_SIZE * position
                 actual = self.use_var(slot, index)
-                formal = DerivedTypeVariable(base, (self._in_label(f"stack{WORD_SIZE * position}"),))
-                self.constraints.add_subtype(actual, formal)
+                formal = self._derive(base_var, self._in_lid(f"stack{WORD_SIZE * position}"))
+                self._sub((actual, formal))
         for register in info.register_params:
             actual = self.use_var(register, index)
-            formal = DerivedTypeVariable(base, (self._in_label(register),))
-            self.constraints.add_subtype(actual, formal)
+            self._sub((actual, self._derive(base_var, self._in_lid(register))))
         if info.has_return:
-            result = DerivedTypeVariable(base, (_OUT_EAX,))
-            self.constraints.add_subtype(result, self.def_var("eax", index))
+            self._sub((self._derive(base_var, self._out), self.def_var("eax", index)))
         self.callsites.append(Callsite(callee=callee, base=base))
 
     def _visit_ret(self, index: int, instruction: Ret) -> None:
@@ -469,7 +480,7 @@ class ProcedureConstraintGenerator:
         defs = self.reaching.reaching(index, "eax")
         if all(definition == ENTRY for definition in defs):
             return
-        self.constraints.add_subtype(self.use_var("eax", index), self.formal_out())
+        self._sub((self.use_var("eax", index), self.formal_out()))
 
 
 _VISITORS = {
@@ -545,5 +556,5 @@ def generate_program_constraints(
                     program.procedures[name], interface, callees, reaching[name]
                 )
                 generated[name] = generator.generate()
-                span.set("constraints", len(generated[name].constraints))
+                span.set("constraints", len(generated[name].table))
     return {name: generated[name] for name in program.procedures if name in generated}

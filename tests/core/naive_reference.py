@@ -50,24 +50,57 @@ them:
   path's variance;
 * :func:`naive_cell_at` -- one bound's label word walked from its
   variable's cell, with no memo.
+
+Constraint generation now writes straight into per-procedure integer
+tables, and each SCC's encoding merges them;
+``tests/core/test_table_equivalence.py`` holds both to the object-level code
+they replaced:
+
+* :class:`NaiveConstraintGenerator` / :func:`naive_generate_program_constraints`
+  -- one :class:`~repro.core.variables.DerivedTypeVariable` per definition
+  site and use, constraints added to a ``ConstraintSet``;
+* :class:`NaiveSccEncoding` -- the encoding re-collected from a constraint
+  set: every mentioned variable, prefix-closed, sorted by ``str``.
+
+The ``Node``/``Edge`` object view of a constraint graph lives here too
+(:class:`GraphView`): the graph itself is ints only, and the seed
+algorithms and the graph tests read it through these decoded objects.
 """
 
+import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.constraints import AddConstraint, ConstraintSet, SubtypeConstraint
-from repro.core.graph import K_FORGET, K_RECALL, ConstraintGraph, Edge, EdgeKind, Node
-from repro.core.labels import LOAD, STORE, Label, Variance, path_variance
+from repro.core.constraints import AddConstraint, ConstraintSet, SubConstraint, SubtypeConstraint
+from repro.core.intern import InternPool
+from repro.core.graph import K_FORGET, K_ORIGINAL, K_RECALL, K_SATURATION, ConstraintGraph
+from repro.core.labels import (
+    LOAD,
+    STORE,
+    FieldLabel,
+    InLabel,
+    Label,
+    OutLabel,
+    Variance,
+    path_variance,
+)
 from repro.core.lattice import BOTTOM, TOP, TypeLattice
 from repro.core.saturation import saturate
 from repro.core.schemes import TypeScheme
 from repro.core.shapes import ShapeInference
 from repro.core.simplify import _decode_word
-from repro.core.solver import ProcedureTypingInput, tarjan_sccs
+from repro.core.solver import Callsite, ProcedureTypingInput, tarjan_sccs
 from repro.core.variables import DerivedTypeVariable
+from repro.ir.callgraph import CallGraph
 from repro.ir.cfg import successors
-from repro.ir.dataflow import _TRACKED_REGISTERS, ENTRY, Location
+from repro.ir.dataflow import (
+    _TRACKED_REGISTERS,
+    ENTRY,
+    Location,
+    ReachingDefinitions,
+    analyze_reaching_definitions,
+)
 from repro.ir.instructions import (
     WORD_SIZE,
     BinaryOp,
@@ -75,6 +108,7 @@ from repro.ir.instructions import (
     Compare,
     Imm,
     Instruction,
+    Lea,
     Leave,
     Mem,
     Mov,
@@ -82,14 +116,142 @@ from repro.ir.instructions import (
     Push,
     Reg,
     Ret,
+    Operand,
+    is_zeroing_idiom,
 )
-from repro.ir.locators import REGISTER_PARAM_CANDIDATES, ProcedureInterface
-from repro.ir.program import Procedure
-from repro.ir.stackanalysis import StackState, frame_offset
+from repro.ir.locators import REGISTER_PARAM_CANDIDATES, ProcedureInterface, discover_interface
+from repro.ir.program import Procedure, Program
+from repro.ir.stackanalysis import StackState, argument_location, frame_offset, is_argument_offset
+from repro.typegen.abstract_interp import CalleeInfo
+from repro.typegen.externs import ExternSignature, standard_externs
+
+
+# ---------------------------------------------------------------------------
+# The Node/Edge object view of a constraint graph
+# ---------------------------------------------------------------------------
+#
+# The graph itself is ints only; the seed algorithms below walk objects.
+# :class:`GraphView` decodes the graph's int records into them on demand.
+
+
+@dataclass(frozen=True, order=True)
+class Node:
+    """A derived type variable tagged with the current variance of its context."""
+
+    dtv: DerivedTypeVariable
+    variance: Variance
+
+    def __str__(self) -> str:
+        tag = "+" if self.variance is Variance.COVARIANT else "-"
+        return f"{self.dtv}.{tag}"
+
+
+class EdgeKind(enum.Enum):
+    ORIGINAL = "original"      # a constraint axiom (an empty stack operation)
+    FORGET = "forget"          # push the final label onto the pending stack
+    RECALL = "recall"          # pop a pending label / extend the source variable
+    SATURATION = "saturation"  # shortcut added by Algorithm D.2
+
+
+#: graph int edge kind -> EdgeKind, and back.
+KIND_OBJS = {
+    K_ORIGINAL: EdgeKind.ORIGINAL,
+    K_SATURATION: EdgeKind.SATURATION,
+    K_FORGET: EdgeKind.FORGET,
+    K_RECALL: EdgeKind.RECALL,
+}
+KIND_IDS = {kind: ident for ident, kind in KIND_OBJS.items()}
+
+
+@dataclass(frozen=True, order=True)
+class Edge:
+    source: Node
+    target: Node
+    kind: EdgeKind
+    label: Optional[Label] = None
+
+    @property
+    def is_null(self) -> bool:
+        """True for edges that do not touch the pending label stack."""
+        return self.kind in (EdgeKind.ORIGINAL, EdgeKind.SATURATION)
+
+
+class GraphView:
+    """Decoded :class:`Node`/:class:`Edge` objects over a graph's int records
+    (cached per node id; :meth:`add_edge` keeps the caches coherent)."""
+
+    def __init__(self, graph: ConstraintGraph) -> None:
+        self.graph = graph
+        self._nodes: Dict[int, Node] = {}
+        self._out: Dict[int, List[Edge]] = {}
+
+    def node(self, nid: int) -> Node:
+        node = self._nodes.get(nid)
+        if node is None:
+            variance = Variance.CONTRAVARIANT if nid & 1 else Variance.COVARIANT
+            node = self._nodes[nid] = Node(self.graph.encoding.dtv(nid >> 1), variance)
+        return node
+
+    def nid(self, node: Node) -> Optional[int]:
+        return self.graph.node_id(node.dtv, node.variance)
+
+    def _edge(self, src: int, tgt: int, kind: int, lidp: int) -> Edge:
+        label = None if lidp == 0 else self.graph._labels.items[lidp - 1]
+        return Edge(self.node(src), self.node(tgt), KIND_OBJS[kind], label)
+
+    @property
+    def nodes(self) -> Set[Node]:
+        return {self.node(nid) for nid in range(self.graph.num_nodes)}
+
+    def edges(self) -> List[Edge]:
+        """All edges in insertion order."""
+        return [self._edge(*record) for record in self.graph._edge_list]
+
+    def out_edges(self, node: Node) -> List[Edge]:
+        nid = self.nid(node)
+        if nid is None:
+            return []
+        edges = self._out.get(nid)
+        if edges is None:
+            edges = self._out[nid] = [
+                self._edge(nid, tgt, kind, lidp) for kind, lidp, tgt in self.graph.out_records(nid)
+            ]
+        return edges
+
+    def in_edges(self, node: Node) -> List[Edge]:
+        nid = self.nid(node)
+        return [self._edge(*record) for record in self.graph._edge_list if record[1] == nid]
+
+    def null_out_edges(self, node: Node) -> List[Edge]:
+        return [edge for edge in self.out_edges(node) if edge.is_null]
+
+    def has_edge(
+        self,
+        source: Node,
+        target: Node,
+        kind: Optional[EdgeKind] = None,
+        label: Optional[Label] = None,
+    ) -> bool:
+        return any(
+            edge.target == target
+            and (kind is None or edge.kind is kind)
+            and (label is None or edge.label == label)
+            for edge in self.out_edges(source)
+        )
+
+    def add_edge(self, edge: Edge) -> bool:
+        """Add an edge between existing nodes; True if it was new."""
+        if self.has_edge(edge.source, edge.target, edge.kind, edge.label):
+            return False
+        lidp = 0 if edge.label is None else self.graph._labels.ids[edge.label] + 1
+        src = self.nid(edge.source)
+        self._out.pop(src, None)
+        return self.graph._add_edge_ids(src, self.nid(edge.target), KIND_IDS[edge.kind], lidp)
 
 
 def naive_saturate(graph: ConstraintGraph, max_iterations: int = 10_000) -> int:
     """The seed's saturation: full re-scan Gauss-Seidel fixpoint."""
+    graph = GraphView(graph)
     reaching: Dict[Node, Set[Tuple[Label, Node]]] = {node: set() for node in graph.nodes}
 
     # Seed from forget edges.
@@ -209,6 +371,7 @@ def naive_simplify_constraints(
     if graph is None:
         graph = ConstraintGraph(constraints)
         saturate(graph)
+    graph = GraphView(graph)
 
     output = ConstraintSet()
     start_nodes = [
@@ -568,9 +731,8 @@ def naive_constant_bounds(
     results: List[Tuple[DerivedTypeVariable, str, str]] = []
     seen_results: Set[Tuple[DerivedTypeVariable, str, str]] = set()
 
-    dtvs = graph._dtvs.items
+    dtvs = [graph.encoding.dtv(did) for did in range(len(graph._names))]
     labels = graph._labels.items
-    present = graph._present
     out_recs = graph._out_recs
     num_dtvs = len(dtvs)
     num_nodes = 2 * num_dtvs
@@ -591,8 +753,6 @@ def naive_constant_bounds(
     for did in constant_dids:
         for bit in (0, 1):
             start = did * 2 + bit
-            if not present[start]:
-                continue
             kind = "lower" if bit == 0 else "upper"
             constant = dtvs[did].base
             visited: Set[int] = set()
@@ -998,3 +1158,529 @@ def naive_cell_at(shapes: ShapeInference, did: int, word: int, base: int) -> Opt
         if cell is None:
             return None
     return cell
+
+
+# ---------------------------------------------------------------------------
+# Constraint generation and encoding over variable objects
+# ---------------------------------------------------------------------------
+#
+# The generator and per-SCC encoder that constraint tables replaced:
+# ``tests/core/test_table_equivalence.py`` holds the table-emitting
+# generator and the merged ``SccEncoding`` to them.
+
+
+@dataclass
+class NaiveTypingInput:
+    """What the replaced generator produced for one procedure."""
+
+    name: str
+    constraints: ConstraintSet
+    formal_ins: Tuple[DerivedTypeVariable, ...] = ()
+    formal_outs: Tuple[DerivedTypeVariable, ...] = ()
+    callsites: Tuple[Callsite, ...] = ()
+
+
+_BITSTEAL_AND_MASKS = {0xFFFFFFFC, 0xFFFFFFF8, ~3 & 0xFFFFFFFF, -4, -8}
+_BITSTEAL_OR_MASKS = {1, 2, 3}
+_MAX_OBJECT_EXTENT = 64
+_OUT_EAX = OutLabel("eax")
+
+
+class NaiveConstraintGenerator:
+    """The replaced generator: one :class:`DerivedTypeVariable` per definition
+    site and use, constraints added to a :class:`ConstraintSet` one object
+    at a time."""
+
+    def __init__(
+        self,
+        procedure: Procedure,
+        interface: ProcedureInterface,
+        callees: Mapping[str, CalleeInfo],
+        reaching: Optional[ReachingDefinitions] = None,
+    ) -> None:
+        self.procedure = procedure
+        self.name = procedure.name
+        self.interface = interface
+        self.callees = callees
+        self.reaching = reaching or analyze_reaching_definitions(procedure)
+        self.constraints = ConstraintSet()
+        self.callsites: List[Callsite] = []
+        self._phi_cache: Dict[Tuple[int, Location], DerivedTypeVariable] = {}
+        self._def_vars: Dict[Tuple[Location, int], DerivedTypeVariable] = {}
+        self._formal_ins: Dict[str, DerivedTypeVariable] = {}
+        self._in_labels: Dict[str, InLabel] = {}
+        self._aliases: Dict[DerivedTypeVariable, Tuple[DerivedTypeVariable, int]] = {}
+        self._frame_aliases: Dict[DerivedTypeVariable, int] = {}
+        self._address_taken: Set[int] = set()
+        self._fresh = 0
+
+    # -- type variable naming ----------------------------------------------------------
+
+    def _in_label(self, location_name: str) -> InLabel:
+        # Building an InLabel re-validates its location; labels are immutable.
+        label = self._in_labels.get(location_name)
+        if label is None:
+            label = self._in_labels[location_name] = InLabel(location_name)
+        return label
+
+    def formal_in(self, location_name: str) -> DerivedTypeVariable:
+        var = self._formal_ins.get(location_name)
+        if var is None:
+            var = DerivedTypeVariable(self.name, (self._in_label(location_name),))
+            self._formal_ins[location_name] = var
+        return var
+
+    def formal_out(self) -> DerivedTypeVariable:
+        return DerivedTypeVariable(self.name, (_OUT_EAX,))
+
+    def def_var(self, location: Location, index: int) -> DerivedTypeVariable:
+        """Type variable for the definition of ``location`` at instruction ``index``."""
+        key = (location, index)
+        var = self._def_vars.get(key)
+        if var is None:
+            var = self._def_vars[key] = self._make_def_var(location, index)
+        return var
+
+    def _make_def_var(self, location: Location, index: int) -> DerivedTypeVariable:
+        location_name = f"stk{location}" if isinstance(location, int) else location
+        if index == ENTRY:
+            if isinstance(location, int) and is_argument_offset(location):
+                loc_name = argument_location(location)
+                if location in self.interface.stack_args:
+                    return self.formal_in(loc_name)
+                return DerivedTypeVariable(f"{self.name}~arg_{loc_name}")
+            if isinstance(location, str) and location in self.interface.register_args:
+                return self.formal_in(location)
+            return DerivedTypeVariable(f"{self.name}~{location_name}@entry")
+        return DerivedTypeVariable(f"{self.name}~{location_name}@{index}")
+
+    def use_var(self, location: Location, index: int) -> DerivedTypeVariable:
+        """Type variable for a use of ``location`` at instruction ``index``.
+
+        Single reaching definition: the definition's variable.  Multiple
+        reaching definitions: a join variable with one constraint per
+        definition (Example A.2 -- this is what defeats the "fortuitous reuse"
+        and stack-slot-reuse unification problems of section 2.1).
+        """
+        defs = sorted(self.reaching.reaching(index, location))
+        if len(defs) == 1:
+            return self.def_var(location, defs[0])
+        key = (index, location)
+        if key not in self._phi_cache:
+            location_name = f"stk{location}" if isinstance(location, int) else location
+            var = DerivedTypeVariable(f"{self.name}~phi_{location_name}@{index}")
+            self._phi_cache[key] = var
+            for definition in defs:
+                self.constraints.add_subtype(self.def_var(location, definition), var)
+        return self._phi_cache[key]
+
+    def fresh(self, hint: str = "t") -> DerivedTypeVariable:
+        self._fresh += 1
+        return DerivedTypeVariable(f"{self.name}~{hint}{self._fresh}")
+
+    def global_var(self, symbol: str, offset: int = 0) -> DerivedTypeVariable:
+        suffix = f"_{offset}" if offset else ""
+        return DerivedTypeVariable(f"g_{symbol}{suffix}")
+
+    def object_var(self, offset: int) -> DerivedTypeVariable:
+        """Pointer-valued variable for the address of an address-taken local."""
+        return DerivedTypeVariable(f"{self.name}~addr{offset}")
+
+    # -- alias resolution ------------------------------------------------------------------
+
+    def _resolve_alias(
+        self, var: DerivedTypeVariable
+    ) -> Tuple[Optional[DerivedTypeVariable], int, Optional[int]]:
+        """Chase pointer-offset aliases.
+
+        Returns ``(base_var, delta, frame_offset)``: either ``base_var`` (with a
+        byte ``delta``) or ``frame_offset`` (address of a stack object) is set.
+        """
+        delta = 0
+        seen = set()
+        current = var
+        while current in self._aliases and current not in seen:
+            seen.add(current)
+            current, step = self._aliases[current]
+            delta += step
+        if current in self._frame_aliases:
+            return None, delta, self._frame_aliases[current] + delta
+        return current, delta, None
+
+    # -- memory access helpers ----------------------------------------------------------------
+
+    def _object_base(self, offset: int) -> Optional[int]:
+        """The address-taken object (if any) a direct slot access belongs to."""
+        candidates = [
+            taken
+            for taken in self._address_taken
+            if taken <= offset < taken + _MAX_OBJECT_EXTENT
+        ]
+        return max(candidates) if candidates else None
+
+    def load_source(self, memory: Mem, index: int) -> Optional[DerivedTypeVariable]:
+        """The derived type variable whose value a memory *read* produces."""
+        state = self.reaching.states[index]
+        offset = frame_offset(memory, state)
+        if offset is not None:
+            value = self.use_var(offset, index)
+            base = self._object_base(offset)
+            if base is not None:
+                field = FieldLabel(memory.size * 8, offset - base)
+                self.constraints.add_subtype(
+                    self.object_var(base).with_labels((LOAD, field)), value
+                )
+            return value
+        if memory.is_global:
+            return self.global_var(memory.base, memory.offset)
+        if memory.base is None:
+            return None
+        pointer = self.use_var(memory.base, index)
+        base_var, delta, frame = self._resolve_alias(pointer)
+        if frame is not None:
+            # Reading through a pointer into our own frame: use the slot value.
+            slot = frame + memory.offset
+            return self.use_var(slot, index)
+        field = FieldLabel(memory.size * 8, memory.offset + delta)
+        return base_var.with_labels((LOAD, field))
+
+    def store_target(self, memory: Mem, index: int) -> Optional[DerivedTypeVariable]:
+        """The derived type variable a memory *write* flows into."""
+        state = self.reaching.states[index]
+        offset = frame_offset(memory, state)
+        if offset is not None:
+            target = self.def_var(offset, index)
+            base = self._object_base(offset)
+            if base is not None:
+                field = FieldLabel(memory.size * 8, offset - base)
+                self.constraints.add_subtype(
+                    target, self.object_var(base).with_labels((STORE, field))
+                )
+            return target
+        if memory.is_global:
+            return self.global_var(memory.base, memory.offset)
+        if memory.base is None:
+            return None
+        pointer = self.use_var(memory.base, index)
+        base_var, delta, frame = self._resolve_alias(pointer)
+        if frame is not None:
+            slot = frame + memory.offset
+            return self.def_var(slot, index)
+        field = FieldLabel(memory.size * 8, memory.offset + delta)
+        return base_var.with_labels((STORE, field))
+
+    # -- main generation loop ------------------------------------------------------------------
+
+    def generate(self) -> "NaiveTypingInput":
+        self._collect_address_taken()
+        visitors = _NAIVE_VISITORS
+        for index, instruction in enumerate(self.procedure.instructions):
+            # Labels, jumps, nop, flag-only compares and leave generate nothing.
+            visit = visitors.get(type(instruction))
+            if visit is not None:
+                visit(self, index, instruction)
+        formal_ins = tuple(
+            self.formal_in(location) for location in self.interface.input_locations
+        )
+        formal_outs = (self.formal_out(),) if self.interface.has_return else ()
+        return NaiveTypingInput(
+            name=self.name,
+            constraints=self.constraints,
+            formal_ins=formal_ins,
+            formal_outs=formal_outs,
+            callsites=tuple(self.callsites),
+        )
+
+    def _collect_address_taken(self) -> None:
+        for index, instruction in enumerate(self.procedure.instructions):
+            if isinstance(instruction, Lea):
+                offset = frame_offset(instruction.src, self.reaching.states[index])
+                if offset is not None:
+                    self._address_taken.add(offset)
+
+    # -- individual instruction kinds ----------------------------------------------------------
+
+    def _value_of(self, operand: Operand, index: int) -> Optional[DerivedTypeVariable]:
+        if isinstance(operand, Reg):
+            if operand.name in ("esp", "ebp"):
+                return None
+            return self.use_var(operand.name, index)
+        if isinstance(operand, Mem):
+            return self.load_source(operand, index)
+        return None  # immediates carry no type information
+
+    def _visit_mov(self, index: int, instruction: Mov) -> None:
+        if isinstance(instruction.dst, Reg):
+            if instruction.dst.name in ("esp", "ebp"):
+                return
+            destination = self.def_var(instruction.dst.name, index)
+            source = self._value_of(instruction.src, index)
+            if source is not None:
+                self.constraints.add_subtype(source, destination)
+                # A register copy propagates pointer-offset aliases.
+                if isinstance(instruction.src, Reg):
+                    base_var, delta, frame = self._resolve_alias(source)
+                    if frame is not None:
+                        self._frame_aliases[destination] = frame
+                    elif delta and base_var is not None:
+                        self._aliases[destination] = (base_var, delta)
+        elif isinstance(instruction.dst, Mem):
+            target = self.store_target(instruction.dst, index)
+            source = self._value_of(instruction.src, index)
+            if target is not None and source is not None:
+                self.constraints.add_subtype(source, target)
+
+    def _visit_lea(self, index: int, instruction: Lea) -> None:
+        destination = self.def_var(instruction.dst.name, index)
+        offset = frame_offset(instruction.src, self.reaching.states[index])
+        if offset is not None:
+            # The register now holds the address of a stack object.
+            self._frame_aliases[destination] = offset
+            pointer = self.object_var(offset)
+            self.constraints.add_subtype(pointer, destination)
+            self.constraints.add_subtype(destination, pointer)
+            return
+        if instruction.src.base is not None and instruction.src.base not in ("esp", "ebp"):
+            if instruction.src.is_global:
+                base = self.global_var(instruction.src.base)
+                self.constraints.add_subtype(base, destination)
+                return
+            base = self.use_var(instruction.src.base, index)
+            resolved, delta, frame = self._resolve_alias(base)
+            if frame is not None:
+                self._frame_aliases[destination] = frame + instruction.src.offset
+            elif resolved is not None:
+                self._aliases[destination] = (resolved, delta + instruction.src.offset)
+
+    def _visit_binop(self, index: int, instruction: BinaryOp) -> None:
+        register = instruction.dst.name
+        if register in ("esp", "ebp"):
+            return
+        destination = self.def_var(register, index)
+        if is_zeroing_idiom(instruction):
+            return  # a semi-syntactic constant (section 2.1)
+        source_use = self.use_var(register, index)
+
+        if instruction.op in ("add", "sub") and isinstance(instruction.src, Imm):
+            sign = 1 if instruction.op == "add" else -1
+            base_var, delta, frame = self._resolve_alias(source_use)
+            if frame is not None:
+                self._frame_aliases[destination] = frame + sign * instruction.src.value
+            elif base_var is not None:
+                self._aliases[destination] = (base_var, delta + sign * instruction.src.value)
+            return
+
+        if instruction.op in ("add", "sub") and isinstance(instruction.src, Reg):
+            other = self.use_var(instruction.src.name, index)
+            constraint_cls = AddConstraint if instruction.op == "add" else SubConstraint
+            self.constraints.add(constraint_cls(source_use, other, destination))
+            return
+
+        if instruction.op == "and" and isinstance(instruction.src, Imm):
+            if instruction.src.value in _BITSTEAL_AND_MASKS:
+                self.constraints.add_subtype(source_use, destination)
+                return
+        if instruction.op == "or" and isinstance(instruction.src, Imm):
+            if instruction.src.value in _BITSTEAL_OR_MASKS:
+                self.constraints.add_subtype(source_use, destination)
+                return
+
+        # Remaining bit manipulation / multiplication: integral result.
+        self.constraints.add_subtype(destination, DerivedTypeVariable("int"))
+
+    def _visit_push(self, index: int, instruction: Push) -> None:
+        state = self.reaching.states[index]
+        if state.esp is None:
+            return
+        slot = state.esp - WORD_SIZE
+        destination = self.def_var(slot, index)
+        source = self._value_of(instruction.src, index)
+        if source is not None:
+            self.constraints.add_subtype(source, destination)
+
+    def _visit_pop(self, index: int, instruction: Pop) -> None:
+        if instruction.dst.name in ("esp", "ebp"):
+            return
+        state = self.reaching.states[index]
+        if state.esp is None:
+            return
+        slot = state.esp
+        destination = self.def_var(instruction.dst.name, index)
+        source = self.use_var(slot, index)
+        self.constraints.add_subtype(source, destination)
+
+    def _visit_call(self, index: int, instruction: Call) -> None:
+        if isinstance(instruction.target, Reg):
+            return  # indirect call: no interface information
+        callee = instruction.target
+        info = self.callees.get(callee)
+        if info is None:
+            info = CalleeInfo(name=callee, known=False)
+        base = f"{callee}${self.name}_{index}"
+        state = self.reaching.states[index]
+
+        if info.stack_params and state.esp is not None:
+            for position in range(info.stack_params):
+                slot = state.esp + WORD_SIZE * position
+                actual = self.use_var(slot, index)
+                formal = DerivedTypeVariable(base, (self._in_label(f"stack{WORD_SIZE * position}"),))
+                self.constraints.add_subtype(actual, formal)
+        for register in info.register_params:
+            actual = self.use_var(register, index)
+            formal = DerivedTypeVariable(base, (self._in_label(register),))
+            self.constraints.add_subtype(actual, formal)
+        if info.has_return:
+            result = DerivedTypeVariable(base, (_OUT_EAX,))
+            self.constraints.add_subtype(result, self.def_var("eax", index))
+        self.callsites.append(Callsite(callee=callee, base=base))
+
+    def _visit_ret(self, index: int, instruction: Ret) -> None:
+        if not self.interface.has_return:
+            return
+        defs = self.reaching.reaching(index, "eax")
+        if all(definition == ENTRY for definition in defs):
+            return
+        self.constraints.add_subtype(self.use_var("eax", index), self.formal_out())
+
+
+_NAIVE_VISITORS = {
+    Mov: NaiveConstraintGenerator._visit_mov,
+    Lea: NaiveConstraintGenerator._visit_lea,
+    BinaryOp: NaiveConstraintGenerator._visit_binop,
+    Push: NaiveConstraintGenerator._visit_push,
+    Pop: NaiveConstraintGenerator._visit_pop,
+    Call: NaiveConstraintGenerator._visit_call,
+    Ret: NaiveConstraintGenerator._visit_ret,
+}
+
+
+def naive_generate_program_constraints(
+    program: Program, externs: Optional[Mapping[str, ExternSignature]] = None
+) -> Dict[str, NaiveTypingInput]:
+    """Cold generation of every procedure with the replaced generator,
+    bottom-up like ``generate_program_constraints``."""
+    externs = externs if externs is not None else standard_externs()
+    callees: Dict[str, CalleeInfo] = {
+        name: CalleeInfo(
+            name=name,
+            stack_params=signature.stack_params,
+            has_return=signature.has_return,
+            known=True,
+        )
+        for name, signature in externs.items()
+        if name not in program.procedures
+    }
+    generated: Dict[str, NaiveTypingInput] = {}
+    for scc in CallGraph.from_program(program).sccs_bottom_up():
+        reaching = {}
+        for name in scc:
+            procedure = program.procedures[name]
+            reaching[name] = analyze_reaching_definitions(procedure)
+            callees[name] = CalleeInfo.from_interface(
+                discover_interface(procedure, reaching[name])
+            )
+        for name in scc:
+            interface = discover_interface(program.procedures[name], reaching[name])
+            generated[name] = NaiveConstraintGenerator(
+                program.procedures[name], interface, callees, reaching[name]
+            ).generate()
+    return generated
+
+
+class NaiveSccEncoding:
+    """The replaced encoder: one constraint set in dense integer form.
+
+    This is the only place the canonical order is established: the subtype
+    and additive constraints are sorted by ``str`` once, and every derived
+    type variable (mentioned or a prefix of one) gets its dtv id in
+    sorted-by-``str`` order.  Unions, cell creation, edge insertion,
+    saturation and bound application all follow these orders, so everything
+    downstream -- ``τN`` and ``struct_N`` numbering included -- is a pure
+    function of the constraint set.  Per dtv id the encoding records the
+    prefix's id (``-1`` for a base variable), the last label's id (``-1``
+    for a base) and, when built with a lattice, whether it is a type
+    constant.
+
+    An encoding lives for one solve: :func:`~repro.core.shapes.infer_shapes`
+    builds it, the :class:`~repro.core.graph.ConstraintGraph` adopts its
+    pools, and the solver releases it once bounds are applied.
+    """
+
+    __slots__ = ("dtvs", "labels", "prefix", "last_lid", "constant", "subtype", "additive")
+
+    def __init__(
+        self,
+        constraints: "ConstraintSet",
+        lattice: Optional["TypeLattice"] = None,
+        extra_dtvs: Iterable["DerivedTypeVariable"] = (),
+    ) -> None:
+        mentioned = set(extra_dtvs)
+        for constraint in constraints.subtype:
+            mentioned.add(constraint.left)
+            mentioned.add(constraint.right)
+        for constraint in constraints.additive:
+            mentioned.add(constraint.left)
+            mentioned.add(constraint.right)
+            mentioned.add(constraint.result)
+        # Close under prefixes (T-PREFIX), computing each prefix once.
+        prefix_of: Dict["DerivedTypeVariable", "DerivedTypeVariable"] = {}
+        closed = set(mentioned)
+        for dtv in mentioned:
+            while dtv.labels and dtv not in prefix_of:
+                parent = dtv.prefix
+                prefix_of[dtv] = parent
+                closed.add(parent)
+                dtv = parent
+
+        #: dtv id <-> variable, in sorted-by-``str`` order.
+        self.dtvs: InternPool["DerivedTypeVariable"] = InternPool()
+        #: label id <-> label, in order of first appearance as a last label.
+        self.labels: InternPool["Label"] = InternPool()
+        #: per dtv id: the prefix's id, or -1 for a base variable.
+        self.prefix: List[int] = []
+        #: per dtv id: the last label's id, or -1 for a base variable.
+        self.last_lid: List[int] = []
+        keyed = sorted([(str(dtv), dtv) for dtv in closed])
+        names = [name for name, _ in keyed]
+        items = self.dtvs.items
+        items.extend([dtv for _, dtv in keyed])
+        ids = self.dtvs.ids
+        ids.update(zip(items, range(len(items))))
+        label_ids = self.labels.ids
+        labels = self.labels.items
+        prefix = self.prefix
+        last_lid = self.last_lid
+        for dtv in items:
+            parent = prefix_of.get(dtv)
+            if parent is None:
+                prefix.append(-1)
+                last_lid.append(-1)
+                continue
+            prefix.append(ids[parent])
+            label = dtv.labels[-1]
+            lid = label_ids.get(label)
+            if lid is None:
+                lid = label_ids[label] = len(labels)
+                labels.append(label)
+            last_lid.append(lid)
+        #: per dtv id: is it a type constant?  (``None`` without a lattice.)
+        self.constant: Optional[List[bool]] = None
+        if lattice is not None:
+            is_constant = lattice.is_constant
+            self.constant = [
+                p < 0 and is_constant(dtv.base) for p, dtv in zip(prefix, items)
+            ]
+        #: subtype constraints ``left <= right`` as ``(left_did, right_did)``,
+        #: sorted by ``str`` (spelled from the variables' strings).
+        keyed_pairs = sorted(
+            [
+                (names[ids[c.left]] + " <= " + names[ids[c.right]], ids[c.left], ids[c.right])
+                for c in constraints.subtype
+            ]
+        )
+        self.subtype: List[Tuple[int, int]] = [(left, right) for _, left, right in keyed_pairs]
+        #: additive constraints as ``(is_add, left_did, right_did, result_did)``.
+        self.additive: List[Tuple[bool, int, int, int]] = [
+            (isinstance(c, AddConstraint), ids[c.left], ids[c.right], ids[c.result])
+            for c in sorted(constraints.additive, key=str)
+        ]

@@ -200,17 +200,18 @@ def test_bounds_deduplicate_on_the_variable_read_back():
 
 def test_encoding_orders_are_canonical():
     constraints = parse_constraints(["b.load <= a", "a.store.sigma32@0 <= c", "int <= c"])
-    encoding = SccEncoding(constraints, LATTICE)
-    names = [str(dtv) for dtv in encoding.dtvs]
-    assert names == sorted(names)
-    for did, dtv in enumerate(encoding.dtvs):
+    encoding = SccEncoding.from_constraints(constraints, LATTICE)
+    dtvs = [encoding.dtv(did) for did in range(len(encoding.names))]
+    names = [str(dtv) for dtv in dtvs]
+    assert names == sorted(names) == encoding.names
+    for did, dtv in enumerate(dtvs):
         if dtv.labels:
-            assert encoding.dtvs[encoding.prefix[did]] == dtv.prefix
+            assert dtvs[encoding.prefix[did]] == dtv.prefix
             assert encoding.labels[encoding.last_lid[did]] == dtv.labels[-1]
         else:
             assert encoding.prefix[did] == encoding.last_lid[did] == -1
-    assert encoding.constant == [str(dtv) == "int" for dtv in encoding.dtvs]
-    pairs = [(str(encoding.dtvs[l]), str(encoding.dtvs[r])) for l, r in encoding.subtype]
+    assert encoding.constant == [str(dtv) == "int" for dtv in dtvs]
+    pairs = [(str(dtvs[l]), str(dtvs[r])) for l, r in encoding.subtype]
     assert pairs == [
         (str(c.left), str(c.right)) for c in sorted(constraints.subtype, key=str)
     ]

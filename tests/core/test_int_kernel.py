@@ -2,8 +2,9 @@
 
 The solver's hot core (``core/graph.py`` / ``core/saturation.py`` /
 ``core/simplify.py``) runs on dense integer node IDs and packed-int facts;
-``Node``/``Edge`` objects exist only as lazily-decoded views at the scheme/
-sketch boundary.  These tests pin the kernel's contracts:
+``Node``/``Edge`` objects exist only in the test-side decode view
+(``GraphView`` in ``naive_reference.py``).  These tests pin the kernel's
+contracts:
 
 * the decoded object views (``nodes``, ``edges()``, ``out_edges`` ...) are
   exactly consistent with the integer indexes they decode from;
@@ -24,13 +25,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ConstraintGraph,
-    EdgeKind,
     parse_constraints,
     saturate,
     simplify_constraints,
 )
-from repro.core.graph import K_FORGET, K_ORIGINAL, K_RECALL, K_SATURATION
 from repro.core.intern import InternPool, StringTable
+
+from naive_reference import KIND_OBJS as _KIND_BY_ID, GraphView
 
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
@@ -38,14 +39,6 @@ _SRC = os.path.join(
 
 _VARS = ["a", "b", "c", "d", "p", "q"]
 _LABELS = ["", ".load", ".store", ".sigma32@0", ".load.sigma32@4", ".store.sigma32@0"]
-
-_KIND_BY_ID = {
-    K_ORIGINAL: EdgeKind.ORIGINAL,
-    K_SATURATION: EdgeKind.SATURATION,
-    K_FORGET: EdgeKind.FORGET,
-    K_RECALL: EdgeKind.RECALL,
-}
-
 
 @st.composite
 def constraint_lines(draw):
@@ -94,13 +87,14 @@ def test_object_views_are_consistent_with_int_indexes(lines):
         return
     graph = ConstraintGraph(parse_constraints(lines))
     saturate(graph)
+    view = GraphView(graph)
 
     num_nodes = graph.num_nodes
-    assert num_nodes == 2 * len(graph._dtvs)
+    assert num_nodes == 2 * len(graph._names)
 
     # DTV interning is sorted at construction: did order == sorted-by-str.
-    dtv_strs = [str(dtv) for dtv in graph._dtvs]
-    assert dtv_strs == sorted(dtv_strs)
+    dtv_strs = [str(graph.encoding.dtv(did)) for did in range(len(graph._names))]
+    assert dtv_strs == sorted(dtv_strs) == graph._names
 
     # Every integer edge record decodes to exactly the object edge set.
     decoded = set()
@@ -110,35 +104,33 @@ def test_object_views_are_consistent_with_int_indexes(lines):
             decoded.add((src, tgt, _KIND_BY_ID[kind_id], label))
     objects = set()
     node_ids = {}
-    for edge in graph.edges():
-        src = graph._node_nid(edge.source)
-        tgt = graph._node_nid(edge.target)
+    for edge in view.edges():
+        src = view.nid(edge.source)
+        tgt = view.nid(edge.target)
         node_ids[edge.source] = src
         objects.add((src, tgt, edge.kind, edge.label))
     assert decoded == objects
 
     # Per-node views: out_edges/in_edges are the per-nid slices of the same
     # records, and null_out_ids mirrors the unlabeled subset.
-    for node in graph.nodes:
-        nid = graph._node_nid(node)
-        outs = {(e.target, e.kind, e.label) for e in graph.out_edges(node)}
+    for node in view.nodes:
+        nid = view.nid(node)
+        outs = {(e.target, e.kind, e.label) for e in view.out_edges(node)}
         recs = {
-            (graph._node_obj(tgt), _KIND_BY_ID[k], None if lp == 0 else graph._labels[lp - 1])
+            (view.node(tgt), _KIND_BY_ID[k], None if lp == 0 else graph._labels[lp - 1])
             for k, lp, tgt in graph.out_records(nid)
         }
         assert outs == recs
         null_ids = sorted(graph.null_out_ids(nid))
-        null_objs = sorted(
-            graph._node_nid(e.target) for e in graph.null_out_edges(node)
-        )
+        null_objs = sorted(view.nid(e.target) for e in view.null_out_edges(node))
         assert null_ids == null_objs
-        for edge in graph.out_edges(node):
-            assert graph.has_edge(node, edge.target, edge.kind, edge.label)
-            assert edge in graph.in_edges(edge.target) or edge in graph.out_edges(node)
+        for edge in view.out_edges(node):
+            assert view.has_edge(node, edge.target, edge.kind, edge.label)
+            assert edge in view.in_edges(edge.target) or edge in view.out_edges(node)
 
     # The covariant/contravariant twin convention: nid ^ 1 flips variance only.
     for node, nid in node_ids.items():
-        twin = graph._node_obj(nid ^ 1)
+        twin = view.node(nid ^ 1)
         assert twin.dtv == node.dtv
         assert twin.variance != node.variance
 
@@ -176,12 +168,13 @@ lines = [
 constraints = parse_constraints(lines)
 graph = ConstraintGraph(constraints)
 saturate(graph)
+node = lambda nid: graph._names[nid >> 1] + (".-" if nid & 1 else ".+")
 payload = {
-    "dtv_order": [str(d) for d in graph._dtvs],
+    "dtv_order": list(graph._names),
     "label_order": [str(l) for l in graph._labels],
     "edge_list": [
-        [str(e.source), str(e.target), e.kind.name, str(e.label)]
-        for e in graph.edges()
+        [node(src), node(tgt), kind, str(graph._labels[lidp - 1]) if lidp else "None"]
+        for src, tgt, kind, lidp in graph._edge_list
     ],
     "simplified": sorted(
         str(c) for c in simplify_constraints(constraints, {"A", "B"}).subtype

@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ConstraintGraph,
-    EdgeKind,
     parse_constraints,
     proves,
     saturate,
     simplify_constraints,
 )
 
-from naive_reference import naive_saturate, naive_simplify_constraints
+from naive_reference import EdgeKind, GraphView, naive_saturate, naive_simplify_constraints
 
 
 _VARS = ["a", "b", "c", "d", "p", "q"]
@@ -45,7 +44,7 @@ def constraint_lines(draw):
 def _saturation_edges(graph):
     return {
         (edge.source, edge.target)
-        for edge in graph.edges()
+        for edge in GraphView(graph).edges()
         if edge.kind is EdgeKind.SATURATION
     }
 

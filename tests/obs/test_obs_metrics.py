@@ -231,6 +231,7 @@ def test_registry_folds_solve_stats():
     registry = MetricsRegistry()
     registry.record_stage_stats(
         {
+            "shapes_seconds": 0.125,
             "graph_seconds": 0.5,
             "saturate_seconds": 1.0,
             "simplify_seconds": 0.0,
@@ -241,6 +242,7 @@ def test_registry_folds_solve_stats():
     )
     registry.record_stage_stats({"graph_seconds": 0.5, "sccs_timed": 3})
     metrics = registry.snapshot()["metrics"]
+    assert metrics['solver_stage_seconds_total{stage="shapes"}']["value"] == 0.125
     assert metrics['solver_stage_seconds_total{stage="graph"}']["value"] == 1.0
     assert metrics['solver_stage_seconds_total{stage="saturate"}']["value"] == 1.0
     assert 'solver_stage_seconds_total{stage="simplify"}' not in metrics

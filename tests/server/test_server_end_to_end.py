@@ -472,10 +472,11 @@ def test_stats_per_program_stage_timings(server, suite):
         assert stats["program_id"] == submitted["program_id"]
         assert stats["procedures"] == submitted["procedures"]
         stage = stats["stage_seconds"]
-        for name in ("graph", "saturate", "simplify", "sketch"):
+        for name in ("shapes", "graph", "saturate", "simplify", "sketch"):
             assert stage[f"{name}_seconds"] >= 0.0
         assert stage["total_seconds"] == pytest.approx(
-            stage["graph_seconds"]
+            stage["shapes_seconds"]
+            + stage["graph_seconds"]
             + stage["saturate_seconds"]
             + stage["simplify_seconds"]
             + stage["sketch_seconds"]

@@ -181,7 +181,8 @@ def test_stage_timings_flow_through_service():
     stage = cold.stage_seconds
     assert stage["sccs_timed"] == cold.stats["scc_count"]
     assert stage["total_seconds"] == pytest.approx(
-        stage["graph_seconds"]
+        stage["shapes_seconds"]
+        + stage["graph_seconds"]
         + stage["saturate_seconds"]
         + stage["simplify_seconds"]
         + stage["sketch_seconds"]
