@@ -50,8 +50,13 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional, Set
 
+from ..obs.trace import checkpoint
 from .graph import ConstraintGraph
 from .labels import LOAD, STORE
+
+#: ``checkpoint()`` once per this many pushes (a power of two, minus one).
+#: Pushes, not pops: one pop can replay every fact reaching an origin.
+_CHECKPOINT_MASK = (1 << 10) - 1
 
 
 def saturate(graph: ConstraintGraph, max_iterations: int = 10_000_000) -> int:
@@ -76,8 +81,13 @@ def saturate(graph: ConstraintGraph, max_iterations: int = 10_000_000) -> int:
     reaching: List[Optional[Set[int]]] = [None] * num_nodes
     pending = deque()
     pending_append = pending.append
+    pushes = 0
 
     def _push(nid: int, fact: int) -> None:
+        nonlocal pushes
+        pushes += 1
+        if not pushes & _CHECKPOINT_MASK:
+            checkpoint()
         facts = reaching[nid]
         if facts is None:
             facts = set()

@@ -50,12 +50,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..obs.trace import checkpoint
 from .constraints import ConstraintSet, SubtypeConstraint
 from .graph import ConstraintGraph, K_FORGET, K_RECALL
 from .labels import Label, Variance, path_variance
 from .lattice import TypeLattice
 from .saturation import saturate
 from .variables import DerivedTypeVariable
+
+#: ``constant_bound_ids`` calls ``checkpoint()`` once per this many visited
+#: states (a power of two, minus one).
+_CHECKPOINT_MASK = (1 << 6) - 1
 
 
 def _decode_word(packed: int, base: int, labels: List[Label]) -> Tuple[Label, ...]:
@@ -406,6 +411,8 @@ def constant_bound_ids(
     #: ``beta * num_dtvs + did`` -> the canonical ``rest * num_dtvs + did``
     #: of the variable ``did . reversed(beta)``.
     canonical: Dict[int, int] = {}
+    #: states visited over all searches, for the checkpoint.
+    visits = 0
 
     for const_did in constant_dids:
         for bit in (0, 1):
@@ -422,6 +429,9 @@ def constant_bound_ids(
                     continue
                 visited.add(state)
                 states += 1
+                visits += 1
+                if not visits & _CHECKPOINT_MASK:
+                    checkpoint()
                 for edge_kind, lidp, target in out_recs[nid]:
                     if edge_kind == K_FORGET:
                         if beta_len >= max_pending:

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..obs.trace import get_tracer
+from ..obs.trace import checkpoint, get_tracer
 from .constraints import ConstraintSet
 from .graph import ConstraintGraph
 from .intern import ConstraintTable, Part, TableConstraints
@@ -319,6 +319,8 @@ class Solver:
             out: Dict[str, ProcedureResult] = {}
             with tracer.span("solver.sketch", scc=",".join(scc)):
                 for name in scc:
+                    # The first one also ends the last solve stage.
+                    checkpoint()
                     proc = procedures[name]
                     scheme = scheme_from_shapes(
                         proc, shapes, self.lattice, max_depth=self.config.max_scheme_depth
@@ -382,6 +384,7 @@ class Solver:
         with tracer.span("solver.shapes"):
             shapes = infer_shapes(parts, self.lattice)
         shapes_seconds = timer() - start
+        checkpoint()
         count = len(shapes.encoding.subtype)
 
         graph: Optional[ConstraintGraph] = None
@@ -393,17 +396,20 @@ class Solver:
                 graph = ConstraintGraph(encoding=shapes.encoding)
                 graph_span.set("nodes", graph.num_nodes)
             graph_seconds = timer() - start
+            checkpoint()
 
             start = timer()
             with tracer.span("solver.saturate") as saturate_span:
                 saturation_edges = saturate(graph)
                 saturate_span.set("edges_added", saturation_edges)
             saturate_seconds = timer() - start
+            checkpoint()
 
             start = timer()
             with tracer.span("solver.simplify") as simplify_span:
                 shapes.clear_bounds()
                 bounds = constant_bound_ids(graph, self.lattice)
+                checkpoint()
                 bound_count = len(bounds)
                 simplify_span.set("constant_bounds", bound_count)
                 shapes.place_bounds(bounds, len(graph._labels) + 1)
@@ -497,6 +503,11 @@ def collect_caller_contributions(
     return out
 
 
+#: ``apply_refinement`` calls ``checkpoint()`` once per this many refined
+#: formals (a power of two, minus one).
+_REFINE_CHECKPOINT_MASK = (1 << 5) - 1
+
+
 def apply_refinement(
     results: Mapping[str, ProcedureResult],
     contributions: Iterable[RefinementContribution],
@@ -515,7 +526,9 @@ def apply_refinement(
             contribution.sketch
         )
 
-    for (callee, formal), sketches in actual_ins.items():
+    for index, ((callee, formal), sketches) in enumerate(actual_ins.items(), 1):
+        if not index & _REFINE_CHECKPOINT_MASK:
+            checkpoint()
         result = results[callee]
         current = result.formal_in_sketches.get(formal)
         if current is None or not sketches:
@@ -524,7 +537,9 @@ def apply_refinement(
         for sketch in sketches[1:]:
             joined = joined.join(sketch)
         result.formal_in_sketches[formal] = current.meet(joined)
-    for (callee, formal), sketches in actual_outs.items():
+    for index, ((callee, formal), sketches) in enumerate(actual_outs.items(), 1):
+        if not index & _REFINE_CHECKPOINT_MASK:
+            checkpoint()
         result = results[callee]
         current = result.formal_out_sketches.get(formal)
         if current is None or not sketches:

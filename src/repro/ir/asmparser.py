@@ -31,6 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from hashlib import blake2b
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..obs.trace import checkpoint
 from .instructions import (
     REGISTERS,
     BinaryOp,
@@ -136,6 +137,7 @@ def parse_program(text: str, previous: Optional[ParseTable] = None) -> Program:
             # Outside a procedure every instruction is an error: no memo.
             memo = table.lines if name is not None else {}
             chunk = _parse_chunk(lines, start, end, name, memo)
+            checkpoint()
         table.chunks[digest] = chunk
         program.externs.update(chunk.externs)
         for global_name, size in chunk.globals:

@@ -8,6 +8,9 @@ Two stdlib-only pillars (see ``docs/observability.md``):
 * :mod:`repro.obs.metrics` -- thread-safe counters/gauges/histograms with
   p50/p95/p99 estimation, exposed by the server's ``metrics`` verb.
 
+:func:`checkpoint` marks the end of one unit of analysis work, where a
+thread waiting for the interpreter (the server's event loop) may run.
+
 Both default to shared no-op singletons so the disabled path stays near free.
 """
 
@@ -30,6 +33,7 @@ from repro.obs.trace import (
     NULL_TRACER,
     Span,
     Tracer,
+    checkpoint,
     get_tracer,
     load_jsonl,
     set_tracer,
@@ -50,6 +54,7 @@ __all__ = [
     "NULL_TRACER",
     "Span",
     "Tracer",
+    "checkpoint",
     "get_registry",
     "get_tracer",
     "install_default",

@@ -439,3 +439,31 @@ class _TracingScope:
 def tracing(tracer: Optional[Tracer] = None) -> _TracingScope:
     """Enable tracing for a scope and restore the previous tracer after."""
     return _TracingScope(tracer)
+
+
+def checkpoint() -> None:
+    """End of one unit of analysis work: let a waiting thread run.
+
+    CPython lets a thread that runs Python code keep the interpreter lock
+    for the whole switch interval (``sys.getswitchinterval()``, 5 ms by
+    default) before a waiting thread may take it.  The type-query server
+    runs analyses on an executor thread that shares the interpreter with
+    its event loop, so a request that arrives during a cold analysis would
+    wait up to that long at every handoff.  ``os.sched_yield()`` releases
+    the lock around the system call and gives up the CPU, so a waiting
+    thread gets the interpreter within ~0.1 ms; uncontended a call costs
+    ~0.5 us.  (``time.sleep(0)`` also hands the lock over, but costs ~55 us
+    a call on Python 3.11.)
+
+    Python 3.9's ``os.sched_yield`` keeps the lock: there a checkpoint
+    costs as little and gains nothing.  Where ``os`` has no
+    ``sched_yield``, it does nothing.
+
+    Call it between units of at least ~30 us of work, so the yields stay a
+    small share of the analysis (the sites are listed in DESIGN.md).  A
+    deadline or work budget for one analysis would be checked here too.
+    """
+    _yield()
+
+
+_yield = getattr(os, "sched_yield", lambda: None)

@@ -56,7 +56,7 @@ from ..ir.callgraph import CallGraph
 from ..ir.cfg import cfg_node_count
 from ..ir.program import Program
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
+from ..obs.trace import checkpoint, get_tracer
 from ..typegen.abstract_interp import Formals, generate_program_constraints
 from ..typegen.externs import (
     ExternSignature,
@@ -404,6 +404,9 @@ class AnalysisService:
         probe.keys = scc_summary_keys(
             probe.sccs, callgraph.edges, fingerprints, environment, memo
         )
+        checkpoint()
+        # A lookup served from memory is a dict hit, too short to yield
+        # after; one that decodes a payload yields in the store.
         for scc in probe.sccs:
             summary = self.store.get(probe.keys[tuple(scc)], self.lattice)
             if summary is not None:
@@ -446,10 +449,14 @@ class AnalysisService:
                 return scc_results, {}
             # Same-SCC callees shadow, earlier waves fall through; no copy.
             merged = ChainMap(scc_results, working)
-            return scc_results, {
-                name: collect_caller_contributions(inputs[name], scc_results[name], merged)
-                for name in scc
-            }
+            contributions = {}
+            for index, name in enumerate(scc):
+                if index:  # between members; the caller's SCC checkpoint ends the last
+                    checkpoint()
+                contributions[name] = collect_caller_contributions(
+                    inputs[name], scc_results[name], merged
+                )
+            return scc_results, contributions
 
         # Bottom-up over the condensation's waves: every SCC of a wave only
         # depends on earlier waves, whose summaries are published (to
@@ -469,6 +476,7 @@ class AnalysisService:
                     start = time.perf_counter()
                     wave_results.append((scc, solve(scc)))
                     scc_seconds.append((",".join(scc), time.perf_counter() - start))
+                    checkpoint()
             for scc, (scc_results, contributions) in wave_results:
                 working.update(scc_results)
                 for name in scc:
@@ -478,6 +486,7 @@ class AnalysisService:
                         keys[tuple(scc)],
                         summarize_scc(scc, inputs, scc_results, contributions),
                     )
+                    checkpoint()
 
         registry = get_registry()
         registry.record_stage_stats(stage_stats.to_json())
@@ -604,6 +613,7 @@ class AnalysisService:
                 )
                 version.next_displayed[name] = entry
                 continue
+            checkpoint()
             if not display_keys:
                 functions[name] = _function_types(name, formals[name], result, display)
                 continue

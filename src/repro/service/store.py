@@ -52,7 +52,7 @@ from ..core.solver import (
 from ..core.variables import DerivedTypeVariable, parse_dtv
 from ..ir.program import Procedure, Program
 from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer
+from ..obs.trace import checkpoint, get_tracer
 from ..typegen.externs import ExternSignature
 
 
@@ -79,7 +79,11 @@ def procedure_fingerprint(procedure: Procedure) -> str:
 
 def program_fingerprints(program: Program) -> Dict[str, str]:
     """Content hash of every procedure in a program."""
-    return {name: procedure_fingerprint(proc) for name, proc in program.procedures.items()}
+    fingerprints = {}
+    for name, proc in program.procedures.items():
+        fingerprints[name] = procedure_fingerprint(proc)
+        checkpoint()
+    return fingerprints
 
 
 def externs_fingerprint(externs: Mapping[str, ExternSignature]) -> str:
@@ -777,6 +781,7 @@ class SummaryStore:
             # Unless a racing reader already decoded it, or it was evicted.
             if self._memory.get(key) is entry:
                 self._memory[key] = summary
+        checkpoint()
         return summary
 
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:

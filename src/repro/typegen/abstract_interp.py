@@ -29,7 +29,7 @@ from ..core.intern import ConstraintTable
 from ..core.labels import FieldLabel, InLabel, LoadLabel, OutLabel, StoreLabel
 from ..core.solver import Callsite, ProcedureTypingInput
 from ..core.variables import DerivedTypeVariable
-from ..obs.trace import get_tracer
+from ..obs.trace import checkpoint, get_tracer
 from ..ir.callgraph import CallGraph
 from ..ir.dataflow import ENTRY, Location, ReachingDefinitions, analyze_reaching_definitions
 from ..ir.instructions import (
@@ -550,6 +550,7 @@ def generate_program_constraints(
                 reaching[name] = analyze_reaching_definitions(procedure)
                 interfaces[name] = discover_interface(procedure, reaching[name])
             callees[name] = CalleeInfo.from_interface(interfaces[name])
+            checkpoint()
         for name, interface in interfaces.items():
             with tracer.span("typegen.constraints", function=name) as span:
                 generator = ProcedureConstraintGenerator(
@@ -557,4 +558,5 @@ def generate_program_constraints(
                 )
                 generated[name] = generator.generate()
                 span.set("constraints", len(generated[name].table))
+            checkpoint()
     return {name: generated[name] for name in program.procedures if name in generated}
