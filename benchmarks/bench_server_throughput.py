@@ -15,11 +15,6 @@ least 10x faster than cold analyses, and all concurrent clients must be
 served correct answers.  Exits non-zero if either fails, so CI can gate on
 it.  ``--quick`` shrinks the workload for smoke use.
 
-``--fleet N`` benchmarks the sharded fleet instead: N shard subprocesses
-behind the consistent-hash router (real processes via the public CLI),
-measured analyze/query latency under concurrent clients plus per-shard and
-aggregate throughput, written to ``results/BENCH_fleet.json``.
-
 ``--slo`` runs the SLO load harness: a sweep of 8 -> 512 concurrent clients
 over mixed verb traffic (analyze / query / session.open-edit-close, programs
 sampled from ``repro.gen`` corpora and families), reporting per-verb
@@ -32,7 +27,6 @@ query p99 at that level exceeds the bound.
 Run with::
 
     PYTHONPATH=src python benchmarks/bench_server_throughput.py [--quick]
-    PYTHONPATH=src python benchmarks/bench_server_throughput.py --fleet 2 --quick
     PYTHONPATH=src python benchmarks/bench_server_throughput.py --slo [--quick]
     PYTHONPATH=src python benchmarks/bench_server_throughput.py --slo --quick \
         --slo-clients 32 --p99-gate 2.5
@@ -188,129 +182,6 @@ def bench_concurrent(port: int, source: str, clients: int, queries: int):
     requests = sum(r for r, _ in results)
     mismatches = sum(m for _, m in results)
     return wall, requests, mismatches
-
-
-def bench_fleet(args, functions: int) -> int:
-    """The ``--fleet N`` mode: a real fleet via the public CLI, under load."""
-    from repro.fleet.smoke import _spawn, _stop
-    from repro.server import RetryPolicy
-
-    programs = 4 if args.quick else 12
-    queries_per_client = 20 if args.quick else 80
-
-    print(f"generating {programs} programs of ~{functions} functions ...")
-    sources = make_sources(programs, functions)
-
-    print(f"starting fleet of {args.fleet} shards ...")
-    process, host, port = _spawn(
-        [sys.executable, "-m", "repro.server", "--fleet", str(args.fleet), "--port", "0"],
-        timeout=120.0,
-    )
-    try:
-        retry = RetryPolicy(attempts=6, base_delay=0.2)
-
-        async def one_client(index: int):
-            client = await AsyncTypeQueryClient.connect(
-                host, port, connect_retries=25, retry=retry
-            )
-            analyze_lat, query_lat, ids = [], [], []
-            try:
-                for si, source in enumerate(sources):
-                    if si % args.clients != index:
-                        continue
-                    start = time.perf_counter()
-                    result = await client.analyze(source)
-                    analyze_lat.append(time.perf_counter() - start)
-                    ids.append(result["program_id"])
-                for i in range(queries_per_client):
-                    if not ids:
-                        break
-                    start = time.perf_counter()
-                    await client.query(ids[i % len(ids)])
-                    query_lat.append(time.perf_counter() - start)
-                return analyze_lat, query_lat
-            finally:
-                await client.aclose()
-
-        async def fan_out():
-            return await asyncio.gather(*(one_client(i) for i in range(args.clients)))
-
-        start = time.perf_counter()
-        results = asyncio.run(fan_out())
-        wall = time.perf_counter() - start
-        analyze_lat = [v for a, _ in results for v in a]
-        query_lat = [v for _, q in results for v in q]
-        requests = len(analyze_lat) + len(query_lat)
-
-        with TypeQueryClient(host, port, timeout=300.0, retry=retry) as client:
-            health = client.health()
-            router_stats = client.stats()
-            per_shard = {}
-            for shard_id, row in sorted(health["shards"].items()):
-                if not row.get("healthy"):
-                    per_shard[shard_id] = {"healthy": False}
-                    continue
-                shard_stats = client.request("stats", {"shard": int(shard_id)})
-                per_shard[shard_id] = {
-                    "healthy": True,
-                    "requests_served": shard_stats["requests_served"],
-                    "requests_per_second": shard_stats["requests_served"] / wall,
-                    "store": shard_stats["store"],
-                }
-
-        print(f"fleet fan-out        : {args.clients} clients, {requests} requests in "
-              f"{wall:.3f}s ({requests / wall:.0f} req/s aggregate)")
-        analyze_summary = latency_summary(analyze_lat)
-        query_summary = latency_summary(query_lat)
-        print(f"analyze latency      : mean {analyze_summary['mean_seconds'] * 1000:8.2f} ms "
-              f"(p50 {analyze_summary['p50'] * 1000:.2f}, p95 {analyze_summary['p95'] * 1000:.2f})")
-        print(f"query latency        : mean {query_summary['mean_seconds'] * 1000:8.2f} ms "
-              f"(p50 {query_summary['p50'] * 1000:.2f}, p95 {query_summary['p95'] * 1000:.2f})")
-        for shard_id, row in per_shard.items():
-            if row.get("healthy"):
-                print(f"  shard {shard_id}            : {row['requests_served']} requests "
-                      f"({row['requests_per_second']:.0f} req/s)")
-
-        bench_path = write_bench_json(
-            "BENCH_fleet.json",
-            {
-                "benchmark": "fleet_throughput",
-                "quick": bool(args.quick),
-                "shards": args.fleet,
-                "clients": args.clients,
-                "programs": programs,
-                "functions_per_program": functions,
-                "analyze": analyze_summary,
-                "query": query_summary,
-                "aggregate": {
-                    "requests": requests,
-                    "wall_seconds": wall,
-                    "requests_per_second": requests / wall if wall else None,
-                },
-                "per_shard": per_shard,
-                "router": {
-                    "requests_served": router_stats["requests_served"],
-                    "errors_returned": router_stats["errors_returned"],
-                    "reanalyses": router_stats["reanalyses"],
-                },
-            },
-        )
-        print(f"machine-readable     : {bench_path}")
-
-        failed = []
-        if router_stats["errors_returned"]:
-            failed.append(f"router returned {router_stats['errors_returned']} errors")
-        if health["shards_healthy"] != args.fleet:
-            failed.append(
-                f"only {health['shards_healthy']}/{args.fleet} shards healthy after the run"
-            )
-        if failed:
-            print("\nFAILED: " + "; ".join(failed))
-            return 1
-        print(f"\nOK: fleet of {args.fleet} served {requests} requests error-free")
-        return 0
-    finally:
-        _stop(process)
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +495,6 @@ def main() -> int:
     parser.add_argument("--clients", type=int, default=8, help="concurrent clients (default: 8)")
     parser.add_argument("--functions", type=int, default=None,
                         help="functions per generated program (default: 6 quick, 14 full)")
-    parser.add_argument("--fleet", type=int, default=None, metavar="N",
-                        help="benchmark a fleet of N shards (writes BENCH_fleet.json)")
     parser.add_argument("--slo", action="store_true",
                         help="SLO load harness: sweep concurrent clients over mixed "
                         "verb traffic (writes BENCH_slo.json)")
@@ -642,8 +511,6 @@ def main() -> int:
     functions = args.functions or (6 if args.quick else 14)
     if args.slo:
         return bench_slo(args)
-    if args.fleet is not None:
-        return bench_fleet(args, functions)
     cold_programs = 3 if args.quick else 6
     warm_repeats = 50 if args.quick else 300
     queries_per_client = 10 if args.quick else 40

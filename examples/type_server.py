@@ -184,21 +184,12 @@ def main() -> int:
             failures += 1
 
         stats = client.stats()
-        if stats.get("role") == "router":
-            # Pointed at a fleet: the aggregate stats are topology-shaped.
-            healthy = sum(1 for s in stats["shards"].values() if s.get("healthy"))
-            print(
-                f"\nrouter stats: {stats['requests_served']} requests over "
-                f"{healthy}/{len(stats['shards'])} healthy shards, "
-                f"{stats['reanalyses']} failover re-analyses"
-            )
-        else:
-            print(
-                f"\nserver stats: {stats['requests_served']} requests, "
-                f"registry {stats['registry']['programs']} programs "
-                f"(hit rate {stats['registry']['hit_rate']:.0%}), "
-                f"store hit rate {stats['store'].get('hit_rate', 0.0):.0%}"
-            )
+        print(
+            f"\nserver stats: {stats['requests_served']} requests, "
+            f"registry {stats['registry']['programs']} programs "
+            f"(hit rate {stats['registry']['hit_rate']:.0%}), "
+            f"store hit rate {stats['store'].get('hit_rate', 0.0):.0%}"
+        )
 
     if failures:
         print(f"\n{failures} mismatch(es) -- FAILED")

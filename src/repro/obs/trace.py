@@ -27,7 +27,7 @@ Design constraints, in order:
   active span as a small JSON-able dict; :meth:`Tracer.attach` re-parents a
   worker thread under it, and worker *processes* build their own tracer from
   the context shipped through the procpool codec and return finished spans for
-  :meth:`Tracer.adopt` to merge, so one exported trace covers the whole fleet.
+  :meth:`Tracer.adopt` to merge, so one exported trace covers every worker.
 
 Exports: :meth:`Tracer.export_jsonl` (one span per line, self-describing
 header) and :meth:`Tracer.chrome_trace`/:meth:`Tracer.export_chrome` -- the

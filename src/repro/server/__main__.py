@@ -1,8 +1,4 @@
-"""CLI entry point: ``python -m repro.server --port 8791 --store-dir .cache``.
-
-``--fleet N`` switches to fleet mode: N shard subprocesses behind one
-consistent-hash router sharing one summary-store daemon (see
-:mod:`repro.fleet` and the fleet section of docs/operations.md)."""
+"""CLI entry point: ``python -m repro.server --port 8791 --store-dir .cache``."""
 
 from __future__ import annotations
 
@@ -29,38 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help="directory for the persistent summary-store disk tier (default: memory only)",
-    )
-    parser.add_argument(
-        "--store-addr",
-        default=None,
-        help="host:port of a fleet shared-store daemon; mounts the socket "
-        "store backend instead of the disk tier (wins over --store-dir)",
-    )
-    parser.add_argument(
-        "--shard-id",
-        type=int,
-        default=None,
-        help="this server's index in a fleet (surfaced by the 'health' verb)",
-    )
-    parser.add_argument(
-        "--fleet",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fleet mode: spawn N shard servers behind a consistent-hash "
-        "router on --host:--port, sharing one summary-store daemon",
-    )
-    parser.add_argument(
-        "--store-capacity",
-        type=int,
-        default=16384,
-        help="fleet mode: shared store daemon LRU entries (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--health-interval",
-        type=float,
-        default=2.0,
-        help="fleet mode: seconds between router health probes (default: %(default)s)",
     )
     parser.add_argument(
         "--cache-capacity", type=int, default=4096, help="summary-store LRU entries (default: %(default)s)"
@@ -112,36 +76,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
-    if args.fleet is not None:
-        from ..fleet.launcher import FleetConfig, run_fleet
-
-        fleet_config = FleetConfig(
-            shards=args.fleet,
-            host=args.host,
-            port=args.port,
-            store_dir=args.store_dir,
-            store_capacity=args.store_capacity,
-            cache_capacity=args.cache_capacity,
-            registry_capacity=args.registry_capacity,
-            max_concurrency=args.max_concurrency,
-            max_pending=args.max_pending,
-            backend=args.backend,
-            backend_workers=args.backend_workers,
-            health_interval=args.health_interval,
-            allow_shutdown=args.allow_shutdown,
-            verbose=args.verbose,
-        )
-        try:
-            asyncio.run(run_fleet(fleet_config))
-        except KeyboardInterrupt:
-            print("interrupted, shutting down fleet", file=sys.stderr)
-        return 0
     config = ServerConfig(
         host=args.host,
         port=args.port,
         store_dir=args.store_dir,
-        store_addr=args.store_addr,
-        shard_id=args.shard_id,
         cache_capacity=args.cache_capacity,
         registry_capacity=args.registry_capacity,
         max_concurrency=args.max_concurrency,

@@ -78,12 +78,6 @@ class ServerConfig:
     port: int = 8791
     #: directory for the summary store's persistent disk tier (None = memory only).
     store_dir: Optional[str] = None
-    #: ``host:port`` of a fleet shared-store daemon; selects the socket-served
-    #: store backend instead of the disk tier (wins over ``store_dir``).
-    store_addr: Optional[str] = None
-    #: this server's index in a fleet (None when standalone); surfaced by the
-    #: ``health`` verb so routers and operators can tell shards apart.
-    shard_id: Optional[int] = None
     #: in-memory LRU capacity of the summary store.
     cache_capacity: int = 4096
     #: how many analyzed programs the registry keeps hot.
@@ -137,7 +131,6 @@ class TypeQueryServer:
                 use_cache=True,
                 cache_capacity=self.config.cache_capacity,
                 cache_dir=self.config.store_dir,
-                store_addr=self.config.store_addr,
                 executor=self.config.backend,
                 max_workers=self.config.backend_workers,
             )
@@ -543,20 +536,17 @@ class TypeQueryServer:
     async def _op_health(self, params: Dict[str, object]) -> Dict[str, object]:
         """Cheap liveness for health-checkers: never touches the analysis path.
 
-        A fleet router polls this; ``shard_id`` tells shards apart and
-        ``store_backend`` confirms which persistent tier the shard actually
-        mounted (``socket`` in a correctly-wired fleet).
+        ``store_backend`` confirms which summary-store tier the server
+        actually mounted (``memory`` or ``disk``).
         """
-        store = self.service.store
         return {
             "healthy": True,
             "role": "server",
             "pid": os.getpid(),
-            "shard_id": self.config.shard_id,
             "uptime_seconds": time.monotonic() - self._started,
             "analyses_pending": self._pending,
             "sessions_open": len(self._sessions),
-            "store_backend": store.backend_kind if store is not None else "none",
+            "store_backend": self.service.store.backend_kind,
         }
 
     async def _op_stats(self, params: Dict[str, object]) -> Dict[str, object]:

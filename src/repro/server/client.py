@@ -60,12 +60,12 @@ class RetryPolicy:
 
     Only two failure shapes are retried, because only they are transient by
     construction: a typed ``overloaded`` reply (the admission gate is full
-    *right now*) and a refused or dropped connection (a server or fleet
-    shard is restarting / failing over).  Dropped connections after the
-    request may have been delivered are additionally gated on verb
-    idempotency (see :func:`_retryable`) -- the server may have applied the
-    request before the transport died, so only verbs that are safe to apply
-    twice are replayed.  Everything else -- parse errors, unknown programs,
+    *right now*) and a refused or dropped connection (the server is
+    restarting).  Dropped connections after the request may have been
+    delivered are additionally gated on verb idempotency (see
+    :func:`_retryable`) -- the server may have applied the request before
+    the transport died, so only verbs that are safe to apply twice are
+    replayed.  Everything else -- parse errors, unknown programs,
     bad params -- is deterministic; retrying would just repeat the failure
     slower.
 
@@ -145,8 +145,8 @@ class _VerbMixin:
 
     def health(self):
         """Operational liveness: uptime, pending analyses, open sessions,
-        mounted store backend -- and, behind a fleet router, per-shard rows
-        (see docs/protocol.md).  Cheaper than ``stats``; built for pollers."""
+        mounted store tier (see docs/protocol.md).  Cheaper than ``stats``;
+        built for pollers."""
         return self.request("health")
 
     def stats(self, program_id: Optional[str] = None):

@@ -29,11 +29,8 @@ from .store import (
     DiskStoreBackend,
     ProcedureSummary,
     SCCSummary,
-    SocketStoreBackend,
-    StoreBackend,
     StoreStats,
     SummaryStore,
-    make_backend,
     procedure_fingerprint,
     program_fingerprints,
     scc_summary_keys,
@@ -49,12 +46,9 @@ __all__ = [
     "ProgramReport",
     "SCCSummary",
     "ServiceConfig",
-    "SocketStoreBackend",
-    "StoreBackend",
     "StoreStats",
     "SummaryStore",
     "analyze_corpus",
-    "make_backend",
     "procedure_fingerprint",
     "program_fingerprints",
     "scc_summary_keys",

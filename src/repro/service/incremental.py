@@ -99,10 +99,6 @@ class ServiceConfig:
     cache_capacity: int = 4096
     #: optional directory for the store's persistent on-disk JSON tier.
     cache_dir: Optional[str] = None
-    #: optional ``host:port`` of a fleet shared-store daemon; selects the
-    #: socket-served persistent tier instead of the disk one (wins over
-    #: ``cache_dir`` -- see :func:`repro.service.store.make_backend`).
-    store_addr: Optional[str] = None
     #: worker-process count for corpus fan-out (default: min(8, cpus)).
     max_workers: Optional[int] = None
     #: ``"serial"`` solves everything in-process; ``"processes"`` makes
@@ -215,14 +211,12 @@ class AnalysisService:
             dict(externs) if externs is not None else standard_externs()
         )
         self.extern_schemes = extern_schemes(self.extern_table)
-        self._owns_store = store is None
         if store is not None:
             self.store: Optional[SummaryStore] = store
         elif self.config.use_cache:
             self.store = SummaryStore(
                 capacity=self.config.cache_capacity,
                 cache_dir=self.config.cache_dir,
-                store_addr=self.config.store_addr,
             )
         else:
             self.store = None
@@ -280,10 +274,6 @@ class AnalysisService:
             if self._procpool is not None:
                 self._procpool.close()
                 self._procpool = None
-        # A store this service built (socket backends hold a connection) is
-        # released too; an injected store belongs to its creator.
-        if self._owns_store and self.store is not None:
-            self.store.close()
 
     def __enter__(self) -> "AnalysisService":
         return self

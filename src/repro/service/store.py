@@ -16,15 +16,14 @@ programs that share identically-compiled procedures (the statically-linked
 clusters of Figure 10) produce identical keys and share summaries.
 
 The store itself is two-tiered: a bounded in-memory LRU and an optional
-persistent tier (a directory or the fleet's store daemon) for reuse across
-processes.  The memory tier keeps *decoded* summaries: a JSON payload that
-arrives from a backend or a worker process is decoded on its first
-:meth:`SummaryStore.get` and replaced in place, so a warm analysis pays no
-per-SCC decode.  JSON exists only at the disk, socket and process-pool
-boundaries.  Sharing one decoded summary between analyses is safe because
-nothing mutates a summary once it is built: ``ProcedureSummary.to_result``
-copies the sketch maps, refinement replaces map entries with fresh
-``meet``/``join`` sketches, and display only reads.
+on-disk tier (a directory) for reuse across processes.  The memory tier
+keeps *decoded* summaries: a JSON payload that arrives from the disk tier or
+a worker process is decoded on its first :meth:`SummaryStore.get` and
+replaced in place, so a warm analysis pays no per-SCC decode.  JSON exists
+only at the disk and process-pool boundaries.  Sharing one decoded summary
+between analyses is safe because nothing mutates a summary once it is built:
+``ProcedureSummary.to_result`` copies the sketch maps, refinement replaces map
+entries with fresh ``meet``/``join`` sketches, and display only reads.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import socket as socket_module
 import threading
-import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field as dc_field
@@ -338,8 +335,6 @@ class StoreStats:
     misses: int = 0
     memory_hits: int = 0
     disk_hits: int = 0
-    remote_hits: int = 0
-    remote_errors: int = 0
     puts: int = 0
     evictions: int = 0
     quarantined: int = 0
@@ -357,8 +352,6 @@ class StoreStats:
             "misses": self.misses,
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
-            "remote_hits": self.remote_hits,
-            "remote_errors": self.remote_errors,
             "puts": self.puts,
             "evictions": self.evictions,
             "quarantined": self.quarantined,
@@ -368,58 +361,23 @@ class StoreStats:
 
 
 # ---------------------------------------------------------------------------
-# Pluggable persistent tiers
+# The persistent tier
 # ---------------------------------------------------------------------------
 
 
-class StoreBackend:
-    """One persistent tier of a :class:`SummaryStore`.
-
-    A backend moves raw JSON payloads (already format-stamped, see
-    ``STORE_FORMAT``) in and out of somewhere durable or shared: a local
-    directory (:class:`DiskStoreBackend`), a fleet-shared store daemon over a
-    socket (:class:`SocketStoreBackend`), or nothing at all -- the in-memory
-    LRU tier lives in the facade itself, and a store without a backend is
-    memory-only.
-
-    The contract every implementation honours:
-
-    * ``get``/``put``/``contains`` never raise on backend trouble -- a broken
-      tier degrades to misses (counted on ``stats``), it does not fail the
-      analysis that was merely trying to reuse work;
-    * payloads are opaque dicts; backends neither parse nor mutate them;
-    * implementations are thread-safe (the server drives one store from many
-      executor threads).
-
-    ``stats`` is the :class:`StoreStats` the backend reports internal events
-    on (quarantines, remote errors); the owning :class:`SummaryStore` rebinds
-    it to its own record so one snapshot covers both layers.
-    """
-
-    #: discriminator surfaced by ``SummaryStore.backend_kind`` and snapshots.
-    kind = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = StoreStats()
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        raise NotImplementedError
-
-    def put(self, key: str, payload: Dict[str, object]) -> None:
-        raise NotImplementedError
-
-    def contains(self, key: str) -> bool:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources; further calls degrade to misses."""
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind}
-
-
-class DiskStoreBackend(StoreBackend):
+class DiskStoreBackend:
     """The on-disk JSON tier: two-level fan-out, atomic publishes, quarantine.
+
+    It moves raw JSON payloads (already format-stamped, see ``STORE_FORMAT``)
+    in and out of one directory, and keeps this contract:
+
+    * ``get``/``put``/``contains`` never raise on tier trouble -- an
+      unreadable directory degrades to misses, it does not fail the analysis
+      that was merely trying to reuse work;
+    * it is thread-safe (the server drives one store from many executor
+      threads);
+    * payloads are opaque dicts: the tier checks only their format stamp and
+      never mutates them.
 
     Writes land in a uniquely-named temp file and are published with an atomic
     ``os.replace``, so concurrent writers (threads of one process, or several
@@ -427,14 +385,14 @@ class DiskStoreBackend(StoreBackend):
     and a killed writer leaves only a stray ``*.tmp`` behind.  Entries that
     are nevertheless unreadable -- hand-edited, disk-damaged, or written by an
     incompatible version -- are quarantined (renamed to ``*.corrupt``) rather
-    than raised, and count as ordinary misses.
+    than raised, and count as ordinary misses on ``stats.quarantined``.
     """
 
-    kind = "disk"
-
     def __init__(self, cache_dir: str) -> None:
-        super().__init__()
         self.cache_dir = cache_dir
+        #: quarantine count; a :class:`SummaryStore` rebinds this to its own
+        #: record so one snapshot covers both layers.
+        self.stats = StoreStats()
         self._lock = threading.Lock()
         os.makedirs(cache_dir, exist_ok=True)
 
@@ -496,252 +454,67 @@ class DiskStoreBackend(StoreBackend):
     def contains(self, key: str) -> bool:
         return os.path.exists(self.path(key))
 
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "cache_dir": self.cache_dir}
-
-
-#: wire name the store daemon announces; clients refuse to pool with others.
-STORE_SERVER_NAME = "repro-summary-store"
-
-
-class SocketStoreBackend(StoreBackend):
-    """Client tier for the fleet's shared store daemon.
-
-    Speaks the newline-JSON store protocol of
-    :class:`repro.fleet.storeserver.SummaryStoreServer` over one persistent
-    TCP connection (a lock serializes requests; replies arrive in order).
-    Every failure mode -- daemon down, connection reset, garbage reply --
-    degrades to a miss and bumps ``stats.remote_errors``; a reconnect is
-    attempted once per operation, so a restarted daemon is picked back up
-    without any intervention.
-    """
-
-    kind = "socket"
-
-    def __init__(
-        self,
-        address: str,
-        timeout: float = 10.0,
-        connect_retries: int = 0,
-        connect_delay: float = 0.2,
-    ) -> None:
-        super().__init__()
-        host, _, port = address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(
-                f"store address must look like 'host:port', got {address!r}"
-            )
-        self.host, self.port = host, int(port)
-        self.timeout = timeout
-        self._lock = threading.Lock()
-        self._file = None
-        self._sock: Optional[socket_module.socket] = None
-        self._closed = False
-        last_error: Optional[Exception] = None
-        for attempt in range(connect_retries + 1):
-            try:
-                self._connect()
-                break
-            except OSError as exc:
-                last_error = exc
-                if attempt == connect_retries:
-                    raise
-                time.sleep(connect_delay)
-        assert self._file is not None, last_error
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def _connect(self) -> None:
-        sock = socket_module.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        file = sock.makefile("rwb")
-        # Handshake: refuse to pool with a daemon speaking another format --
-        # a version-skewed store must read as empty, never as corrupt.
-        file.write(_store_line({"op": "ping"}))
-        file.flush()
-        reply = json.loads(file.readline().decode("utf-8"))
-        if (
-            reply.get("server") != STORE_SERVER_NAME
-            or reply.get("format") != STORE_FORMAT
-        ):
-            file.close()
-            sock.close()
-            raise OSError(
-                f"{self.host}:{self.port} is not a {STORE_FORMAT} store daemon: {reply!r}"
-            )
-        self._sock, self._file = sock, file
-
-    def _reset(self) -> None:
-        for closer in (self._file, self._sock):
-            try:
-                if closer is not None:
-                    closer.close()
-            except OSError:
-                pass
-        self._file = self._sock = None
-
-    def _roundtrip(self, message: Dict[str, object]) -> Optional[Dict[str, object]]:
-        """One request/reply; retries once on a fresh connection, never raises."""
-        if self._closed:
-            return None
-        with self._lock:
-            for attempt in (0, 1):
-                try:
-                    if self._file is None:
-                        self._connect()
-                    self._file.write(_store_line(message))
-                    self._file.flush()
-                    line = self._file.readline()
-                    if not line:
-                        raise OSError("store daemon closed the connection")
-                    reply = json.loads(line.decode("utf-8"))
-                    if not isinstance(reply, dict) or not reply.get("ok"):
-                        raise OSError(f"store daemon error reply: {reply!r}")
-                    return reply
-                except (OSError, ValueError):
-                    self._reset()
-                    if attempt == 1:
-                        self.stats.remote_errors += 1
-                        return None
-        return None
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        reply = self._roundtrip({"op": "get", "key": key})
-        if reply is None:
-            return None
-        payload = reply.get("payload")
-        if isinstance(payload, dict) and payload.get("format") == STORE_FORMAT:
-            return payload
-        return None
-
-    def put(self, key: str, payload: Dict[str, object]) -> None:
-        self._roundtrip({"op": "put", "key": key, "payload": payload})
-
-    def contains(self, key: str) -> bool:
-        reply = self._roundtrip({"op": "contains", "key": key})
-        return bool(reply and reply.get("contains"))
-
-    def remote_stats(self) -> Dict[str, object]:
-        """The daemon's own store snapshot (empty when unreachable)."""
-        reply = self._roundtrip({"op": "stats"})
-        if reply is None:
-            return {}
-        return {k: v for k, v in reply.items() if k != "ok"}
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._reset()
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"kind": self.kind, "address": self.address}
-
-
-def _store_line(message: Mapping[str, object]) -> bytes:
-    """One store-protocol message -> one UTF-8 JSON line."""
-    return (
-        json.dumps(message, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode("utf-8")
-
-
-def make_backend(
-    cache_dir: Optional[str] = None,
-    store_addr: Optional[str] = None,
-    connect_retries: int = 25,
-) -> Optional[StoreBackend]:
-    """The persistent tier for one configuration (``None`` = memory only).
-
-    ``store_addr`` wins over ``cache_dir``: a fleet shard pointed at the
-    shared daemon must never shadow it with a private directory, or warm
-    hits would stop crossing shards.
-    """
-    if store_addr:
-        return SocketStoreBackend(store_addr, connect_retries=connect_retries)
-    if cache_dir:
-        return DiskStoreBackend(cache_dir)
-    return None
-
 
 #: one memory-tier entry: a decoded summary, or a payload not yet decoded.
 _Entry = Union[SCCSummary, Dict[str, object]]
 
 
 class SummaryStore:
-    """Two-tier summary cache: LRU memory plus a pluggable persistent backend.
+    """Two-tier summary cache: LRU memory plus an optional disk tier.
 
     Each memory-tier key holds one form: an :class:`SCCSummary` or its JSON
     payload.  :meth:`put` admits the summary itself (serialized only for a
-    backend write); payloads admitted from a backend, a worker process or
+    disk write); payloads admitted from the disk tier, a worker process or
     :meth:`admit_payload` are decoded by the first :meth:`get` and replaced
     by the decoded summary, so a repeat hit decodes nothing.
-    :meth:`get_payload` -- the form procpool workers and the store daemon
-    use -- serializes a decoded entry on demand.  Cached summaries are shared,
-    never copied: callers must not mutate them (see the module docstring).
+    :meth:`get_payload` -- the form procpool workers use -- serializes a
+    decoded entry on demand.  Cached summaries are shared, never copied:
+    callers must not mutate them (see the module docstring).
 
-    The persistent tier is a :class:`StoreBackend`: ``cache_dir`` selects the
-    on-disk JSON tier (:class:`DiskStoreBackend`, today's default),
-    ``store_addr`` the fleet's socket-served shared store
-    (:class:`SocketStoreBackend`), and an explicit ``backend`` plugs anything
-    else in.  A backend hit is promoted into the memory tier, so the remote
-    round-trip (or disk read) is paid once per key per process.
+    ``cache_dir`` mounts the on-disk JSON tier (:class:`DiskStoreBackend`);
+    without it the store is memory-only.  A disk hit is promoted into the
+    memory tier, so the disk read is paid once per key per process.
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        cache_dir: Optional[str] = None,
-        store_addr: Optional[str] = None,
-        backend: Optional[StoreBackend] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 4096, cache_dir: Optional[str] = None) -> None:
         if capacity < 1:
             raise ValueError("summary store capacity must be at least 1")
         self.capacity = capacity
         self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.RLock()
         self.stats = StoreStats()
-        if backend is None:
-            backend = make_backend(cache_dir=cache_dir, store_addr=store_addr)
-        self.backend = backend
-        if backend is not None:
-            # One shared record: backend-internal events (quarantines, remote
-            # errors) land on the same stats the facade snapshots.
-            backend.stats = self.stats
-        #: the disk tier's directory (``None`` for memory-only and socket
-        #: stores); the procpool env codec ships this to workers.
-        self.cache_dir = (
-            backend.cache_dir if isinstance(backend, DiskStoreBackend) else None
-        )
+        self.disk: Optional[DiskStoreBackend] = None
+        if cache_dir:
+            self.disk = DiskStoreBackend(cache_dir)
+            self.disk.stats = self.stats
+        #: the disk tier's directory (``None`` for a memory-only store); the
+        #: procpool env codec ships this to workers.
+        self.cache_dir = cache_dir or None
 
     @property
     def backend_kind(self) -> str:
-        """``"memory"`` when no persistent tier, else the backend's kind."""
-        return self.backend.kind if self.backend is not None else "memory"
+        """``"disk"`` with a disk tier mounted, else ``"memory"``."""
+        return "memory" if self.disk is None else "disk"
 
     # -- tiers -----------------------------------------------------------------
 
     def _disk_path(self, key: str) -> str:
-        assert isinstance(self.backend, DiskStoreBackend), "no disk tier configured"
-        return self.backend.path(key)
+        assert self.disk is not None, "no disk tier configured"
+        return self.disk.path(key)
 
     def _lookup(self, key: str) -> Optional[_Entry]:
-        """Memory tier, then the backend; records the hit or miss."""
+        """Memory tier, then the disk tier; records the hit or miss."""
         entry: Optional[_Entry] = None
         with self._lock:
             if key in self._memory:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 entry = self._memory[key]
-        if entry is None and self.backend is not None:
-            entry = self.backend.get(key)
+        if entry is None and self.disk is not None:
+            entry = self.disk.get(key)
             if entry is not None:
                 with self._lock:
-                    if self.backend.kind == "socket":
-                        self.stats.remote_hits += 1
-                    else:
-                        self.stats.disk_hits += 1
+                    self.stats.disk_hits += 1
                 self._admit(key, entry)
         with self._lock:
             if entry is None:
@@ -787,10 +560,10 @@ class SummaryStore:
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """Look up the *JSON payload* of a summary, recording hit/miss.
 
-        This is the transfer format of the process-pool backend and the store
-        daemon: a worker that finds the key in the shared disk tier returns
-        the payload verbatim, so a hit never pays deserialize-then-reserialize
-        on its way to the parent.  A decoded entry is serialized on demand.
+        This is the transfer format of the process-pool backend: a worker
+        that finds the key in the shared disk tier returns the payload
+        verbatim, so a hit never pays deserialize-then-reserialize on its way
+        to the parent.  A decoded entry is serialized on demand.
         """
         entry = self._lookup(key)
         if isinstance(entry, SCCSummary):
@@ -798,12 +571,12 @@ class SummaryStore:
         return entry
 
     def put(self, key: str, summary: SCCSummary) -> None:
-        """Admit a freshly-solved SCC summary (serialized only for a backend)."""
+        """Admit a freshly-solved SCC summary (serialized only for a disk write)."""
         with self._lock:
             self.stats.puts += 1
         self._admit(key, summary)
-        if self.backend is not None:
-            self.backend.put(key, serialize_summary(summary))
+        if self.disk is not None:
+            self.disk.put(key, serialize_summary(summary))
 
     def admit_payload(
         self, key: str, payload: Dict[str, object], write_disk: bool = True
@@ -818,14 +591,14 @@ class SummaryStore:
         with self._lock:
             self.stats.puts += 1
         self._admit(key, payload)
-        if write_disk and self.backend is not None:
-            self.backend.put(key, payload)
+        if write_disk and self.disk is not None:
+            self.disk.put(key, payload)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._memory:
                 return True
-        return self.backend is not None and self.backend.contains(key)
+        return self.disk is not None and self.disk.contains(key)
 
     def __len__(self) -> int:
         with self._lock:
@@ -835,9 +608,3 @@ class SummaryStore:
         """Drop the memory tier (the persistent tier, if any, is left untouched)."""
         with self._lock:
             self._memory.clear()
-
-    def close(self) -> None:
-        """Release the persistent tier's resources (socket stores hold a
-        connection); the memory tier keeps serving."""
-        if self.backend is not None:
-            self.backend.close()

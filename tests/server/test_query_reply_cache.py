@@ -7,6 +7,7 @@ or evicted entry never serves the bytes of the types it replaced.  Also
 covers asm sessions, which hand the server's session the text itself.
 """
 
+import hashlib
 import json
 import socket
 
@@ -14,7 +15,6 @@ import pytest
 from test_server_end_to_end import SESSION_EDITED, SESSION_SOURCE, running_server
 
 from repro import analyze_program
-from repro.fleet.smoke import payload_fingerprint
 from repro.frontend import compile_c
 from repro.gen.oracle import result_fingerprint
 from repro.server import TypeQueryClient, TypeQueryError, protocol
@@ -22,6 +22,13 @@ from repro.server import TypeQueryClient, TypeQueryError, protocol
 BASE_ASM = str(compile_c(SESSION_SOURCE).program)
 EDITED_ASM = str(compile_c(SESSION_EDITED).program)
 MALFORMED_ASM = BASE_ASM + "\nbroken:\n    frobnicate eax, 1\n    ret\n"
+
+
+def payload_fingerprint(payload) -> str:
+    """``result_fingerprint`` applied to a wire payload instead of live types."""
+    scrubbed = {k: v for k, v in payload.items() if k not in ("program_id", "stats")}
+    canonical = json.dumps(scrubbed, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def raw_query(handle, request_id, program_id) -> bytes:

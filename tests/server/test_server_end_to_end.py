@@ -461,6 +461,34 @@ def test_stats_surface(server):
     assert stats["sessions_open"] == 0
 
 
+HEALTH_KEYS = {
+    "healthy",
+    "role",
+    "pid",
+    "uptime_seconds",
+    "analyses_pending",
+    "sessions_open",
+    "store_backend",
+}
+
+
+def test_health_reports_the_documented_keys_and_store_tier(server, tmp_path):
+    """``health`` carries exactly the keys docs/protocol.md lists, and names
+    the store tier the server mounted: memory by default, disk with a store_dir."""
+    host, port, _ = server
+    with TypeQueryClient(host, port) as client:
+        health = client.health()
+    assert set(health) == HEALTH_KEYS
+    assert health["healthy"] is True and health["role"] == "server"
+    assert health["store_backend"] == "memory"
+
+    with running_server(store_dir=str(tmp_path / "store")) as (host, port, _):
+        with TypeQueryClient(host, port) as client:
+            health = client.health()
+    assert set(health) == HEALTH_KEYS
+    assert health["store_backend"] == "disk"
+
+
 def test_stats_per_program_stage_timings(server, suite):
     """``stats`` with a program_id reports where the solver spent its time."""
     workload = suite[-1]

@@ -404,10 +404,7 @@ def test_decode_is_a_traced_span(analyzed):
     assert names.count("store.decode") == 1
 
 
-def test_disk_and_socket_backends_still_receive_json(tmp_path, analyzed):
-    from repro.fleet.storeserver import SummaryStoreServer
-
-    lattice = analyzed.display.lattice
+def test_disk_backend_still_receives_json(tmp_path, analyzed):
     summary = _summary_for(analyzed, "push_front")
     expected = _canonical(serialize_summary(summary))
 
@@ -415,15 +412,8 @@ def test_disk_and_socket_backends_still_receive_json(tmp_path, analyzed):
     disk.put("diskkey", summary)
     with open(disk._disk_path("diskkey"), "r", encoding="utf-8") as handle:
         assert _canonical(json.load(handle)) == expected
-
-    with SummaryStoreServer(port=0) as daemon:
-        client = SummaryStore(capacity=8, store_addr=daemon.address)
-        client.put("sockkey", summary)
-        # The daemon only ever holds the payload form.
-        assert _canonical(daemon.store.get_payload("sockkey")) == expected
-        reader = SummaryStore(capacity=8, store_addr=daemon.address)
-        loaded = reader.get("sockkey", lattice)
-        assert reader.stats.remote_hits == 1 and reader.stats.decodes == 1
-        assert _canonical(serialize_summary(loaded)) == expected
-        client.close()
-        reader.close()
+    # A second store over the same directory reads the payload and decodes it once.
+    reader = SummaryStore(capacity=8, cache_dir=str(tmp_path))
+    loaded = reader.get("diskkey", analyzed.display.lattice)
+    assert reader.stats.disk_hits == 1 and reader.stats.decodes == 1
+    assert _canonical(serialize_summary(loaded)) == expected

@@ -1,55 +1,33 @@
-"""Conformance suite for the pluggable summary-store backends.
+"""Conformance suite for the summary store's tiers.
 
-One parametrized battery runs against every persistent tier the store
-supports -- none (memory-only), disk, and the fleet's socket-served daemon --
-so a new backend inherits its behavioural contract by adding one fixture row:
+One parametrized battery runs against both configurations the store
+supports -- memory-only and memory over the disk tier -- covering
 round-tripping, cross-instance visibility, hit/miss accounting on the shared
 :class:`StoreStats` record, and safety under concurrent get/admit.
 """
 
-import json
 import os
 import threading
 
 import pytest
 
-from repro.fleet.storeserver import SummaryStoreServer
-from repro.service.store import (
-    STORE_FORMAT,
-    DiskStoreBackend,
-    SocketStoreBackend,
-    SummaryStore,
-    make_backend,
-)
+from repro.service.store import STORE_FORMAT, SummaryStore
 
-BACKENDS = ["memory", "disk", "socket"]
+BACKENDS = ["memory", "disk"]
 
 
 def _payload(tag="x"):
     return {"format": STORE_FORMAT, "members": [tag], "procedures": {}}
 
 
-@pytest.fixture(scope="module")
-def store_daemon():
-    with SummaryStoreServer(port=0) as daemon:
-        yield daemon
-
-
 @pytest.fixture(params=BACKENDS)
-def store_env(request, tmp_path, store_daemon):
+def store_env(request, tmp_path):
     """(kind, make_store) where make_store() builds a fresh SummaryStore
     facade over the *same* persistent tier each time it is called."""
     kind = request.param
     if kind == "memory":
-        yield kind, lambda: SummaryStore(capacity=64)
-    elif kind == "disk":
-        yield kind, lambda: SummaryStore(capacity=64, cache_dir=str(tmp_path / "tier"))
-    else:
-        daemon = SummaryStoreServer(port=0).start()
-        try:
-            yield kind, lambda: SummaryStore(capacity=64, store_addr=daemon.address)
-        finally:
-            daemon.close()
+        return kind, lambda: SummaryStore(capacity=64)
+    return kind, lambda: SummaryStore(capacity=64, cache_dir=str(tmp_path / "tier"))
 
 
 class TestBackendConformance:
@@ -57,7 +35,6 @@ class TestBackendConformance:
         kind, make = store_env
         store = make()
         assert store.backend_kind == kind
-        store.close()
 
     def test_round_trip_within_one_instance(self, store_env):
         _, make = store_env
@@ -66,20 +43,17 @@ class TestBackendConformance:
         store.admit_payload("k" * 64, _payload("a"))
         assert store.get_payload("k" * 64) == _payload("a")
         assert ("k" * 64) in store
-        store.close()
 
     def test_cross_instance_visibility(self, store_env):
         kind, make = store_env
         writer = make()
         writer.admit_payload("c" * 64, _payload("shared"))
-        writer.close()
         reader = make()
         found = reader.get_payload("c" * 64)
         if kind == "memory":
             assert found is None  # memory-only stores are per-instance by design
         else:
             assert found == _payload("shared")
-        reader.close()
 
     def test_stats_accounting(self, store_env):
         kind, make = store_env
@@ -91,21 +65,16 @@ class TestBackendConformance:
         store.get_payload("m" * 64)
         assert store.stats.hits == 1
         assert store.stats.memory_hits == 1  # served from the LRU, not the tier
-        store.close()
         if kind == "memory":
             return
-        # A fresh facade over the same tier records the tier-specific counter
-        # and promotes the entry into its own memory tier.
+        # A fresh facade over the same tier records a disk hit and promotes
+        # the entry into its own memory tier.
         fresh = make()
         assert fresh.get_payload("m" * 64) == _payload()
-        tier_counter = (
-            fresh.stats.remote_hits if kind == "socket" else fresh.stats.disk_hits
-        )
-        assert tier_counter == 1
+        assert fresh.stats.disk_hits == 1
         assert fresh.stats.memory_hits == 0
         fresh.get_payload("m" * 64)
         assert fresh.stats.memory_hits == 1  # promotion worked
-        fresh.close()
 
     def test_concurrent_get_admit(self, store_env):
         _, make = store_env
@@ -128,23 +97,11 @@ class TestBackendConformance:
         for thread in threads:
             thread.join()
         assert not errors
-        store.close()
 
 
 # ---------------------------------------------------------------------------
-# Backend-specific behaviour
+# Disk-tier behaviour
 # ---------------------------------------------------------------------------
-
-
-def test_make_backend_precedence(tmp_path, store_daemon):
-    """store_addr wins over cache_dir: fleet shards must share, not shadow."""
-    backend = make_backend(
-        cache_dir=str(tmp_path / "d"), store_addr=store_daemon.address
-    )
-    assert isinstance(backend, SocketStoreBackend)
-    backend.close()
-    assert isinstance(make_backend(cache_dir=str(tmp_path / "d")), DiskStoreBackend)
-    assert make_backend() is None
 
 
 def test_disk_backend_quarantines_corruption(tmp_path):
@@ -157,58 +114,3 @@ def test_disk_backend_quarantines_corruption(tmp_path):
     assert fresh.get_payload("q" * 64) is None
     assert fresh.stats.quarantined == 1
     assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
-
-
-def test_socket_backend_degrades_when_daemon_dies():
-    daemon = SummaryStoreServer(port=0).start()
-    store = SummaryStore(capacity=8, store_addr=daemon.address)
-    store.admit_payload("d" * 64, _payload())
-    daemon.close()
-    # With the daemon gone, tier reads degrade to counted misses -- they must
-    # never raise into the analysis that was merely trying to reuse work.
-    store.clear()
-    assert store.get_payload("d" * 64) is None
-    assert store.stats.remote_errors >= 1
-    store.close()
-
-
-def test_socket_backend_rejects_format_skew(store_daemon):
-    store = SummaryStore(capacity=8, store_addr=store_daemon.address)
-    # A payload without the format stamp is refused by the daemon (error
-    # reply -> degrade) and must never come back on get.
-    store.backend.put("s" * 64, {"members": ["x"]})
-    store.clear()
-    assert store.get_payload("s" * 64) is None
-    store.close()
-
-
-def test_socket_backend_refuses_non_store_server():
-    """The handshake must reject a socket that is not a store daemon."""
-    import socket as socket_module
-
-    listener = socket_module.socket()
-    listener.bind(("127.0.0.1", 0))
-    listener.listen(1)
-    port = listener.getsockname()[1]
-
-    def fake_server():
-        conn, _ = listener.accept()
-        conn.recv(1024)
-        conn.sendall(json.dumps({"server": "imposter"}).encode() + b"\n")
-        conn.close()
-
-    thread = threading.Thread(target=fake_server, daemon=True)
-    thread.start()
-    with pytest.raises(OSError):
-        SocketStoreBackend(f"127.0.0.1:{port}", timeout=5.0)
-    thread.join(timeout=5)
-    listener.close()
-
-
-def test_store_daemon_snapshot_counts_requests(store_daemon):
-    store = SummaryStore(capacity=8, store_addr=store_daemon.address)
-    store.admit_payload("r" * 64, _payload())
-    remote = store.backend.remote_stats()
-    assert remote["entries"] >= 1
-    assert remote["requests"] >= 2  # ping handshake + put at minimum
-    store.close()
