@@ -10,9 +10,10 @@ from conftest import write_result
 
 
 def _generate_small():
-    from repro.eval.workloads import make_workload
+    from repro.eval.workloads import program_workload
+    from repro.gen import GenProfile, generate_program
 
-    return make_workload("inventory_probe", 12, seed=7)
+    return program_workload(generate_program(7, GenProfile(n_functions=12), name="inventory_probe"))
 
 
 def test_fig7_suite_inventory(benchmark, suite):

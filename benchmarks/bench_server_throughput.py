@@ -43,8 +43,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.eval.workloads import generate_program_source
-from repro.frontend import compile_c
+from repro.gen import GenProfile, generate_program
 from repro.obs import Histogram
 from repro.server import (
     AsyncTypeQueryClient,
@@ -110,11 +109,11 @@ def start_server(max_concurrency: int, **config_kwargs):
 
 def make_sources(count: int, functions: int):
     """Distinct asm programs (pre-compiled from generated mini-C)."""
-    sources = []
-    for index in range(count):
-        c_source = generate_program_source(f"bench{index}", functions, seed=1000 + index)
-        sources.append(str(compile_c(c_source).program))
-    return sources
+    profile = GenProfile(n_functions=functions)
+    return [
+        str(generate_program(1000 + index, profile, name=f"bench{index}").compile().program)
+        for index in range(count)
+    ]
 
 
 def canonical(payload) -> str:

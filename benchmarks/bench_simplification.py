@@ -16,7 +16,7 @@ simplification machinery three ways:
   recorded at the time of the rewrite are committed in
   ``results/simplification_seed_baseline.json`` for the historical record.
 
-The suite workload is per-procedure: every procedure of four synthetic
+The suite workload is per-procedure: every procedure of four ``repro.gen``
 corpus programs contributes its own (constraints, interesting-variables)
 simplification job -- exactly how the solver applies the machinery -- plus
 the chain workload at scale 12.
@@ -54,9 +54,9 @@ def _chain_job(scale: int = 12):
 
 
 def _suite_jobs():
-    """Per-procedure simplification jobs over four synthetic corpus programs."""
+    """Per-procedure simplification jobs over four generated corpus programs."""
     from repro.core.lattice import default_lattice
-    from repro.eval.workloads import make_workload
+    from repro.gen import GenProfile, generate_program
     from repro.typegen.abstract_interp import generate_program_constraints
 
     lattice = default_lattice()
@@ -67,8 +67,8 @@ def _suite_jobs():
         ("putty_like", 24, 303),
         ("zlib_like", 16, 404),
     ]:
-        workload = make_workload(name, functions, seed=seed)
-        inputs = generate_program_constraints(workload.program)
+        program = generate_program(seed, GenProfile(n_functions=functions), name=name)
+        inputs = generate_program_constraints(program.compile().program)
         for proc, typing_input in sorted(inputs.items()):
             bases = {c.left.base for c in typing_input.constraints} | {
                 c.right.base for c in typing_input.constraints
@@ -172,14 +172,14 @@ def test_noop_obs_overhead_gate():
     ``spans * unit_cost`` to stay under 2% of the workload's wall time on the
     default (disabled) path.
     """
-    from repro.eval.workloads import make_workload
+    from repro.gen import GenProfile, generate_program
     from repro.obs import NULL_TRACER, Tracer, get_tracer, tracing
     from repro.pipeline import analyze_program
 
-    workload = make_workload("obs_gate", 16, seed=7)
+    program = generate_program(7, GenProfile(n_functions=16), name="obs_gate").compile().program
 
     def analyze(_jobs=None):
-        analyze_program(workload.program)
+        analyze_program(program)
 
     assert get_tracer() is NULL_TRACER, "suite leaked an installed tracer"
     baseline = _best_of(analyze, None)
@@ -236,11 +236,12 @@ def test_simplification_cost(benchmark):
 
     # Ablation: precise (Appendix D.4) vs per-class lattice bounds.
     from repro.core import SolverConfig
-    from repro.eval.workloads import make_workload
     from repro.eval.metrics import evaluate_program
+    from repro.eval.workloads import program_workload
+    from repro.gen import GenProfile, generate_program
     from repro.pipeline import analyze_program
 
-    workload = make_workload("ablation", 16, seed=11)
+    workload = program_workload(generate_program(11, GenProfile(n_functions=16), name="ablation"))
     rows = []
     for precise in (True, False):
         start = time.perf_counter()

@@ -13,14 +13,17 @@ import sys
 
 from repro.baselines import ALL_ENGINES
 from repro.eval.metrics import evaluate_program
-from repro.eval.workloads import make_workload
+from repro.eval.workloads import program_workload
+from repro.gen import GenProfile, generate_program
 
 
 def main() -> None:
     n_functions = int(sys.argv[1]) if len(sys.argv) > 1 else 20
     seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20160613
 
-    workload = make_workload("example", n_functions, seed=seed)
+    workload = program_workload(
+        generate_program(seed, GenProfile(n_functions=n_functions), name="example")
+    )
     print(
         f"generated workload: {len(workload.program.procedures)} procedures, "
         f"{workload.instructions} instructions\n"

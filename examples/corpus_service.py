@@ -1,16 +1,16 @@
 """The analysis service layer: corpus batching, warm caches, corpus fan-out.
 
-Three demonstrations on a synthetic cluster of binaries that statically link
-the same library code (the shape of the paper's coreutils/vpx clusters,
-Figure 10):
+Three demonstrations on a generated family of binaries built from one code
+base (a ``repro.gen`` product line: the shape of the paper's coreutils/vpx
+clusters, Figure 10):
 
-1. ``repro.analyze_corpus`` -- analyze the whole cluster against one shared
+1. ``repro.analyze_corpus`` -- analyze the whole family against one shared
    summary store; after the first member, every shared SCC is a cache hit;
 2. warm-cache re-analysis -- re-analyzing an unmodified program performs zero
    SCC solves, and editing one procedure re-solves only its SCC and the
    transitive callers (``IncrementalSession`` reports the invalidation cone);
 3. corpus fan-out -- with ``ServiceConfig(executor="processes")`` the
-   cluster's programs are solved on warm worker processes, one program per
+   family's programs are solved on warm worker processes, one program per
    unit of work, with results identical to the serial run.
 
 Run with::
@@ -25,14 +25,13 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro import AnalysisService, IncrementalSession, ServiceConfig, analyze_corpus
-from repro.eval.workloads import make_cluster
+from repro.eval.workloads import family_workloads
+from repro.gen import generate_family
 
 
 def main() -> None:
-    print("generating a cluster of binaries sharing a statically-linked library ...")
-    workloads = make_cluster(
-        "democluster", members=4, shared_functions=18, member_functions=5, seed=2016
-    )
+    print("generating a family of binaries built from one code base ...")
+    workloads = family_workloads(generate_family(2016, members=4, name="democluster"))
     corpus = {workload.name: workload.program for workload in workloads}
 
     # -- 1. batched corpus analysis over one shared store ----------------------
@@ -41,7 +40,7 @@ def main() -> None:
     report = analyze_corpus(corpus, service=service)
     print(report.summary())
     print(
-        f"shared-library reuse: {report.total_cache_hits} SCC summaries served "
+        f"shared-code reuse: {report.total_cache_hits} SCC summaries served "
         f"from cache ({report.hit_rate:.0%} of lookups)"
     )
 
@@ -62,12 +61,13 @@ def main() -> None:
           f"(was {first.stats['sccs_solved'] + first.stats['sccs_cached']}), "
           f"{cold_seconds * 1000:.1f} ms -> {warm_seconds * 1000:.1f} ms")
 
-    # Edit one procedure: append a harmless instruction, changing its content
-    # hash without changing its meaning.
+    # Edit one procedure that has callers: append a harmless instruction,
+    # changing its content hash without changing its meaning.
     from repro.ir.instructions import Nop
 
     edited = workloads[0].program
-    name = sorted(edited.procedures)[0]
+    called = {callee for procedure in edited for callee in procedure.direct_callees()}
+    name = min(called & set(edited.procedures))
     edited.procedures[name].instructions.append(Nop())
     third = session.analyze(edited)
     print(f"after editing {name!r}: invalidation cone = "

@@ -14,17 +14,12 @@ the metrics treat all engines uniformly.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.constraints import ConstraintSet
 from ..core.display import TypeDisplay
-from ..core.labels import InLabel
 from ..core.lattice import TypeLattice, default_lattice
-from ..core.schemes import TypeScheme
 from ..core.solver import ProcedureResult, ProcedureTypingInput
-from ..core.sketches import Sketch
 from ..core.variables import DerivedTypeVariable
 from ..ir.cfg import cfg_node_count
 from ..ir.program import Program
@@ -106,7 +101,3 @@ def results_to_program_types(
     if stats:
         all_stats.update(stats)
     return ProgramTypes(program=program, functions=functions, display=display, stats=all_stats)
-
-
-def empty_result(name: str, proc: ProcedureTypingInput) -> ProcedureResult:
-    return ProcedureResult(name=name, scheme=TypeScheme(proc=name, constraints=ConstraintSet()))

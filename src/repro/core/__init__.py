@@ -39,7 +39,6 @@ from .constraints import (
     parse_constraints,
 )
 from .lattice import BOTTOM, TOP, TypeLattice, default_lattice
-from .deduction import DeductionEngine, entails
 from .graph import ConstraintGraph
 from .saturation import saturate, saturated
 from .simplify import derive_constant_bounds, derives, proves, simplify_constraints
@@ -88,7 +87,6 @@ __all__ = [
     "CodeType",
     "ConstraintGraph",
     "ConstraintSet",
-    "DeductionEngine",
     "DerivedTypeVariable",
     "FieldLabel",
     "FloatType",
@@ -127,7 +125,6 @@ __all__ = [
     "default_lattice",
     "derive_constant_bounds",
     "derives",
-    "entails",
     "field",
     "fresh_var",
     "in_label",

@@ -210,18 +210,6 @@ class TypeLattice:
             return maximal[0]
         return BOTTOM
 
-    def join_all(self, elements: Iterable[str]) -> str:
-        result = BOTTOM
-        for element in elements:
-            result = self.join(result, element)
-        return result
-
-    def meet_all(self, elements: Iterable[str]) -> str:
-        result = TOP
-        for element in elements:
-            result = self.meet(result, element)
-        return result
-
     # -- consistency / display ---------------------------------------------------
 
     def antichain(self, elements: Iterable[str]) -> List[str]:

@@ -94,18 +94,6 @@ class TypeScheme:
         mapping: Dict[str, str] = {self.proc: base}
         return self.constraints.substitute(mapping)
 
-    def instantiated_formals(
-        self, tag: str
-    ) -> Tuple[str, ConstraintSet, Tuple[DerivedTypeVariable, ...], Tuple[DerivedTypeVariable, ...]]:
-        """Instantiate and also return the renamed formal in/out variables."""
-        name, constraints = self.instantiate(tag)
-        ins = tuple(dtv.with_base(name) for dtv in self.formal_ins)
-        outs = tuple(dtv.with_base(name) for dtv in self.formal_outs)
-        return name, constraints, ins, outs
-
-    def is_trivial(self) -> bool:
-        return len(self.constraints) == 0
-
     # -- serialization (summary-store round trip) ------------------------------
 
     def to_json(self) -> Dict[str, object]:

@@ -11,13 +11,11 @@ from .metrics import (
     type_distance,
 )
 from .workloads import (
-    SourceGenerator,
     Workload,
     family_suite,
-    generate_program_source,
+    family_workloads,
     generated_suite,
-    make_cluster,
-    make_workload,
+    program_workload,
     scaling_suite,
     standard_suite,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "PowerLawFit",
     "ProgramMetrics",
     "ScalingPoint",
-    "SourceGenerator",
     "VariableComparison",
     "Workload",
     "aggregate",
@@ -57,15 +54,14 @@ __all__ = [
     "figure9_rows",
     "fit_power_law",
     "format_rows",
-    "generate_program_source",
     "interval_size_from_sketch",
     "is_conservative",
-    "make_cluster",
-    "make_workload",
     "measure_scaling",
     "pointer_accuracy",
+    "program_workload",
     "run_engine",
     "family_suite",
+    "family_workloads",
     "generated_suite",
     "scaling_suite",
     "standard_suite",

@@ -1,39 +1,33 @@
-"""Synthetic benchmark-suite generation.
+"""Benchmark suites for the evaluation, all built on :mod:`repro.gen`.
 
 The paper's corpus (coreutils, SPEC CPU2006, Windows DLLs -- Figures 7 and 10)
-cannot be redistributed or rebuilt here, so the evaluation uses a seeded
-generator that manufactures mini-C programs exhibiting the idioms the corpus
-is interesting for:
+cannot be redistributed or rebuilt here.  Every suite below is manufactured
+by the ground-truth generator instead, so every workload carries the
+generator's answer key as its ground truth:
 
-* recursive linked structures and trees (section 2.3),
-* getters/setters over structs (pointer-to-field idioms, section 2.4),
-* user allocation wrappers around ``malloc`` (polymorphism, section 2.2),
-* const and non-const pointer parameters (section 6.4),
-* file-descriptor plumbing through the modelled libc (semantic tags),
-* integer/flag logic that should *not* become pointers,
-* drivers sharing a statically-linked "library" of common code, grouped into
-  clusters the way Figure 10 groups coreutils/vpx/putty binaries.
+* :func:`standard_suite` (Figures 7-10) -- six clusters named after Figure
+  10's, each one :func:`repro.gen.generate_family` product line whose members
+  share most of their code the way binaries built from one code base do, plus
+  eight standalone programs named after Figure 7's entries, whose sizes span
+  more than an order of magnitude;
+* :func:`scaling_suite` (Figures 11 and 12) -- one fixed profile swept by size;
+* :func:`generated_suite` and :func:`family_suite` -- open-ended families of
+  independent programs and of product lines.
 
-Everything is deterministic given the seed, so every figure regenerates
-identically.
-
-Relationship to :mod:`repro.gen`: the profile-driven generator there is the
-maintained, feature-complete source of ground-truth programs (trees,
-multi-level pointers, handler slots, mutual recursion, dead code) and backs
-the open-ended ``generated`` family below; the :class:`SourceGenerator`
-templates in this module are deliberately frozen so the *fixed* figure suites
-stay byte-stable against the recorded ``benchmarks/results/`` numbers.  New
-idioms belong in ``repro.gen``, not here.
+Everything is deterministic given the seed (no ``hash()``), so every figure
+regenerates identically in every interpreter.
 """
 
 from __future__ import annotations
 
-import random
 import zlib
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
-from ..frontend import CompilationResult, compile_c
+from ..frontend import CompilationResult
+from ..gen.family import GeneratedFamily, generate_families, generate_family
+from ..gen.generator import GeneratedProgram, generate_corpus, generate_program
+from ..gen.profile import GenProfile, named_profiles
 
 
 @dataclass
@@ -58,474 +52,88 @@ class Workload:
         return self.program.instruction_count
 
 
-# ---------------------------------------------------------------------------
-# Source generation
-# ---------------------------------------------------------------------------
-
-
-class SourceGenerator:
-    """Generates a library of struct types and functions over them."""
-
-    def __init__(self, seed: int, prefix: str = "lib") -> None:
-        self.rng = random.Random(seed)
-        self.prefix = prefix
-        self.struct_defs: List[str] = []
-        self.struct_names: List[str] = []
-        self.recursive_structs: List[str] = []
-        self.struct_fields: Dict[str, List[Tuple[str, str]]] = {}
-        self.functions: List[str] = []
-        #: generated function signatures: name -> (param spec list, returns_value)
-        self.function_sigs: Dict[str, Tuple[List[str], bool]] = {}
-
-    # -- structs --------------------------------------------------------------------
-
-    def add_struct(self, recursive: bool) -> str:
-        index = len(self.struct_names)
-        name = f"{self.prefix}_s{index}"
-        fields: List[Tuple[str, str]] = []
-        if recursive:
-            fields.append(("next", f"struct {name} *"))
-        n_fields = self.rng.randint(2, 4)
-        for i in range(n_fields):
-            kind = self.rng.random()
-            if kind < 0.6:
-                fields.append((f"value{i}", "int"))
-            elif kind < 0.8:
-                fields.append((f"count{i}", "unsigned"))
-            elif self.struct_names and kind < 0.9:
-                other = self.rng.choice(self.struct_names)
-                fields.append((f"ref{i}", f"struct {other} *"))
-            else:
-                fields.append((f"fd{i}", "int"))
-        body = "\n".join(f"    {ftype} {fname};" for fname, ftype in fields)
-        self.struct_defs.append(f"struct {name} {{\n{body}\n}};")
-        self.struct_names.append(name)
-        self.struct_fields[name] = fields
-        if recursive:
-            self.recursive_structs.append(name)
-        return name
-
-    def _int_fields(self, struct: str) -> List[str]:
-        return [
-            fname
-            for fname, ftype in self.struct_fields[struct]
-            if ftype in ("int", "unsigned")
-        ]
-
-    # -- function templates -----------------------------------------------------------
-
-    def _register(self, name: str, params: List[str], returns: bool, body: str) -> None:
-        self.functions.append(body)
-        self.function_sigs[name] = (params, returns)
-
-    def add_getter(self, struct: str) -> None:
-        fields = self._int_fields(struct)
-        if not fields:
-            return
-        fname = self.rng.choice(fields)
-        name = f"get_{struct}_{fname}"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"int {name}(const struct {struct} * obj) {{\n"
-            f"    return obj->{fname};\n"
-            f"}}"
-        )
-        self._register(name, [f"const struct {struct} *"], True, body)
-
-    def add_setter(self, struct: str) -> None:
-        fields = self._int_fields(struct)
-        if not fields:
-            return
-        fname = self.rng.choice(fields)
-        name = f"set_{struct}_{fname}"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"void {name}(struct {struct} * obj, int value) {{\n"
-            f"    obj->{fname} = value;\n"
-            f"}}"
-        )
-        self._register(name, [f"struct {struct} *", "int"], False, body)
-
-    def add_constructor(self, struct: str) -> None:
-        name = f"new_{struct}"
-        if name in self.function_sigs:
-            return
-        fields = self.struct_fields[struct]
-        lines = [
-            f"struct {struct} * {name}(int seed) {{",
-            f"    struct {struct} * obj;",
-            f"    obj = (struct {struct} *) malloc(sizeof(struct {struct}));",
-        ]
-        for fname, ftype in fields:
-            if ftype in ("int", "unsigned"):
-                lines.append(f"    obj->{fname} = seed + {self.rng.randint(0, 8)};")
-            elif ftype.endswith("*"):
-                lines.append(f"    obj->{fname} = NULL;")
-        lines.append("    return obj;")
-        lines.append("}")
-        self._register(name, ["int"], True, "\n".join(lines))
-
-    def add_list_walker(self, struct: str) -> None:
-        if struct not in self.recursive_structs:
-            return
-        name = f"count_{struct}"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"int {name}(const struct {struct} * head) {{\n"
-            f"    int n;\n"
-            f"    n = 0;\n"
-            f"    while (head != NULL) {{\n"
-            f"        n = n + 1;\n"
-            f"        head = head->next;\n"
-            f"    }}\n"
-            f"    return n;\n"
-            f"}}"
-        )
-        self._register(name, [f"const struct {struct} *"], True, body)
-
-    def add_list_sum(self, struct: str) -> None:
-        if struct not in self.recursive_structs:
-            return
-        fields = self._int_fields(struct)
-        if not fields:
-            return
-        fname = self.rng.choice(fields)
-        name = f"sum_{struct}_{fname}"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"int {name}(const struct {struct} * head) {{\n"
-            f"    int total;\n"
-            f"    total = 0;\n"
-            f"    while (head != NULL) {{\n"
-            f"        total = total + head->{fname};\n"
-            f"        head = head->next;\n"
-            f"    }}\n"
-            f"    return total;\n"
-            f"}}"
-        )
-        self._register(name, [f"const struct {struct} *"], True, body)
-
-    def add_push_front(self, struct: str) -> None:
-        if struct not in self.recursive_structs:
-            return
-        name = f"push_{struct}"
-        if name in self.function_sigs:
-            return
-        constructor = f"new_{struct}"
-        if constructor not in self.function_sigs:
-            self.add_constructor(struct)
-        body = (
-            f"struct {struct} * {name}(struct {struct} * head, int value) {{\n"
-            f"    struct {struct} * node;\n"
-            f"    node = {constructor}(value);\n"
-            f"    node->next = head;\n"
-            f"    return node;\n"
-            f"}}"
-        )
-        self._register(name, [f"struct {struct} *", "int"], True, body)
-
-    def add_free_all(self, struct: str) -> None:
-        if struct not in self.recursive_structs:
-            return
-        name = f"release_{struct}"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"void {name}(struct {struct} * head) {{\n"
-            f"    while (head != NULL) {{\n"
-            f"        struct {struct} * next;\n"
-            f"        next = head->next;\n"
-            f"        free(head);\n"
-            f"        head = next;\n"
-            f"    }}\n"
-            f"}}"
-        )
-        self._register(name, [f"struct {struct} *"], False, body)
-
-    def add_allocator_wrapper(self) -> None:
-        name = f"{self.prefix}_xmalloc"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"void * {name}(unsigned size) {{\n"
-            f"    void * p;\n"
-            f"    p = malloc(size);\n"
-            f"    if (p == NULL) {{\n"
-            f"        abort();\n"
-            f"    }}\n"
-            f"    return p;\n"
-            f"}}"
-        )
-        self._register(name, ["unsigned"], True, body)
-
-    def add_array_sum(self) -> None:
-        name = f"{self.prefix}_array_sum"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"int {name}(const int * values, int count) {{\n"
-            f"    int total;\n"
-            f"    int i;\n"
-            f"    total = 0;\n"
-            f"    i = 0;\n"
-            f"    while (i < count) {{\n"
-            f"        total = total + values[i];\n"
-            f"        i = i + 1;\n"
-            f"    }}\n"
-            f"    return total;\n"
-            f"}}"
-        )
-        self._register(name, ["const int *", "int"], True, body)
-
-    def add_fd_helper(self) -> None:
-        name = f"{self.prefix}_read_all"
-        if name in self.function_sigs:
-            return
-        body = (
-            f"int {name}(const char * path, int * buffer, unsigned size) {{\n"
-            f"    int fd;\n"
-            f"    int got;\n"
-            f"    fd = open(path, 0);\n"
-            f"    if (fd < 0) {{\n"
-            f"        return 0 - 1;\n"
-            f"    }}\n"
-            f"    got = read(fd, buffer, size);\n"
-            f"    close(fd);\n"
-            f"    return got;\n"
-            f"}}"
-        )
-        self._register(name, ["const char *", "int *", "unsigned"], True, body)
-
-    def add_buffer_copy(self) -> None:
-        name = f"{self.prefix}_clone_buffer"
-        if name in self.function_sigs:
-            return
-        wrapper = f"{self.prefix}_xmalloc"
-        if wrapper not in self.function_sigs:
-            self.add_allocator_wrapper()
-        body = (
-            f"int * {name}(const int * source, unsigned count) {{\n"
-            f"    int * copy;\n"
-            f"    copy = (int *) {wrapper}(count * 4);\n"
-            f"    memcpy(copy, source, count * 4);\n"
-            f"    return copy;\n"
-            f"}}"
-        )
-        self._register(name, ["const int *", "unsigned"], True, body)
-
-    def add_logic_function(self, index: int) -> None:
-        name = f"{self.prefix}_decide{index}"
-        if name in self.function_sigs:
-            return
-        threshold = self.rng.randint(1, 100)
-        body = (
-            f"int {name}(int a, int b, int flags) {{\n"
-            f"    int result;\n"
-            f"    result = 0;\n"
-            f"    if (a > b) {{\n"
-            f"        result = a - b;\n"
-            f"    }} else {{\n"
-            f"        result = b - a;\n"
-            f"    }}\n"
-            f"    if (flags > {threshold}) {{\n"
-            f"        result = result * 2;\n"
-            f"    }}\n"
-            f"    return result;\n"
-            f"}}"
-        )
-        self._register(name, ["int", "int", "int"], True, body)
-
-    def add_driver(self, index: int) -> None:
-        """A function that calls several previously generated functions."""
-        name = f"{self.prefix}_driver{index}"
-        if name in self.function_sigs or not self.function_sigs:
-            return
-        callable_names = [
-            fname
-            for fname, (params, _) in self.function_sigs.items()
-            if all(self._can_synthesize(p) for p in params)
-        ]
-        if not callable_names:
-            return
-        lines = [f"int {name}(int seed) {{", "    int acc;", "    acc = seed;"]
-        locals_needed: Dict[str, str] = {}
-        chosen = self.rng.sample(callable_names, min(len(callable_names), self.rng.randint(2, 5)))
-        for callee in chosen:
-            params, returns = self.function_sigs[callee]
-            args = []
-            for param in params:
-                args.append(self._synthesize_argument(param, locals_needed))
-            call = f"{callee}({', '.join(args)})"
-            if returns:
-                lines.append(f"    acc = acc + {call};")
-            else:
-                lines.append(f"    {call};")
-        declarations = [f"    {ctype} {vname};" for vname, ctype in locals_needed.items()]
-        init = [f"    {vname} = {self._initializer(ctype)};" for vname, ctype in locals_needed.items()]
-        body = [lines[0], lines[1]] + declarations + [lines[2]] + init + lines[3:]
-        body.append("    return acc;")
-        body.append("}")
-        self._register(name, ["int"], True, "\n".join(body))
-
-    def _can_synthesize(self, param: str) -> bool:
-        if param in ("int", "unsigned"):
-            return True
-        if param.startswith("const struct") or param.startswith("struct"):
-            struct = param.split()[-2]
-            return f"new_{struct}" in self.function_sigs
-        if param in ("const int *", "int *", "const char *", "void *", "unsigned *"):
-            return False  # would need arrays; drivers skip these
-        return False
-
-    def _synthesize_argument(self, param: str, locals_needed: Dict[str, str]) -> str:
-        if param in ("int", "unsigned"):
-            return str(self.rng.randint(0, 64))
-        struct = param.split()[-2]
-        var = f"tmp_{struct}"
-        locals_needed[var] = f"struct {struct} *"
-        return var
-
-    def _initializer(self, ctype: str) -> str:
-        if ctype.endswith("*"):
-            struct = ctype.split()[1]
-            constructor = f"new_{struct}"
-            if constructor in self.function_sigs:
-                return f"{constructor}({self.rng.randint(0, 9)})"
-            return "NULL"
-        return "0"
-
-    # -- assembly of a translation unit -------------------------------------------------
-
-    def library_source(self, n_structs: int, n_functions: int) -> str:
-        """Generate the shared library portion."""
-        for i in range(n_structs):
-            self.add_struct(recursive=(i % 2 == 0))
-        self.add_allocator_wrapper()
-        self.add_array_sum()
-        self.add_fd_helper()
-        self.add_buffer_copy()
-        generators = [
-            self.add_getter,
-            self.add_setter,
-            self.add_constructor,
-            self.add_list_walker,
-            self.add_list_sum,
-            self.add_push_front,
-            self.add_free_all,
-        ]
-        attempts = 0
-        while len(self.function_sigs) < n_functions and attempts < n_functions * 10:
-            attempts += 1
-            action = self.rng.random()
-            if action < 0.75 and self.struct_names:
-                struct = self.rng.choice(self.struct_names)
-                self.rng.choice(generators)(struct)
-            elif action < 0.9:
-                self.add_logic_function(len(self.function_sigs))
-            else:
-                self.add_driver(len(self.function_sigs))
-        return self.source()
-
-    def source(self) -> str:
-        return "\n\n".join(self.struct_defs + self.functions) + "\n"
-
-
-def generate_program_source(
-    name: str, n_functions: int, seed: int, n_structs: Optional[int] = None
-) -> str:
-    """Generate a standalone program with roughly ``n_functions`` functions."""
-    generator = SourceGenerator(seed, prefix=name.replace("-", "_"))
-    structs = n_structs if n_structs is not None else max(2, n_functions // 8)
-    return generator.library_source(structs, n_functions)
-
-
-def make_workload(
-    name: str, n_functions: int, seed: int, cluster: str = "", n_structs: Optional[int] = None
-) -> Workload:
-    source = generate_program_source(name, n_functions, seed, n_structs)
-    compilation = compile_c(source)
-    return Workload(name=name, cluster=cluster or name, source=source, compilation=compilation)
-
-
-def make_cluster(
-    cluster: str,
-    members: int,
-    shared_functions: int,
-    member_functions: int,
-    seed: int,
-) -> List[Workload]:
-    """A cluster of binaries sharing a statically-linked library (Figure 10)."""
-    shared_generator = SourceGenerator(seed, prefix=cluster.replace("-", "_"))
-    shared_source = shared_generator.library_source(
-        max(2, shared_functions // 8), shared_functions
+def program_workload(program: GeneratedProgram, cluster: Optional[str] = None) -> Workload:
+    """A generated program as a workload, in its own cluster unless ``cluster`` names one."""
+    return Workload(
+        name=program.name,
+        cluster=cluster or program.name,
+        source=program.source,
+        compilation=program.compile(),
     )
-    workloads = []
-    safe_cluster = cluster.replace("-", "_")
-    for index in range(members):
-        member_name = f"{cluster}_{index}"
-        member_prefix = f"m{index}_{safe_cluster}"[:12].rstrip("_")
-        member_generator = SourceGenerator(seed * 1000 + index, prefix=member_prefix)
-        member_source = member_generator.library_source(1, member_functions)
-        source = shared_source + "\n" + member_source
-        compilation = compile_c(source)
-        workloads.append(
-            Workload(name=member_name, cluster=cluster, source=source, compilation=compilation)
-        )
-    return workloads
+
+
+def family_workloads(family: GeneratedFamily, cluster: Optional[str] = None) -> List[Workload]:
+    """Every member of ``family`` as a workload, all in one cluster (by
+    default the family's name), the way Figure 10 clusters binaries built
+    from one code base."""
+    return [program_workload(member.program, cluster or family.name) for member in family.members]
 
 
 # ---------------------------------------------------------------------------
 # Standard suites
 # ---------------------------------------------------------------------------
 
+#: Figure 10's clusters: name, member count and size factor of the
+#: ``default`` profile.
+_CLUSTERS = [
+    ("freeglut-demos", 3, 0.8),
+    ("coreutils", 8, 1.6),
+    ("vpx-d", 4, 2.0),
+    ("vpx-e", 3, 2.4),
+    ("sphinx2", 4, 2.2),
+    ("putty", 4, 2.4),
+]
+
+#: Figure 7's standalone programs: name, profile preset and size factor.
+_STANDALONE = [
+    ("mcf", "smoke", 0.5),
+    ("libidn", "smoke", 2.0),
+    ("zlib", "default", 1.0),
+    ("bzip2", "default", 2.0),
+    ("ogg", "default", 3.0),
+    ("libbz2", "stress", 1.0),
+    ("sjeng", "stress", 2.5),
+    ("hmmer", "stress", 6.0),
+]
+
 
 def standard_suite(scale: float = 1.0, seed: int = 20160613) -> List[Workload]:
-    """The clustered benchmark suite used for Figures 8, 9 and 10.
+    """The clustered benchmark suite used for Figures 7 to 10.
 
-    ``scale`` multiplies the per-program function counts; the default keeps the
-    whole-suite analysis in the tens of seconds so the figures can be
-    regenerated quickly.
+    ``scale`` multiplies every profile's struct and function counts; at the
+    default the largest standalone program has more than ten times the
+    procedures of the smallest.
     """
-    def scaled(value: int) -> int:
-        return max(4, int(value * scale))
-
+    presets = named_profiles()
     suite: List[Workload] = []
-    # Clusters modelled on Figure 10 (names kept, member counts reduced).
-    suite += make_cluster("freeglut-demos", 3, scaled(8), scaled(4), seed + 1)
-    suite += make_cluster("coreutils", 8, scaled(16), scaled(5), seed + 2)
-    suite += make_cluster("vpx-d", 4, scaled(20), scaled(6), seed + 3)
-    suite += make_cluster("vpx-e", 3, scaled(24), scaled(6), seed + 4)
-    suite += make_cluster("sphinx2", 4, scaled(22), scaled(8), seed + 5)
-    suite += make_cluster("putty", 4, scaled(24), scaled(8), seed + 6)
-    # Standalone programs modelled on Figure 7 entries (smallest to largest).
-    for name, functions in [
-        ("libidn", 10),
-        ("zlib", 14),
-        ("ogg", 18),
-        ("libbz2", 24),
-        ("mcf", 8),
-        ("bzip2", 16),
-        ("sjeng", 22),
-        ("hmmer", 30),
-    ]:
+    for offset, (cluster, members, factor) in enumerate(_CLUSTERS, start=1):
+        profile = presets["default"].scaled(factor * scale)
+        suite += family_workloads(generate_family(seed + offset, profile, members, name=cluster))
+    for name, preset, factor in _STANDALONE:
         # crc32, not hash(): the per-name seed (and therefore the workload's
-        # *content*) must not vary with PYTHONHASHSEED across processes --
-        # the same latent sensitivity the process backend forced out of the
-        # constraint-graph core.
-        suite.append(make_workload(name, scaled(functions), seed + zlib.crc32(name.encode()) % 1000))
+        # content) must not vary with PYTHONHASHSEED across processes.
+        program_seed = seed + zlib.crc32(name.encode()) % 1000
+        profile = presets[preset].scaled(factor * scale)
+        suite.append(program_workload(generate_program(program_seed, profile, name=name)))
     return suite
 
 
 def scaling_suite(
     sizes: Sequence[int] = (6, 12, 25, 50, 100, 200), seed: int = 20160614
 ) -> List[Workload]:
-    """Programs of increasing size for the Figure 11/12 scaling sweeps."""
+    """Programs of increasing size for the Figure 11/12 scaling sweeps: one
+    fixed profile scaled to about ``n`` library functions for each ``n``.
+
+    The profile is ``smoke`` without the union-view, varargs and
+    dispatch-table idioms.  Each of those is drawn once per program whatever
+    its size, so at small ``n`` they made a smaller program outgrow a larger
+    one; every idiom that scales with the struct and function counts stays.
+    """
+    profile = replace(GenProfile.smoke(), union_weight=0.0, varargs_weight=0.0, dispatch_weight=0.0)
     return [
-        make_workload(f"scale_{n}", n, seed + n)
+        program_workload(
+            generate_program(seed + n, profile.scaled(n / profile.n_functions), name=f"scale_{n}")
+        )
         for n in sizes
     ]
 
@@ -533,40 +141,24 @@ def scaling_suite(
 def generated_suite(
     count: int = 8,
     seed: int = 20160615,
-    profile: Optional[object] = None,
+    profile: Optional[GenProfile] = None,
     cluster: str = "generated",
 ) -> List[Workload]:
     """The ``generated`` workload family: profile-driven ground-truth programs.
 
-    Unlike the fixed figure suites above, this family is backed by
-    :mod:`repro.gen` -- an effectively unbounded, seed-reproducible source of
-    programs with recursive structs, multi-level pointers, handler slots,
-    const parameters, deep and mutually-recursive call graphs, dead code and
-    polymorphic helpers.  Every workload carries the generator's answer key
-    as its ground truth, so the whole evaluation harness (engines, metrics,
-    figures) runs over it unchanged.
+    An effectively unbounded, seed-reproducible source of programs with
+    recursive structs, multi-level pointers, handler slots, const parameters,
+    deep and mutually-recursive call graphs, dead code and polymorphic
+    helpers, all in one cluster.
     """
-    from ..gen import GenProfile, generate_corpus
-
-    resolved = profile if profile is not None else GenProfile.default()
-    workloads = []
-    for program in generate_corpus(count, seed, resolved, name_prefix=f"{cluster}_"):
-        compilation = program.compile()
-        workloads.append(
-            Workload(
-                name=program.name,
-                cluster=cluster,
-                source=program.source,
-                compilation=compilation,
-            )
-        )
-    return workloads
+    programs = generate_corpus(count, seed, profile or GenProfile.default(), name_prefix=f"{cluster}_")
+    return [program_workload(program, cluster) for program in programs]
 
 
 def family_suite(
     families: int = 4,
     seed: int = 20160616,
-    profile: Optional[object] = None,
+    profile: Optional[GenProfile] = None,
     members: int = 4,
     cluster: str = "family",
 ) -> List[Workload]:
@@ -578,24 +170,11 @@ def family_suite(
     byte-for-byte, so this is the canonical workload for summary-store reuse
     and incremental-session studies; every member still carries its own
     re-derived answer key, so metrics and figures run over it unchanged.
-    Workloads are clustered per family (``family:<name>``), mirroring how
-    Figure 10 clusters binaries built from one code base.
+    Workloads are clustered per family (``family:<name>``).
     """
-    from ..gen import GenProfile
-    from ..gen.family import generate_families
-
-    resolved = profile if profile is not None else GenProfile.default()
-    workloads = []
+    workloads: List[Workload] = []
     for family in generate_families(
-        families, seed, resolved, members=members, name_prefix=f"{cluster}_"
+        families, seed, profile or GenProfile.default(), members=members, name_prefix=f"{cluster}_"
     ):
-        for member in family.members:
-            workloads.append(
-                Workload(
-                    name=member.name,
-                    cluster=f"{cluster}:{family.name}",
-                    source=member.source,
-                    compilation=member.program.compile(),
-                )
-            )
+        workloads += family_workloads(family, f"{cluster}:{family.name}")
     return workloads

@@ -15,18 +15,16 @@ parameters, locals (including local structs), assignments, ``if``/``while``/
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..core.ctype import (
     CType,
-    FunctionType,
     IntType,
     PointerType,
     StructField,
     StructRef,
     StructType,
     TypedefType,
-    UnknownType,
     VoidType,
 )
 
@@ -107,16 +105,6 @@ def type_size(ctype: CType, struct_table: Optional[Dict[str, StructLayout]] = No
     if ctype.size_bits:
         return max(1, ctype.size_bits // 8)
     return 4
-
-
-def is_pointer_type(ctype: CType) -> bool:
-    return isinstance(ctype, PointerType)
-
-
-def pointee_of(ctype: CType) -> CType:
-    if isinstance(ctype, PointerType):
-        return ctype.pointee
-    return UnknownType()
 
 
 # ---------------------------------------------------------------------------

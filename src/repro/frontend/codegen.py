@@ -196,13 +196,6 @@ class FunctionCodegen:
             return DirectMem(Mem(f"g_{name}", 0, size))
         raise CodegenError(f"unknown variable {name!r}")
 
-    def _variable_type(self, name: str) -> Optional[CType]:
-        if name in self.local_types:
-            return self.local_types[name]
-        if name in self.param_types:
-            return self.param_types[name]
-        return self.checked.globals.get(name)
-
     # -- lvalues ------------------------------------------------------------------------------
 
     def gen_lvalue(self, expr: Expr) -> Lvalue:

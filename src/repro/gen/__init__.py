@@ -20,9 +20,10 @@ Typical use::
     report = run_oracle(count=300, seed=20160613)
     assert report.ok, report.summary()
 
-``python -m repro gen`` exposes the same surface on the command line; the
-``generated`` workload family (:func:`repro.eval.workloads.generated_suite`)
-feeds it into the evaluation harness.
+``python -m repro gen`` exposes the same surface on the command line, and
+every suite of the evaluation harness (:mod:`repro.eval.workloads`: the
+Figure 7-10 suite, the Figure 11/12 size sweep, and the ``generated`` and
+``family`` workloads) is built from it.
 """
 
 from __future__ import annotations

@@ -20,14 +20,15 @@ through the real frontend (no code generation), so it is the same shape --
 and provably the same values -- the evaluation compares against after a full
 compile.
 
-This generator supersedes the frozen figure-suite templates in
-:mod:`repro.eval.workloads` (which must stay byte-stable for the recorded
-benchmark numbers); new program idioms are added here.
+It is the repository's only program generator: every evaluation suite in
+:mod:`repro.eval.workloads` (Figures 7-12 included) is built from it, so new
+program idioms are added here.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
@@ -832,13 +833,22 @@ def _render(
     )
 
 
+_C_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def generate_program(
     seed: int, profile: Optional[GenProfile] = None, name: Optional[str] = None
 ) -> GeneratedProgram:
-    """Deterministically generate one well-typed program with its answer key."""
+    """Deterministically generate one well-typed program with its answer key.
+
+    ``name`` prefixes every generated struct and helper, so with ``-`` mapped
+    to ``_`` it must be a C identifier; anything else raises ``ValueError``.
+    """
     profile = profile or GenProfile.default()
     name = name or f"gen{seed}"
     prefix = name.replace("-", "_")
+    if not _C_IDENTIFIER.fullmatch(prefix):
+        raise ValueError(f"program name {name!r} is not a C identifier (with '-' read as '_')")
     builder = _Builder(seed, profile, prefix)
     struct_blocks, blocks, dead = builder.build()
     source = _render(struct_blocks, blocks, builder.global_decls)

@@ -49,10 +49,6 @@ class ProcedureInterface:
         return locations
 
     @property
-    def output_locations(self) -> List[str]:
-        return ["eax"] if self.has_return else []
-
-    @property
     def arity(self) -> int:
         return len(self.stack_args) + len(self.register_args)
 

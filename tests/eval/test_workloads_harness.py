@@ -1,4 +1,4 @@
-"""Tests for the synthetic workload generator, the harness, and the scaling fits."""
+"""Tests for the benchmark suites, the harness, and the scaling fits."""
 
 import math
 
@@ -8,59 +8,57 @@ from repro.eval.harness import EngineReport, compare_engines, figure8_rows, figu
 from repro.eval.metrics import ProgramMetrics, aggregate, evaluate_program
 from repro.eval.scaling import fit_power_law, measure_scaling
 from repro.eval.workloads import (
-    SourceGenerator,
-    generate_program_source,
-    make_cluster,
-    make_workload,
+    family_workloads,
+    program_workload,
     scaling_suite,
     standard_suite,
 )
 from repro.baselines import ALL_ENGINES, RetypdEngine
-from repro.frontend import compile_c
-
-
-def test_generated_source_is_deterministic():
-    a = generate_program_source("demo", 10, seed=3)
-    b = generate_program_source("demo", 10, seed=3)
-    c = generate_program_source("demo", 10, seed=4)
-    assert a == b
-    assert a != c
-
-
-def test_generated_source_compiles_across_seeds():
-    for seed in range(5):
-        workload = make_workload(f"gen{seed}", 10, seed=seed)
-        assert workload.instructions > 50
-        assert len(workload.program.procedures) >= 5
-        assert workload.ground_truth.functions
-
-
-def test_generator_emits_const_and_recursive_structs():
-    source = generate_program_source("demo", 20, seed=1)
-    assert "const struct" in source
-    assert "->next" in source
-    compiled = compile_c(source)
-    consts = [
-        flag
-        for truth in compiled.ground_truth.functions.values()
-        for flag in truth.param_const
-    ]
-    assert any(consts)
+from repro.gen import GenProfile, generate_family, generate_program
 
 
 def test_cluster_members_share_library_code():
-    members = make_cluster("clu", members=3, shared_functions=8, member_functions=3, seed=5)
+    members = family_workloads(generate_family(5, GenProfile.smoke(), members=3, name="clu"))
     assert len(members) == 3
-    shared_names = None
+    assert {member.cluster for member in members} == {"clu"}
+    shared = None
     for member in members:
-        names = {n for n in member.program.procedures if n.startswith("clu_")}
-        shared_names = names if shared_names is None else shared_names & names
-    assert shared_names, "cluster members must share the library procedures"
+        texts = {str(procedure) for procedure in member.program}
+        shared = texts if shared is None else shared & texts
+    assert shared, "cluster members must share procedures byte for byte"
 
 
 def test_dash_in_cluster_name_is_handled():
-    members = make_cluster("vpx-d", members=1, shared_functions=6, member_functions=3, seed=9)
+    members = family_workloads(generate_family(9, GenProfile.smoke(), members=1, name="vpx-d"))
+    assert members[0].cluster == "vpx-d"
     assert members[0].instructions > 0
+
+
+def test_standard_suite_keeps_the_figure_10_clusters():
+    suite = standard_suite(scale=0.25)
+    counts = {}
+    for workload in suite:
+        counts[workload.cluster] = counts.get(workload.cluster, 0) + 1
+    assert {cluster: count for cluster, count in counts.items() if count > 1} == {
+        "freeglut-demos": 3,
+        "coreutils": 8,
+        "vpx-d": 4,
+        "vpx-e": 3,
+        "sphinx2": 4,
+        "putty": 4,
+    }
+    assert len({workload.name for workload in suite}) == len(suite)
+
+
+def test_figure_7_standalone_sizes_span_an_order_of_magnitude():
+    """Figure 7's corpus spans orders of magnitude in size; the largest
+    standalone program must have at least 10x the procedures of the smallest."""
+    suite = standard_suite()
+    clusters = [w.cluster for w in suite]
+    standalone = [w for w in suite if clusters.count(w.cluster) == 1]
+    assert len(standalone) == 8
+    sizes = [len(w.program.procedures) for w in standalone]
+    assert max(sizes) >= 10 * min(sizes), sizes
 
 
 def test_scaling_suite_sizes_increase():
@@ -72,10 +70,11 @@ def test_scaling_suite_sizes_increase():
 
 @pytest.fixture(scope="module")
 def tiny_suite():
+    profile = GenProfile(n_functions=8)
     return [
-        make_workload("tiny_a", 8, seed=21, cluster="pair"),
-        make_workload("tiny_b", 8, seed=22, cluster="pair"),
-        make_workload("solo", 8, seed=23),
+        program_workload(generate_program(21, profile, name="tiny_a"), cluster="pair"),
+        program_workload(generate_program(22, profile, name="tiny_b"), cluster="pair"),
+        program_workload(generate_program(23, profile, name="solo")),
     ]
 
 
@@ -160,11 +159,9 @@ def test_measure_scaling_produces_monotone_sizes():
     assert all(p.seconds >= 0 for p in points)
 
 def test_standard_suite_is_stable_across_hash_seeds():
-    """Regression (generated-corpus sweep era): per-name workload seeds used
-    ``hash(name)``, so the *content* of the figure suites varied with
-    ``PYTHONHASHSEED`` -- the same latent sensitivity the process backend
-    forced out of the constraint-graph core in the PR-4 fixes.  crc32 makes
-    the suite byte-identical in every interpreter."""
+    """Regression: per-name workload seeds once used ``hash(name)``, so the
+    *content* of the figure suites varied with ``PYTHONHASHSEED``.  crc32
+    makes the suite byte-identical in every interpreter."""
     import hashlib
     import os
     import subprocess

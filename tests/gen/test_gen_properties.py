@@ -123,6 +123,20 @@ def test_corpus_members_regenerate_independently():
         assert again.source == member.source
 
 
+@pytest.mark.parametrize("name", ["a.b", "9lives", "x y", "caf\u00e9", "x;"])
+def test_name_that_is_not_a_c_identifier_is_rejected(name):
+    with pytest.raises(ValueError, match="not a C identifier") as excinfo:
+        generate_program(1, GenProfile.smoke(), name=name)
+    assert repr(name) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", ["vpx-d", "-lead", "_x", "ok_9"])
+def test_name_with_dashes_or_underscores_is_accepted(name):
+    program = generate_program(1, GenProfile.smoke(), name=name)
+    assert program.name == name
+    assert f"struct {name.replace('-', '_')}_s0 {{" in program.source
+
+
 def test_answer_key_matches_full_compilation_ground_truth():
     """The generator's answer key (parse+typecheck, no codegen) is exactly
     what a full compile records before erasing types."""

@@ -11,7 +11,7 @@ import time
 import pytest
 from test_server_end_to_end import running_server
 
-from repro.eval.workloads import make_workload
+from repro.gen import GenProfile, generate_program
 from repro.obs import METRICS_FORMAT
 from repro.server import TypeQueryClient, TypeQueryError
 
@@ -31,7 +31,8 @@ def counter_value(snapshot, key):
 
 
 def test_metrics_verb_reflects_served_requests():
-    source = str(make_workload("metrics_smoke", 4, seed=21).program)
+    profile = GenProfile.smoke().scaled(4 / 6)
+    source = str(generate_program(21, profile, name="metrics_smoke").compile().program)
     with running_server() as (host, port, _):
         with TypeQueryClient(host, port) as client:
             before = client.metrics()
@@ -59,7 +60,8 @@ def test_metrics_verb_reflects_served_requests():
 
 
 def test_metrics_verb_prometheus_exposition():
-    source = str(make_workload("metrics_prom", 3, seed=22).program)
+    profile = GenProfile.smoke().scaled(3 / 6)
+    source = str(generate_program(22, profile, name="metrics_prom").compile().program)
     with running_server() as (host, port, _):
         with TypeQueryClient(host, port) as client:
             client.analyze(source)

@@ -14,7 +14,8 @@ import threading
 import pytest
 
 from repro import analyze_program
-from repro.eval.workloads import make_cluster, make_workload
+from repro.eval.workloads import family_workloads, program_workload
+from repro.gen import GenProfile, generate_family, generate_program
 from repro.server import (
     AsyncTypeQueryClient,
     ServerConfig,
@@ -72,9 +73,10 @@ def server():
 @pytest.fixture(scope="module")
 def suite():
     """A miniature version of the evaluation suite: a cluster + standalones."""
-    workloads = make_cluster("srvcluster", members=2, shared_functions=8, member_functions=3, seed=7)
-    workloads.append(make_workload("srv_solo", 6, seed=11))
-    workloads.append(make_workload("srv_tiny", 4, seed=13))
+    smoke = GenProfile.smoke()
+    workloads = family_workloads(generate_family(7, smoke, members=2, name="srvcluster"))
+    workloads.append(program_workload(generate_program(11, smoke, name="srv_solo")))
+    workloads.append(program_workload(generate_program(13, smoke.scaled(4 / 6), name="srv_tiny")))
     return workloads
 
 
@@ -276,8 +278,8 @@ def test_corpus_batch_reuses_shared_sccs(suite, expected):
             )
             members = result["programs"]
             assert set(members) == {w.name for w in cluster}
-            # The second cluster member shares the statically-linked library,
-            # so it must hit the shared summary store.
+            # The second cluster member shares most of its code with the
+            # first, so it must hit the shared summary store.
             total_hits = sum(entry["cache_hits"] for entry in members.values())
             assert total_hits > 0
             # Every member is immediately queryable with exact results.

@@ -2,15 +2,14 @@
 
 from repro import analyze_corpus, analyze_program
 from repro.eval.harness import run_engine, run_suite_batched
-from repro.eval.workloads import make_cluster
+from repro.eval.workloads import family_workloads
 from repro.baselines import RetypdEngine
+from repro.gen import generate_family
 from repro.service import AnalysisService
 
 
 def _cluster():
-    return make_cluster(
-        "batch_c", members=3, shared_functions=10, member_functions=4, seed=77
-    )
+    return family_workloads(generate_family(77, members=3, name="batch_c"))
 
 
 def test_corpus_shares_summaries_across_cluster_members():
@@ -20,7 +19,7 @@ def test_corpus_shares_summaries_across_cluster_members():
     first, *rest = report
     assert first.cache_hits == 0  # empty store on the first member
     for member in rest:
-        assert member.cache_hits > 0, "cluster members must reuse shared-library summaries"
+        assert member.cache_hits > 0, "cluster members must reuse shared-code summaries"
     assert report.total_cache_hits > 0
     assert 0.0 < report.hit_rate < 1.0
     assert report.total_seconds > 0
