@@ -63,12 +63,12 @@ def main() -> None:
 
     # Edit one procedure that has callers: append a harmless instruction,
     # changing its content hash without changing its meaning.
-    from repro.ir.instructions import Nop
+    from repro.ir import Nop, Procedure
 
     edited = workloads[0].program
     called = {callee for procedure in edited for callee in procedure.direct_callees()}
     name = min(called & set(edited.procedures))
-    edited.procedures[name].instructions.append(Nop())
+    edited.add_procedure(Procedure(name, edited.procedures[name].instructions + [Nop()]))
     third = session.analyze(edited)
     print(f"after editing {name!r}: invalidation cone = "
           f"{third.stats.get('invalidated_procedures', [])}")

@@ -1,12 +1,13 @@
 """Control-flow graphs over procedures.
 
-Three views are provided:
+Two views are provided:
 
-* an instruction-level successor map,
-* the straight-line blocks the dataflow analyses (stack tracking, reaching
-  definitions) run over, split from that map, and
+* an instruction-level successor map, and
 * basic blocks (used by the evaluation harness to report program sizes in
   "CFG nodes", the unit of Figures 11/12).
+
+The dataflow analyses find their own blocks in the one walk over a body
+(:func:`~repro.ir.dataflow.analyze_body`).
 """
 
 from __future__ import annotations
@@ -41,28 +42,6 @@ def successors(procedure: Procedure) -> Dict[int, List[int]]:
                 succs.append(index + 1)
         result[index] = succs
     return result
-
-
-def flow_blocks(succ_map: Dict[int, List[int]], count: int) -> List[int]:
-    """Start indices of the straight-line blocks of ``count`` instructions.
-
-    An instruction continues its predecessor's block exactly when it is that
-    instruction's only successor and has no other predecessor, so control
-    inside a block is straight-line and every successor of a block's last
-    instruction starts a block.  Block ``b`` spans ``starts[b]`` up to (not
-    including) ``starts[b + 1]``, the last one up to ``count``.
-    """
-    if count == 0:
-        return []
-    pred_count = [0] * count
-    for succs in succ_map.values():
-        for succ in succs:
-            pred_count[succ] += 1
-    starts = [0]
-    for index in range(1, count):
-        if pred_count[index] != 1 or succ_map[index - 1] != [index]:
-            starts.append(index)
-    return starts
 
 
 @dataclass
@@ -128,20 +107,7 @@ def build_cfg(procedure: Procedure) -> ControlFlowGraph:
 def cfg_node_count(procedure: Procedure) -> int:
     """Number of basic blocks; the program-size unit used in Figures 11 and 12.
 
-    Counts the block leaders :func:`build_cfg` would split at, without
-    building the blocks or the successor map.
+    Counted once, when the procedure was built (``Procedure.cfg_nodes``): the
+    block leaders :func:`build_cfg` would split at.
     """
-    instructions = procedure.instructions
-    count = len(instructions)
-    leaders: Set[int] = {0}
-    for index, instruction in enumerate(instructions):
-        if isinstance(instruction, LabelPseudo):
-            leaders.add(index)
-        elif isinstance(instruction, (Jmp, Jcc, Ret)):
-            if index + 1 < count:
-                leaders.add(index + 1)
-            if not isinstance(instruction, Ret):
-                target = procedure.label_target(instruction.target)
-                if target is not None:
-                    leaders.add(target)
-    return len(leaders)
+    return procedure.cfg_nodes

@@ -11,23 +11,18 @@ substrate:
   caller's value);
 * **return value** -- ``eax`` when a definition of it reaches some ``ret``.
 
-It reads the facts :func:`~repro.ir.dataflow.analyze_reaching_definitions`
-recorded per instruction (the locations each one uses) rather than deriving
-them again.
+The body walk (:func:`~repro.ir.dataflow.analyze_body`) derives all three
+from the facts it records; this module names them for one procedure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
-from .dataflow import ENTRY, ReachingDefinitions, analyze_reaching_definitions
-from .instructions import WORD_SIZE, Push, Ret
+from .dataflow import BodyFacts, analyze_body
+from .instructions import WORD_SIZE
 from .program import Procedure
-
-
-#: registers that may carry arguments when a register-parameter convention is used
-REGISTER_PARAM_CANDIDATES = ("ecx", "edx", "ebx", "esi", "edi")
 
 
 @dataclass
@@ -54,37 +49,14 @@ class ProcedureInterface:
 
 
 def discover_interface(
-    procedure: Procedure, reaching: Optional[ReachingDefinitions] = None
+    procedure: Procedure, facts: Optional[BodyFacts] = None
 ) -> ProcedureInterface:
-    """Compute the procedure's interface from its dataflow facts."""
-    if reaching is None:
-        reaching = analyze_reaching_definitions(procedure)
-
-    stack_args: Set[int] = set()
-    register_args: Set[str] = set()
-    has_return = False
-
-    for index, instruction in enumerate(procedure.instructions):
-        for location in reaching.uses[index]:
-            defs = reaching.reaching(index, location)
-            if ENTRY not in defs:
-                continue
-            if isinstance(location, int):
-                if location >= WORD_SIZE:
-                    stack_args.add(location)
-            elif location in REGISTER_PARAM_CANDIDATES:
-                # The callee-save idiom (push reg ... pop reg) is not a use of a
-                # parameter; require a non-push use of the entry value.
-                if not isinstance(instruction, Push):
-                    register_args.add(location)
-        if isinstance(instruction, Ret):
-            eax_defs = reaching.reaching(index, "eax")
-            if any(definition != ENTRY for definition in eax_defs):
-                has_return = True
-
+    """The procedure's interface, read off its body's record."""
+    if facts is None:
+        facts = analyze_body(procedure)
     return ProcedureInterface(
         name=procedure.name,
-        stack_args=tuple(sorted(stack_args)),
-        register_args=tuple(sorted(register_args)),
-        has_return=has_return,
+        stack_args=facts.stack_args,
+        register_args=facts.register_args,
+        has_return=facts.has_return,
     )

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set
 
-from .instructions import Call, Instruction, Jcc, Jmp, LabelPseudo, Reg, Ret
+from .instructions import Call, Instruction, Jcc, Jmp, LabelPseudo, Ret
 
 if TYPE_CHECKING:
     from .asmparser import ParseTable
@@ -13,37 +13,56 @@ if TYPE_CHECKING:
 
 @dataclass
 class Procedure:
-    """A named procedure: a flat list of instructions with internal labels resolved."""
+    """A named procedure: a flat list of instructions with internal labels resolved.
+
+    The instructions are fixed once the procedure is built: its labels (unless
+    given), ``size`` and ``cfg_nodes`` are counted then, in one pass.
+    """
 
     name: str
     instructions: List[Instruction] = dc_field(default_factory=list)
     #: label name -> index into ``instructions`` of the labelled instruction
     labels: Dict[str, int] = dc_field(default_factory=dict)
+    #: number of real (non-label) instructions.
+    size: int = dc_field(init=False, compare=False, repr=False)
+    #: number of basic blocks (the leaders :func:`~repro.ir.cfg.build_cfg`
+    #: splits at); the program-size unit of Figures 11 and 12.
+    cfg_nodes: int = dc_field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.labels:
-            self.labels = self._compute_labels()
-
-    def _compute_labels(self) -> Dict[str, int]:
+        instructions = self.instructions
+        count = len(instructions)
         labels: Dict[str, int] = {}
-        for index, instruction in enumerate(self.instructions):
-            if isinstance(instruction, LabelPseudo):
+        leaders = {0}
+        jumps: List[str] = []
+        label_lines = 0
+        for index, instruction in enumerate(instructions):
+            kind = type(instruction)
+            if kind is LabelPseudo:
                 # The label points at the next real instruction.
                 labels[instruction.name] = index
-        return labels
+                leaders.add(index)
+                label_lines += 1
+                continue
+            if kind is Jmp or kind is Jcc or kind is Ret:
+                if index + 1 < count:
+                    leaders.add(index + 1)
+                if kind is not Ret:
+                    jumps.append(instruction.target)
+        if not self.labels:
+            self.labels = labels
+        for label in jumps:
+            target = self.labels.get(label)
+            if target is not None:
+                leaders.add(target)
+        self.size = count - label_lines
+        self.cfg_nodes = len(leaders)
 
     def __len__(self) -> int:
         return len(self.instructions)
 
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
-
-    @property
-    def size(self) -> int:
-        """Number of real (non-label) instructions."""
-        return sum(
-            1 for instruction in self.instructions if not isinstance(instruction, LabelPseudo)
-        )
 
     def label_target(self, label: str) -> Optional[int]:
         return self.labels.get(label)
@@ -56,13 +75,14 @@ class Procedure:
         ]
 
     def __str__(self) -> str:
-        lines = [f"{self.name}:"]
-        for instruction in self.instructions:
-            if isinstance(instruction, LabelPseudo):
-                lines.append(f"{instruction.name}:")
-            else:
-                lines.append(f"    {instruction}")
-        return "\n".join(lines)
+        return "\n".join([f"{self.name}:", *map(instruction_line, self.instructions)])
+
+
+def instruction_line(instruction: Instruction) -> str:
+    """One instruction's line in its procedure's textual form."""
+    if type(instruction) is LabelPseudo:
+        return f"{instruction.name}:"
+    return f"    {instruction}"
 
 
 @dataclass
@@ -91,6 +111,10 @@ class Program:
     @property
     def instruction_count(self) -> int:
         return sum(proc.size for proc in self.procedures.values())
+
+    @property
+    def cfg_nodes(self) -> int:
+        return sum(proc.cfg_nodes for proc in self.procedures.values())
 
     def __str__(self) -> str:
         parts = []

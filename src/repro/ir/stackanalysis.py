@@ -2,9 +2,11 @@
 
 Retypd deliberately avoids full points-to analysis; the only memory facts it
 needs are which accesses address the current activation record.  This module
-computes, for every instruction of a procedure, the offset of ``esp`` and
-``ebp`` relative to the value of ``esp`` on procedure entry (0 = the return
-address slot).  Stack memory operands can then be resolved to *frame offsets*:
+holds the domain -- the offset of ``esp`` and ``ebp`` relative to the value of
+``esp`` on procedure entry (0 = the return address slot) -- and its per-type
+transfer; :func:`~repro.ir.dataflow.analyze_body` runs it over a body's blocks
+and records the state before every instruction.  Stack memory operands can
+then be resolved to *frame offsets*:
 
 * offsets ``>= 4``  : incoming arguments (``4`` is the first cdecl argument);
 * offset ``0``      : the return address;
@@ -13,11 +15,9 @@ address slot).  Stack memory operands can then be resolved to *frame offsets*:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .cfg import flow_blocks, successors
-from .instructions import WORD_SIZE, BinaryOp, Imm, Instruction, Leave, Mem, Mov, Pop, Push, Reg
-from .program import Procedure
+from .instructions import WORD_SIZE, BinaryOp, Imm, Leave, Mem, Mov, Pop, Push, Reg
 
 
 class StackState(NamedTuple):
@@ -35,55 +35,6 @@ class StackState(NamedTuple):
 #: the state on procedure entry, and the state of an instruction no path reaches.
 ENTRY_STATE = StackState(0, None)
 UNKNOWN = StackState(None, None)
-
-
-def analyze_stack(procedure: Procedure) -> Dict[int, StackState]:
-    """State *before* each instruction index a path from the entry reaches."""
-    instructions = procedure.instructions
-    succ_map = successors(procedure)
-    states = block_stack_states(instructions, succ_map, flow_blocks(succ_map, len(instructions)))
-    return {index: state for index, state in enumerate(states) if state is not None}
-
-
-def block_stack_states(
-    instructions: List[Instruction], succ_map: Dict[int, List[int]], starts: List[int]
-) -> List[Optional[StackState]]:
-    """State before each instruction (``None`` where no path reaches it).
-
-    The fixpoint keeps a state only at each block's entry (``starts`` from
-    :func:`~repro.ir.cfg.flow_blocks`) and derives its instructions' states
-    in one walk through the block.  Inside a block control is straight-line,
-    so this is the instruction-level fixpoint's solution; a block is walked
-    again whenever its entry state changes, so its last walk starts from
-    the final entry state.
-    """
-    count = len(instructions)
-    states: List[Optional[StackState]] = [None] * count
-    if not count:
-        return states
-    ends = starts[1:] + [count]
-    block_at = {start: block for block, start in enumerate(starts)}
-    entry: List[Optional[StackState]] = [None] * len(starts)
-    entry[0] = ENTRY_STATE
-    transfers = _TRANSFERS
-    worklist = [0]
-    while worklist:
-        block = worklist.pop()
-        state = entry[block]
-        for index in range(starts[block], ends[block]):
-            states[index] = state
-            instruction = instructions[index]
-            step = transfers.get(type(instruction))
-            if step is not None:
-                state = step(instruction, state)
-        for succ in succ_map[ends[block] - 1]:
-            target = block_at[succ]
-            existing = entry[target]
-            merged = state if existing is None else existing.merge(state)
-            if merged != existing:
-                entry[target] = merged
-                worklist.append(target)
-    return states
 
 
 def _push(instruction: Push, state: StackState) -> StackState:

@@ -53,7 +53,6 @@ from ..core.solver import (
 )
 from ..ir.asmparser import ParsedChunk, ParseTable, parse_program
 from ..ir.callgraph import CallGraph
-from ..ir.cfg import cfg_node_count
 from ..ir.program import Program
 from ..obs.metrics import get_registry
 from ..obs.trace import checkpoint, get_tracer
@@ -142,8 +141,6 @@ class _ProcedureEntry(ParsedChunk):
     """A parsed procedure chunk plus what a session derives from it once."""
 
     fingerprint: str
-    size: int
-    cfg_nodes: int
     callees: Tuple[str, ...]
 
     @classmethod
@@ -154,8 +151,6 @@ class _ProcedureEntry(ParsedChunk):
             chunk.externs,
             chunk.globals,
             procedure_fingerprint(procedure),
-            procedure.size,
-            cfg_node_count(procedure),
             tuple(procedure.direct_callees()),
         )
 
@@ -185,8 +180,6 @@ class _Version:
     program: Program
     fingerprints: Dict[str, str]
     callgraph: CallGraph
-    instructions: int
-    cfg_nodes: int
     #: SCC-key memo kept across versions (see ``scc_summary_keys``).
     scc_keys: Dict[Tuple, str]
     #: the previous version's display table, by procedure name.
@@ -348,18 +341,13 @@ class AnalysisService:
                 functions, display = self._refine_and_display(
                     program, ChainMap(inputs, known), probe, solved, version
                 )
-        if version is not None:
-            instructions, cfg_nodes = version.instructions, version.cfg_nodes
-        else:
-            instructions = program.instruction_count
-            cfg_nodes = sum(cfg_node_count(proc) for proc in program)
         stats.update(
             {
                 "constraint_generation_seconds": constraint_time,
                 "solve_seconds": solve_time,
                 "total_seconds": constraint_time + solve_time,
-                "instructions": instructions,
-                "cfg_nodes": cfg_nodes,
+                "instructions": program.instruction_count,
+                "cfg_nodes": program.cfg_nodes,
             }
         )
         return ProgramTypes(
@@ -728,8 +716,6 @@ class IncrementalSession:
             program,
             fingerprints,
             callgraph,
-            instructions=sum(entry.size for entry in entries.values()),
-            cfg_nodes=sum(entry.cfg_nodes for entry in entries.values()),
             # Pure, so kept even if this version fails; bounded by a reset.
             scc_keys=self._scc_keys if len(self._scc_keys) <= 2 * len(entries) else {},
             displayed=self._displayed,

@@ -47,7 +47,7 @@ from ..core.solver import (
     SolverConfig,
 )
 from ..core.variables import DerivedTypeVariable, parse_dtv
-from ..ir.program import Procedure, Program
+from ..ir.program import Procedure, Program, instruction_line
 from ..obs.metrics import get_registry
 from ..obs.trace import checkpoint, get_tracer
 from ..typegen.externs import ExternSignature
@@ -75,10 +75,22 @@ def procedure_fingerprint(procedure: Procedure) -> str:
 
 
 def program_fingerprints(program: Program) -> Dict[str, str]:
-    """Content hash of every procedure in a program."""
+    """:func:`procedure_fingerprint` of every procedure in a program.
+
+    Parsed procedures share one instruction object per distinct line, so
+    each object's line is rendered once per call: the hashed text is
+    ``str(procedure)``, byte for byte.
+    """
+    lines: Dict[int, str] = {}
     fingerprints = {}
-    for name, proc in program.procedures.items():
-        fingerprints[name] = procedure_fingerprint(proc)
+    for name, procedure in program.procedures.items():
+        text = [f"{procedure.name}:"]
+        for instruction in procedure.instructions:
+            line = lines.get(id(instruction))
+            if line is None:
+                line = lines[id(instruction)] = instruction_line(instruction)
+            text.append(line)
+        fingerprints[name] = hashlib.sha256("\n".join(text).encode("utf-8")).hexdigest()
         checkpoint()
     return fingerprints
 

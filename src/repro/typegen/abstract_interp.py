@@ -22,8 +22,9 @@ constraint object is built per site; only the formals are objects):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from ..core.intern import ConstraintTable
 from ..core.labels import FieldLabel, InLabel, LoadLabel, OutLabel, StoreLabel
@@ -31,7 +32,15 @@ from ..core.solver import Callsite, ProcedureTypingInput
 from ..core.variables import DerivedTypeVariable
 from ..obs.trace import checkpoint, get_tracer
 from ..ir.callgraph import CallGraph
-from ..ir.dataflow import ENTRY, Location, ReachingDefinitions, analyze_reaching_definitions
+from ..ir.dataflow import (
+    ENTRY,
+    BodyFacts,
+    Environment,
+    Location,
+    Step,
+    analyze_body,
+    body_key,
+)
 from ..ir.instructions import (
     WORD_SIZE,
     BinaryOp,
@@ -49,7 +58,7 @@ from ..ir.instructions import (
 )
 from ..ir.locators import ProcedureInterface, discover_interface
 from ..ir.program import Procedure, Program
-from ..ir.stackanalysis import argument_location, frame_offset, is_argument_offset
+from ..ir.stackanalysis import StackState, argument_location, frame_offset, is_argument_offset
 from .externs import ExternSignature, standard_externs
 
 LOAD = LoadLabel()
@@ -133,13 +142,17 @@ class ProcedureConstraintGenerator:
         procedure: Procedure,
         interface: ProcedureInterface,
         callees: Mapping[str, CalleeInfo],
-        reaching: Optional[ReachingDefinitions] = None,
+        facts: Optional[BodyFacts] = None,
     ) -> None:
         self.procedure = procedure
         self.name = procedure.name
         self.interface = interface
         self.callees = callees
-        self.reaching = reaching or analyze_reaching_definitions(procedure)
+        self.facts = facts if facts is not None else analyze_body(procedure)
+        self.states = self.facts.states
+        #: the definitions reaching the instruction being visited: the
+        #: block's entry environment, updated past each definition.
+        self._env: Environment = {}
         self.table = ConstraintTable()
         self.callsites: List[Callsite] = []
         self._var = self.table.var
@@ -155,7 +168,6 @@ class ProcedureConstraintGenerator:
         self._field_lids: Dict[Tuple[int, int], int] = {}
         self._aliases: Dict[int, Tuple[int, int]] = {}
         self._frame_aliases: Dict[int, int] = {}
-        self._address_taken: Set[int] = set()
 
     # -- type variable naming ----------------------------------------------------------
 
@@ -188,14 +200,15 @@ class ProcedureConstraintGenerator:
         return var
 
     def _make_def_var(self, location: Location, index: int) -> int:
-        location_name = f"stk{location}" if isinstance(location, int) else location
+        is_slot = type(location) is int
+        location_name = f"stk{location}" if is_slot else location
         if index == ENTRY:
-            if isinstance(location, int) and is_argument_offset(location):
+            if is_slot and is_argument_offset(location):
                 loc_name = argument_location(location)
                 if location in self.interface.stack_args:
                     return self.formal_in(loc_name)
                 return self._var(f"{self.name}~arg_{loc_name}")
-            if isinstance(location, str) and location in self.interface.register_args:
+            if not is_slot and location in self.interface.register_args:
                 return self.formal_in(location)
             return self._var(f"{self.name}~{location_name}@entry")
         return self._var(f"{self.name}~{location_name}@{index}")
@@ -208,15 +221,19 @@ class ProcedureConstraintGenerator:
         definition (Example A.2 -- this is what defeats the "fortuitous reuse"
         and stack-slot-reuse unification problems of section 2.1).
         """
-        defs = sorted(self.reaching.reaching(index, location))
-        if len(defs) == 1:
-            return self.def_var(location, defs[0])
+        sites = self._env.get(location, ENTRY)
+        if type(sites) is int:
+            key = (location, sites)
+            var = self._def_vars.get(key)
+            if var is None:
+                var = self._def_vars[key] = self._make_def_var(location, sites)
+            return var
         key = (index, location)
         var = self._phi_cache.get(key)
         if var is None:
             location_name = f"stk{location}" if isinstance(location, int) else location
             var = self._phi_cache[key] = self._var(f"{self.name}~phi_{location_name}@{index}")
-            for definition in defs:
+            for definition in sites:
                 self._sub((self.def_var(location, definition), var))
         return var
 
@@ -236,6 +253,9 @@ class ProcedureConstraintGenerator:
         Returns ``(base_var, delta, frame_offset)``: either ``base_var`` (with a
         byte ``delta``) or ``frame_offset`` (address of a stack object) is set.
         """
+        if var not in self._aliases:
+            frame = self._frame_aliases.get(var)
+            return (var, 0, None) if frame is None else (None, 0, frame)
         delta = 0
         seen = set()
         current = var
@@ -251,10 +271,11 @@ class ProcedureConstraintGenerator:
 
     def _object_base(self, offset: int) -> Optional[int]:
         """The address-taken object (if any) a direct slot access belongs to."""
+        address_taken = self.facts.address_taken
+        if not address_taken:
+            return None
         candidates = [
-            taken
-            for taken in self._address_taken
-            if taken <= offset < taken + _MAX_OBJECT_EXTENT
+            taken for taken in address_taken if taken <= offset < taken + _MAX_OBJECT_EXTENT
         ]
         return max(candidates) if candidates else None
 
@@ -264,7 +285,7 @@ class ProcedureConstraintGenerator:
 
     def load_source(self, memory: Mem, index: int) -> Optional[int]:
         """The derived type variable whose value a memory *read* produces."""
-        state = self.reaching.states[index]
+        state = self.states[index]
         offset = frame_offset(memory, state)
         if offset is not None:
             value = self.use_var(offset, index)
@@ -287,7 +308,7 @@ class ProcedureConstraintGenerator:
 
     def store_target(self, memory: Mem, index: int) -> Optional[int]:
         """The derived type variable a memory *write* flows into."""
-        state = self.reaching.states[index]
+        state = self.states[index]
         offset = frame_offset(memory, state)
         if offset is not None:
             target = self.def_var(offset, index)
@@ -310,13 +331,23 @@ class ProcedureConstraintGenerator:
     # -- main generation loop ------------------------------------------------------------------
 
     def generate(self) -> ProcedureTypingInput:
-        self._collect_address_taken()
         visitors = _VISITORS
-        for index, instruction in enumerate(self.procedure.instructions):
-            # Labels, jumps, nop, flag-only compares and leave generate nothing.
-            visit = visitors.get(type(instruction))
-            if visit is not None:
-                visit(self, index, instruction)
+        instructions = self.procedure.instructions
+        facts = self.facts
+        defs = facts.defs
+        ends = facts.starts[1:] + [len(instructions)]
+        for start, end, entry in zip(facts.starts, ends, facts.entry):
+            # Unreachable code sees only entry values: its env stays empty.
+            env = self._env = dict(entry) if entry is not None else {}
+            for index in range(start, end):
+                instruction = instructions[index]
+                # Labels, jumps, nop, flag-only compares and leave generate nothing.
+                visit = visitors.get(type(instruction))
+                if visit is not None:
+                    visit(self, index, instruction)
+                    if entry is not None:
+                        for location in defs[index]:
+                            env[location] = index
         labels = self.table.labels
         formal_ins = tuple(
             DerivedTypeVariable(self.name, (labels[self._in_lid(location)],))
@@ -333,48 +364,43 @@ class ProcedureConstraintGenerator:
             callsites=tuple(self.callsites),
         )
 
-    def _collect_address_taken(self) -> None:
-        for index, instruction in enumerate(self.procedure.instructions):
-            if isinstance(instruction, Lea):
-                offset = frame_offset(instruction.src, self.reaching.states[index])
-                if offset is not None:
-                    self._address_taken.add(offset)
-
     # -- individual instruction kinds ----------------------------------------------------------
 
     def _value_of(self, operand: Operand, index: int) -> Optional[int]:
-        if isinstance(operand, Reg):
+        kind = type(operand)
+        if kind is Reg:
             if operand.name in ("esp", "ebp"):
                 return None
             return self.use_var(operand.name, index)
-        if isinstance(operand, Mem):
+        if kind is Mem:
             return self.load_source(operand, index)
         return None  # immediates carry no type information
 
     def _visit_mov(self, index: int, instruction: Mov) -> None:
-        if isinstance(instruction.dst, Reg):
-            if instruction.dst.name in ("esp", "ebp"):
+        dst, src = instruction.dst, instruction.src
+        if type(dst) is Reg:
+            if dst.name in ("esp", "ebp"):
                 return
-            destination = self.def_var(instruction.dst.name, index)
-            source = self._value_of(instruction.src, index)
+            destination = self.def_var(dst.name, index)
+            source = self._value_of(src, index)
             if source is not None:
                 self._sub((source, destination))
                 # A register copy propagates pointer-offset aliases.
-                if isinstance(instruction.src, Reg):
+                if type(src) is Reg:
                     base_var, delta, frame = self._resolve_alias(source)
                     if frame is not None:
                         self._frame_aliases[destination] = frame
                     elif delta and base_var is not None:
                         self._aliases[destination] = (base_var, delta)
-        elif isinstance(instruction.dst, Mem):
-            target = self.store_target(instruction.dst, index)
-            source = self._value_of(instruction.src, index)
+        elif type(dst) is Mem:
+            target = self.store_target(dst, index)
+            source = self._value_of(src, index)
             if target is not None and source is not None:
                 self._sub((source, target))
 
     def _visit_lea(self, index: int, instruction: Lea) -> None:
         destination = self.def_var(instruction.dst.name, index)
-        offset = frame_offset(instruction.src, self.reaching.states[index])
+        offset = frame_offset(instruction.src, self.states[index])
         if offset is not None:
             # The register now holds the address of a stack object.
             self._frame_aliases[destination] = offset
@@ -430,7 +456,7 @@ class ProcedureConstraintGenerator:
         self._sub((destination, self._var("int")))
 
     def _visit_push(self, index: int, instruction: Push) -> None:
-        state = self.reaching.states[index]
+        state = self.states[index]
         if state.esp is None:
             return
         slot = state.esp - WORD_SIZE
@@ -442,7 +468,7 @@ class ProcedureConstraintGenerator:
     def _visit_pop(self, index: int, instruction: Pop) -> None:
         if instruction.dst.name in ("esp", "ebp"):
             return
-        state = self.reaching.states[index]
+        state = self.states[index]
         if state.esp is None:
             return
         slot = state.esp
@@ -459,7 +485,7 @@ class ProcedureConstraintGenerator:
             info = CalleeInfo(name=callee, known=False)
         base = f"{callee}${self.name}_{index}"
         base_var = self._var(base)
-        state = self.reaching.states[index]
+        state = self.states[index]
 
         if info.stack_params and state.esp is not None:
             for position in range(info.stack_params):
@@ -477,8 +503,7 @@ class ProcedureConstraintGenerator:
     def _visit_ret(self, index: int, instruction: Ret) -> None:
         if not self.interface.has_return:
             return
-        defs = self.reaching.reaching(index, "eax")
-        if all(definition == ENTRY for definition in defs):
+        if self._env.get("eax", ENTRY) == ENTRY:
             return
         self._sub((self.use_var("eax", index), self.formal_out()))
 
@@ -506,9 +531,10 @@ def generate_program_constraints(
     serves -- mapped to their :class:`Formals`; their callers see them
     through :meth:`CalleeInfo.from_formals`.  The rest are generated SCC by
     SCC, bottom-up, so every callee's interface exists before its callers
-    are visited: reaching definitions run once per procedure, feed both
-    interface discovery and the generator, and are dropped when the SCC is
-    done.  ``sccs`` is the program's bottom-up SCC order when the caller
+    are visited.  Each distinct body is walked once (:func:`analyze_body`):
+    procedures whose bodies are the same instruction objects share the
+    record, each gets an interface under its own name, and the record is
+    dropped once the last of them is generated.  ``sccs`` is the program's bottom-up SCC order when the caller
     already has it (``CallGraph.sccs_bottom_up``).  Returns the generated
     inputs in program order.
     """
@@ -537,26 +563,43 @@ def generate_program_constraints(
         }
         for name in called.intersection(known):
             callees[name] = CalleeInfo.from_formals(name, known[name])
+    # Procedures with the same machine code share one body record, kept
+    # until the last of them is generated; all bodies share one memo of
+    # instruction effects.
+    keys = {
+        name: body_key(program.procedures[name])
+        for scc in sccs
+        for name in scc
+        if name not in known
+    }
+    waiting = Counter(keys.values())
+    bodies: Dict[Hashable, BodyFacts] = {}
+    steps: Dict[Tuple[int, StackState], Step] = {}
     tracer = get_tracer()
     generated: Dict[str, ProcedureTypingInput] = {}
     for scc in sccs:
-        reaching: Dict[str, ReachingDefinitions] = {}
         interfaces: Dict[str, ProcedureInterface] = {}
         for name in scc:
             if name in known:
                 continue
             with tracer.span("typegen.interface", function=name):
                 procedure = program.procedures[name]
-                reaching[name] = analyze_reaching_definitions(procedure)
-                interfaces[name] = discover_interface(procedure, reaching[name])
+                facts = bodies.get(keys[name])
+                if facts is None:
+                    facts = bodies[keys[name]] = analyze_body(procedure, steps)
+                interfaces[name] = discover_interface(procedure, facts)
             callees[name] = CalleeInfo.from_interface(interfaces[name])
             checkpoint()
         for name, interface in interfaces.items():
+            key = keys[name]
             with tracer.span("typegen.constraints", function=name) as span:
                 generator = ProcedureConstraintGenerator(
-                    program.procedures[name], interface, callees, reaching[name]
+                    program.procedures[name], interface, callees, bodies[key]
                 )
                 generated[name] = generator.generate()
                 span.set("constraints", len(generated[name].table))
+            waiting[key] -= 1
+            if not waiting[key]:
+                del bodies[key]
             checkpoint()
     return {name: generated[name] for name in program.procedures if name in generated}

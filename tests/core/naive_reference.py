@@ -51,6 +51,17 @@ them:
 * :func:`naive_cell_at` -- one bound's label word walked from its
   variable's cell, with no memo.
 
+The one walk per distinct body (:func:`repro.ir.dataflow.analyze_body`)
+then replaced that per-procedure pass; it survives here too, and the same
+two test files hold the walk's record to it:
+
+* :func:`flow_blocks` / :func:`block_stack_states` /
+  :func:`block_reaching_definitions` -- a successor map per instruction,
+  split into straight-line blocks, stack states per block, defs and uses per
+  instruction, and reaching definitions per block answered by ``bisect``;
+* :func:`block_discover_interface` -- interface discovery as a second walk,
+  querying ``reaching`` for every use.
+
 Constraint generation now writes straight into per-procedure integer
 tables, and each SCC's encoding merges them;
 ``tests/core/test_table_equivalence.py`` holds both to the object-level code
@@ -74,8 +85,9 @@ holds :func:`repro.core.simplify.proves` to.
 
 import enum
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import AddConstraint, ConstraintSet, SubConstraint, SubtypeConstraint
 from repro.core.intern import InternPool
@@ -100,11 +112,11 @@ from repro.core.variables import DerivedTypeVariable
 from repro.ir.callgraph import CallGraph
 from repro.ir.cfg import successors
 from repro.ir.dataflow import (
+    _FACTS,
     _TRACKED_REGISTERS,
     ENTRY,
+    REGISTER_PARAM_CANDIDATES,
     Location,
-    ReachingDefinitions,
-    analyze_reaching_definitions,
 )
 from repro.ir.instructions import (
     WORD_SIZE,
@@ -124,9 +136,17 @@ from repro.ir.instructions import (
     Operand,
     is_zeroing_idiom,
 )
-from repro.ir.locators import REGISTER_PARAM_CANDIDATES, ProcedureInterface, discover_interface
+from repro.ir.locators import ProcedureInterface
 from repro.ir.program import Procedure, Program
-from repro.ir.stackanalysis import StackState, argument_location, frame_offset, is_argument_offset
+from repro.ir.stackanalysis import (
+    _TRANSFERS,
+    ENTRY_STATE,
+    UNKNOWN,
+    StackState,
+    argument_location,
+    frame_offset,
+    is_argument_offset,
+)
 from repro.typegen.abstract_interp import CalleeInfo
 from repro.typegen.externs import ExternSignature, standard_externs
 
@@ -1009,6 +1029,180 @@ def naive_discover_interface(procedure: Procedure) -> ProcedureInterface:
 
 
 # ---------------------------------------------------------------------------
+# The per-block IR pass the body walk replaced
+# ---------------------------------------------------------------------------
+
+
+def flow_blocks(succ_map: Dict[int, List[int]], count: int) -> List[int]:
+    """Start indices of the straight-line blocks of ``count`` instructions.
+
+    An instruction continues its predecessor's block exactly when it is that
+    instruction's only successor and has no other predecessor.
+    """
+    if count == 0:
+        return []
+    pred_count = [0] * count
+    for succs in succ_map.values():
+        for succ in succs:
+            pred_count[succ] += 1
+    starts = [0]
+    for index in range(1, count):
+        if pred_count[index] != 1 or succ_map[index - 1] != [index]:
+            starts.append(index)
+    return starts
+
+
+def block_stack_states(
+    instructions: List[Instruction], succ_map: Dict[int, List[int]], starts: List[int]
+) -> List[Optional[StackState]]:
+    """State before each instruction (``None`` where no path reaches it),
+    with a state kept only at each block's entry."""
+    count = len(instructions)
+    states: List[Optional[StackState]] = [None] * count
+    if not count:
+        return states
+    ends = starts[1:] + [count]
+    block_at = {start: block for block, start in enumerate(starts)}
+    entry: List[Optional[StackState]] = [None] * len(starts)
+    entry[0] = ENTRY_STATE
+    worklist = [0]
+    while worklist:
+        block = worklist.pop()
+        state = entry[block]
+        for index in range(starts[block], ends[block]):
+            states[index] = state
+            instruction = instructions[index]
+            step = _TRANSFERS.get(type(instruction))
+            if step is not None:
+                state = step(instruction, state)
+        for succ in succ_map[ends[block] - 1]:
+            target = block_at[succ]
+            existing = entry[target]
+            merged = state if existing is None else existing.merge(state)
+            if merged != existing:
+                entry[target] = merged
+                worklist.append(target)
+    return states
+
+
+@dataclass
+class BlockReachingDefinitions:
+    """The replaced pass's result: per-instruction states, defs and uses,
+    and reaching definitions kept per basic block."""
+
+    procedure: Procedure
+    states: List[StackState]
+    defs: List[Sequence[Location]]
+    uses: List[Sequence[Location]]
+    #: per instruction index: its block's number, or -1 when unreachable.
+    block_of: List[int]
+    entry: List[Optional[Dict[Location, FrozenSet[int]]]]
+    local: List[Optional[Dict[Location, List[int]]]]
+
+    def reaching(self, index: int, location: Location) -> FrozenSet[int]:
+        block = self.block_of[index] if 0 <= index < len(self.block_of) else -1
+        if block < 0:
+            return frozenset({ENTRY})
+        sites = self.local[block].get(location)
+        if sites:
+            position = bisect_left(sites, index)
+            if position:
+                return frozenset((sites[position - 1],))
+        return self.entry[block].get(location, frozenset({ENTRY}))
+
+    def state(self, index: int) -> StackState:
+        return self.states[index] if 0 <= index < len(self.states) else UNKNOWN
+
+    @property
+    def stack_states(self) -> Dict[int, StackState]:
+        return {index: self.states[index] for index, block in enumerate(self.block_of) if block >= 0}
+
+
+def block_reaching_definitions(procedure: Procedure) -> BlockReachingDefinitions:
+    """Successor map, flow blocks, block stack states, per-instruction defs
+    and uses, then the reaching-definitions fixpoint one block at a time."""
+    instructions = procedure.instructions
+    count = len(instructions)
+    if count == 0:
+        return BlockReachingDefinitions(procedure, [], [], [], [], [], [])
+    succ_map = successors(procedure)
+    starts = flow_blocks(succ_map, count)
+    reached = block_stack_states(instructions, succ_map, starts)
+    states: List[StackState] = []
+    defs: List[Sequence[Location]] = []
+    uses: List[Sequence[Location]] = []
+    for instruction, state in zip(instructions, reached):
+        state = UNKNOWN if state is None else state
+        states.append(state)
+        facts = _FACTS.get(type(instruction))
+        written, read = facts(instruction, state) if facts is not None else ((), ())
+        defs.append(written)
+        uses.append(read)
+
+    block_at = {start: block for block, start in enumerate(starts)}
+    ends = starts[1:] + [count]
+    entry: List[Optional[Dict[Location, FrozenSet[int]]]] = [None] * len(starts)
+    local: List[Optional[Dict[Location, List[int]]]] = [None] * len(starts)
+    gen: List[Dict[Location, FrozenSet[int]]] = [{}] * len(starts)
+    entry[0] = {}
+    worklist: List[int] = [0]
+    while worklist:
+        block = worklist.pop()
+        if local[block] is None:
+            sites: Dict[Location, List[int]] = {}
+            for index in range(starts[block], ends[block]):
+                for location in defs[index]:
+                    sites.setdefault(location, []).append(index)
+            local[block] = sites
+            gen[block] = {location: frozenset((at[-1],)) for location, at in sites.items()}
+        out_env = dict(entry[block])
+        out_env.update(gen[block])
+        for succ in succ_map[ends[block] - 1]:
+            target = block_at[succ]
+            existing = entry[target]
+            merged = _naive_merge(existing, out_env)
+            if existing is None or merged != existing:
+                entry[target] = merged
+                worklist.append(target)
+
+    block_of = [-1] * count
+    for block, start in enumerate(starts):
+        if entry[block] is not None:
+            block_of[start:ends[block]] = [block] * (ends[block] - start)
+    return BlockReachingDefinitions(procedure, states, defs, uses, block_of, entry, local)
+
+
+def block_discover_interface(
+    procedure: Procedure, reaching: Optional[BlockReachingDefinitions] = None
+) -> ProcedureInterface:
+    """Interface discovery as a second walk, querying ``reaching`` per use."""
+    if reaching is None:
+        reaching = block_reaching_definitions(procedure)
+    stack_args: Set[int] = set()
+    register_args: Set[str] = set()
+    has_return = False
+    for index, instruction in enumerate(procedure.instructions):
+        for location in reaching.uses[index]:
+            if ENTRY not in reaching.reaching(index, location):
+                continue
+            if isinstance(location, int):
+                if location >= WORD_SIZE:
+                    stack_args.add(location)
+            elif location in REGISTER_PARAM_CANDIDATES:
+                if not isinstance(instruction, Push):
+                    register_args.add(location)
+        if isinstance(instruction, Ret):
+            if any(definition != ENTRY for definition in reaching.reaching(index, "eax")):
+                has_return = True
+    return ProcedureInterface(
+        name=procedure.name,
+        stack_args=tuple(sorted(stack_args)),
+        register_args=tuple(sorted(register_args)),
+        has_return=has_return,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Scheme serialization and bound placement, re-deriving per cell and per bound
 # ---------------------------------------------------------------------------
 
@@ -1201,13 +1395,13 @@ class NaiveConstraintGenerator:
         procedure: Procedure,
         interface: ProcedureInterface,
         callees: Mapping[str, CalleeInfo],
-        reaching: Optional[ReachingDefinitions] = None,
+        reaching: Optional[BlockReachingDefinitions] = None,
     ) -> None:
         self.procedure = procedure
         self.name = procedure.name
         self.interface = interface
         self.callees = callees
-        self.reaching = reaching or analyze_reaching_definitions(procedure)
+        self.reaching = reaching or block_reaching_definitions(procedure)
         self.constraints = ConstraintSet()
         self.callsites: List[Callsite] = []
         self._phi_cache: Dict[Tuple[int, Location], DerivedTypeVariable] = {}
@@ -1580,12 +1774,12 @@ def naive_generate_program_constraints(
         reaching = {}
         for name in scc:
             procedure = program.procedures[name]
-            reaching[name] = analyze_reaching_definitions(procedure)
+            reaching[name] = block_reaching_definitions(procedure)
             callees[name] = CalleeInfo.from_interface(
-                discover_interface(procedure, reaching[name])
+                block_discover_interface(procedure, reaching[name])
             )
         for name in scc:
-            interface = discover_interface(program.procedures[name], reaching[name])
+            interface = block_discover_interface(program.procedures[name], reaching[name])
             generated[name] = NaiveConstraintGenerator(
                 program.procedures[name], interface, callees, reaching[name]
             ).generate()

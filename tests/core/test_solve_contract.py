@@ -12,9 +12,8 @@
 * ``repro.service.incremental.generate_program_constraints`` runs once per
   cold ``analyze_program``, looked up through that module: the ledger wraps
   that name to time constraint generation (``typegen.constraints``).
-* Constraint generation walks each procedure once: its successor map is
-  built once per generated procedure, shared by the stack analysis,
-  reaching definitions and interface discovery.
+* Constraint generation builds no instruction-level successor map: the
+  body walk computes successors at block ends only.
 """
 
 import collections
@@ -23,8 +22,6 @@ import pytest
 
 import repro.core.solver as solver_module
 import repro.ir.cfg as cfg_module
-import repro.ir.dataflow as dataflow_module
-import repro.ir.stackanalysis as stackanalysis_module
 import repro.service.incremental as incremental_module
 from repro import analyze_program
 from repro.core.intern import SccEncoding
@@ -103,7 +100,7 @@ def test_constraint_generation_runs_once_per_cold_analysis(monkeypatch):
     assert types.stats["generated_procedures"]
 
 
-def test_successors_built_once_per_generated_procedure(monkeypatch):
+def test_generation_builds_no_instruction_successor_map(monkeypatch):
     built = collections.Counter()
     real = cfg_module.successors
 
@@ -111,9 +108,7 @@ def test_successors_built_once_per_generated_procedure(monkeypatch):
         built[procedure.name] += 1
         return real(procedure)
 
-    for module in (cfg_module, dataflow_module, stackanalysis_module):
-        monkeypatch.setattr(module, "successors", counting)
+    monkeypatch.setattr(cfg_module, "successors", counting)
     types = analyze_program(_program(7, "default"))
-    generated = types.stats["generated_procedures"]
-    assert sorted(built) == sorted(generated)
-    assert set(built.values()) == {1}
+    assert types.stats["generated_procedures"]
+    assert not built

@@ -1,13 +1,16 @@
-"""The per-procedure IR pass against the instruction-level analyses it replaced.
+"""The body walk against the IR passes it replaced.
 
-:func:`repro.ir.dataflow.analyze_reaching_definitions` builds a procedure's
-successors and blocks once, runs the stack analysis over those blocks and
-records each instruction's defs and uses once; interface discovery reads the
-recorded uses.  ``tests/core/naive_reference.py`` keeps the instruction-level
-stack worklist and the per-query ``definitions_of``/``uses_of``; both must
-give the same stack state at every index, the same defs and uses per
-instruction, and the same discovered interface -- unreachable instructions
-included (unknown stack state, only ``ENTRY`` reaches).
+:func:`repro.ir.dataflow.analyze_body` finds a body's blocks, stack states,
+each instruction's defs and uses, reaching definitions and the interface in
+one walk.  ``tests/core/naive_reference.py`` keeps two generations of what it
+replaced: the instruction-level stack worklist with the per-query
+``definitions_of``/``uses_of``, and the per-block pass
+(``block_reaching_definitions``: a successor map, flow blocks, block stack
+states) with interface discovery as a second walk querying ``reaching`` per
+use (``block_discover_interface``).  All must give the same stack state at
+every index, the same defs and uses per instruction, the same address-taken
+slots and the same discovered interface -- unreachable instructions included
+(unknown stack state, only ``ENTRY`` reaches).
 """
 
 import os
@@ -15,14 +18,23 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import analyze_reaching_definitions, analyze_stack, discover_interface, parse_program
-from repro.ir.stackanalysis import UNKNOWN
+from repro.ir import (
+    Lea,
+    analyze_body,
+    analyze_reaching_definitions,
+    analyze_stack,
+    discover_interface,
+    parse_program,
+)
+from repro.ir.stackanalysis import UNKNOWN, frame_offset
 
 from test_reaching_blocks import _LINES, _procedure
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "core"))
 
 from naive_reference import (  # noqa: E402
+    block_discover_interface,
+    block_reaching_definitions,
     naive_analyze_stack,
     naive_definitions_of,
     naive_discover_interface,
@@ -84,6 +96,27 @@ def _assert_same_facts(procedure):
         assert set(reaching.uses[index]) == naive_uses_of(instruction, index, state), index
     assert discover_interface(procedure, reaching) == naive_discover_interface(procedure)
 
+    # The per-block pass and its second walk, recorded the same.
+    facts = analyze_body(procedure)
+    replaced = block_reaching_definitions(procedure)
+    assert facts.states == replaced.states
+    assert [tuple(d) for d in facts.defs] == [tuple(d) for d in replaced.defs]
+    assert [tuple(u) for u in facts.uses] == [tuple(u) for u in replaced.uses]
+    interface = block_discover_interface(procedure, replaced)
+    assert (facts.stack_args, facts.register_args, facts.has_return) == (
+        interface.stack_args,
+        interface.register_args,
+        interface.has_return,
+    )
+    assert discover_interface(procedure, facts) == interface
+    # Address-taken slots: the lea frame offsets of reachable instructions.
+    taken = {
+        frame_offset(instruction.src, naive_states[index])
+        for index, instruction in enumerate(procedure.instructions)
+        if isinstance(instruction, Lea) and index in naive_states
+    }
+    assert facts.address_taken == tuple(sorted(taken - {None}))
+
 
 @settings(max_examples=300, deadline=None)
 @given(procedures())
@@ -96,7 +129,7 @@ def test_register_reads_in_unreachable_code_are_entry_uses():
     _assert_same_facts(procedure)
     reaching = analyze_reaching_definitions(procedure)
     assert reaching.state(2) == UNKNOWN
-    assert reaching.uses[2] == ["ecx"]
+    assert list(reaching.uses[2]) == ["ecx"]
     # The stack read after ``ret`` resolves to no slot; the register read
     # sees only its entry value, so it counts as a register parameter.
     interface = discover_interface(procedure, reaching)

@@ -1,11 +1,15 @@
-"""Per-block reaching definitions against the instruction-level fixpoint.
+"""Per-block reaching definitions against the fixpoints they replaced.
 
-:func:`repro.ir.dataflow.analyze_reaching_definitions` keeps environments only
-at basic-block entries and answers ``reaching(i, loc)`` from the definitions
-earlier in ``i``'s block.  The instruction-level fixpoint it replaced is kept
-as ``naive_reaching_definitions`` in ``tests/core/naive_reference.py``; its
-solution is unique, so both must answer every query identically -- for every
-instruction index (unreachable ones included) and every location.
+:func:`repro.ir.dataflow.analyze_body` keeps environments only at block
+entries.  ``reaching(i, loc)`` answers from the definitions earlier in
+``i``'s block, and the constraint generator reads the same answers from a
+running environment: the block's entry environment, updated past each
+instruction's definitions.  The instruction-level fixpoint
+(``naive_reaching_definitions``) and the per-block pass the body walk
+replaced (``block_reaching_definitions``) are kept in
+``tests/core/naive_reference.py``; the solution is unique, so all must answer
+every query identically -- for every instruction index (unreachable ones
+included) and every location.
 """
 
 import os
@@ -13,12 +17,16 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ir import analyze_reaching_definitions, parse_program
+from repro.ir import analyze_body, analyze_reaching_definitions, parse_program
 from repro.ir.dataflow import ENTRY, _TRACKED_REGISTERS
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "core"))
 
-from naive_reference import naive_reaching, naive_reaching_definitions  # noqa: E402
+from naive_reference import (  # noqa: E402
+    block_reaching_definitions,
+    naive_reaching,
+    naive_reaching_definitions,
+)
 
 _LINES = [
     "mov eax, [esp+4]",
@@ -63,18 +71,44 @@ def _locations(stack_states):
     return list(_TRACKED_REGISTERS) + sorted(slots) + [-1000, "esp"]
 
 
+def _as_set(sites):
+    return frozenset((sites,)) if type(sites) is int else frozenset(sites)
+
+
+def _running_answers(facts, locations):
+    """``answers[i][loc]``: what the generator's running environment holds
+    for ``loc`` while it visits instruction ``i``."""
+    answers = []
+    ends = facts.starts[1:] + [len(facts.states)]
+    for start, end, entry in zip(facts.starts, ends, facts.entry):
+        env = dict(entry) if entry is not None else {}
+        for index in range(start, end):
+            answers.append({loc: _as_set(env.get(loc, ENTRY)) for loc in locations})
+            if entry is not None:
+                for location in facts.defs[index]:
+                    env[location] = index
+    return answers
+
+
 def _assert_same_answers(procedure):
     fast = analyze_reaching_definitions(procedure)
     stack_states, before = naive_reaching_definitions(procedure)
-    assert fast.stack_states == stack_states
+    replaced = block_reaching_definitions(procedure)
+    assert fast.stack_states == stack_states == replaced.stack_states
     locations = _locations(stack_states)
+    running = _running_answers(analyze_body(procedure), locations)
     for index in range(-1, len(procedure.instructions) + 1):
         assert fast.state(index) == stack_states.get(index, fast.state(-1))
         for location in locations:
-            assert fast.reaching(index, location) == naive_reaching(before, index, location), (
-                index,
-                location,
-            )
+            expected = naive_reaching(before, index, location)
+            assert fast.reaching(index, location) == expected, (index, location)
+            assert replaced.reaching(index, location) == expected, (index, location)
+            if 0 <= index < len(procedure.instructions):
+                assert running[index][location] == expected, (index, location)
+    # Environments are canonical: one site as an int, more as a sorted tuple.
+    for env in fast.entry:
+        for sites in (env or {}).values():
+            assert type(sites) is int or (len(sites) >= 2 and list(sites) == sorted(set(sites)))
 
 
 @st.composite

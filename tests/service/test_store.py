@@ -220,6 +220,29 @@ def test_disk_tier_persists_across_stores(tmp_path, analyzed):
     assert second.stats.memory_hits == 1
 
 
+@pytest.mark.parametrize("parsed", [True, False])
+def test_program_fingerprints_hash_each_procedures_text(parsed):
+    # Store keys, disk tiers and session diffs all rest on these digests:
+    # rendering each shared instruction once must hash ``str(procedure)``
+    # byte for byte, for parsed programs (shared instruction objects) and
+    # for programs built in memory alike.
+    import hashlib
+
+    from repro.gen import GenProfile, generate_program
+    from repro.ir import parse_program
+
+    program = compile_c(generate_program(4, GenProfile.stress(), name="fp").source).program
+    if parsed:
+        program = parse_program(str(program))
+    expected = {
+        name: hashlib.sha256(str(procedure).encode("utf-8")).hexdigest()
+        for name, procedure in program.procedures.items()
+    }
+    assert program_fingerprints(program) == expected
+    for name, digest in expected.items():
+        assert procedure_fingerprint(program.procedure(name)) == digest
+
+
 def test_procedure_fingerprint_tracks_content():
     program = compile_c(ALLOCATOR).program
     total = program.procedure("total")

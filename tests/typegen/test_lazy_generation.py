@@ -9,6 +9,7 @@ import repro.typegen.abstract_interp as abstract_interp
 from repro import analyze_program
 from repro.gen import GenProfile, generate_program
 from repro.ir import discover_interface, parse_program
+from repro.ir.dataflow import body_key
 from repro.service import AnalysisService
 from repro.typegen import CalleeInfo, generate_program_constraints
 
@@ -86,16 +87,18 @@ def test_known_procedures_are_skipped_and_the_rest_unchanged():
         assert proc.callsites == full[name].callsites
 
 
-def test_cold_analysis_runs_reaching_definitions_once_per_procedure(monkeypatch):
-    program = _compiled(11)
+def test_cold_analysis_walks_each_distinct_body_once(monkeypatch):
+    # Parsed text shares one instruction object per distinct line, so equal
+    # machine code is one body.
+    program = parse_program(str(_compiled(11)))
     calls = collections.Counter()
-    real = abstract_interp.analyze_reaching_definitions
+    real = abstract_interp.analyze_body
 
-    def counting(procedure):
-        calls[procedure.name] += 1
-        return real(procedure)
+    def counting(procedure, *args):
+        calls[body_key(procedure)] += 1
+        return real(procedure, *args)
 
-    monkeypatch.setattr(abstract_interp, "analyze_reaching_definitions", counting)
-    monkeypatch.setattr(locators, "analyze_reaching_definitions", counting)
+    monkeypatch.setattr(abstract_interp, "analyze_body", counting)
+    monkeypatch.setattr(locators, "analyze_body", counting)
     analyze_program(program)
-    assert calls == {name: 1 for name in program.procedures}
+    assert calls == {body_key(procedure): 1 for procedure in program}
