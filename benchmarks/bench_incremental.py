@@ -46,7 +46,7 @@ def test_incremental_scaling(benchmark):
         "Service layer: cold vs warm vs incremental, plus uncached serial",
         "",
         f"{'program':>12} {'sccs':>5} {'cold_s':>8} {'warm_s':>8} {'incr_s':>8} "
-        f"{'resolved':>8} {'serial_s':>8} {'max_wave':>8}",
+        f"{'resolved':>8} {'serial_s':>8}",
     ]
     cold_total = warm_total = incremental_total = 0.0
     for workload in workloads:
@@ -80,8 +80,7 @@ def test_incremental_scaling(benchmark):
         lines.append(
             f"{workload.name:>12} {cold.stats['scc_count']:>5} {cold_seconds:>8.3f} "
             f"{warm_seconds:>8.3f} {incremental_seconds:>8.3f} "
-            f"{incremental.stats['sccs_solved']:>8} {serial_seconds:>8.3f} "
-            f"{max(cold.stats['dag_wave_widths']):>8}"
+            f"{incremental.stats['sccs_solved']:>8} {serial_seconds:>8.3f}"
         )
 
     lines += [

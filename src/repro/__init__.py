@@ -30,7 +30,8 @@ Subpackages
     Benchmark-suite generation, metrics and the evaluation harness.
 ``repro.service``
     The analysis service layer: content-addressed summary caching, incremental
-    re-analysis, SCC-wave parallelism and batched corpus analysis.
+    re-analysis and batched corpus analysis (fanned out to worker processes
+    on request).
 ``repro.server``
     The type-query server: an asyncio daemon (``python -m repro.server``),
     newline-delimited JSON protocol and sync/async clients that serve analyses

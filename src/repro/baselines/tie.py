@@ -23,6 +23,7 @@ from ..core.labels import Label
 from ..core.lattice import TypeLattice
 from ..core.sketches import Sketch
 from ..core.solver import Solver, SolverConfig
+from ..ir.callgraph import CallGraph
 from ..ir.program import Program
 from ..pipeline import ProgramTypes, _function_types
 from ..core.display import TypeDisplay
@@ -69,7 +70,9 @@ class TIEEngine(TypeInferenceEngine):
         inputs = generate_program_constraints(program, externs)
         config = SolverConfig(polymorphic=False, refine_parameters=False)
         solver = Solver(lattice, extern_schemes(externs), config)
-        results = solver.solve_program(inputs)
+        results = {}
+        for scc in CallGraph.from_program(program).sccs_bottom_up():
+            results.update(solver.solve_scc(scc, inputs, results))
 
         for result in results.values():
             result.formal_in_sketches = {

@@ -3,7 +3,9 @@
 This module glues the pieces of the core together, following Algorithms F.1
 and F.2:
 
-1. Strongly-connected components of the call graph are processed bottom-up.
+1. Strongly-connected components of the call graph are processed bottom-up
+   (the loop lives in ``repro.service.AnalysisService.solve_inputs``; this
+   module solves one SCC at a time, :meth:`Solver.solve_scc`).
 2. For every SCC the per-procedure constraint tables are merged; callsites to
    already-processed procedures instantiate the callee's *type scheme* with a
    callsite tag (polymorphism), calls within the SCC are linked monomorphically.
@@ -60,11 +62,12 @@ class SolveStats:
     saturate_seconds: float = 0.0
     simplify_seconds: float = 0.0
     sketch_seconds: float = 0.0
-    #: process-backend codec overhead: task encode (parent) + task decode and
-    #: summary encode (worker).  Kept out of ``total_seconds`` -- it is
-    #: transport overhead around the solve, not a solve stage -- but merged,
-    #: serialized and folded into the metrics registry like the stages so the
-    #: stats verbs show where backend overhead actually goes.
+    #: process-backend codec overhead: a corpus fan-out worker's encode of
+    #: its reply (summaries and typing inputs).  Kept out of
+    #: ``total_seconds`` -- it is transport overhead around the solve, not a
+    #: solve stage -- but merged, serialized and folded into the metrics
+    #: registry like the stages so the stats verbs show where backend
+    #: overhead actually goes.
     codec_seconds: float = 0.0
     graph_nodes: int = 0
     graph_edges: int = 0
@@ -224,7 +227,7 @@ class SolverConfig:
 
 
 class Solver:
-    """Whole-program type inference over a set of procedures."""
+    """Type inference for one call-graph SCC at a time (:meth:`solve_scc`)."""
 
     def __init__(
         self,
@@ -235,52 +238,6 @@ class Solver:
         self.lattice = lattice or default_lattice()
         self.extern_schemes: Dict[str, TypeScheme] = dict(extern_schemes or {})
         self.config = config or SolverConfig()
-        #: statistics collected during the last solve (for the scaling figures)
-        self.stats: Dict[str, float] = {}
-        #: per-stage timing record of the last :meth:`solve_program` run.
-        self.last_stage_stats: Optional[SolveStats] = None
-
-    # -- public API ---------------------------------------------------------------------
-
-    def solve_program(
-        self, procedures: Mapping[str, ProcedureTypingInput]
-    ) -> Dict[str, ProcedureResult]:
-        """Infer type schemes and sketches for every procedure."""
-        order = self.scc_order(procedures)
-        results: Dict[str, ProcedureResult] = {}
-        constraint_count = 0
-        scc_timings: List[Tuple[str, float]] = []
-        stage_stats = SolveStats()
-        for scc in order:
-            scc_start = time.perf_counter()
-            scc_results = self.solve_scc(scc, procedures, results, stats=stage_stats)
-            scc_timings.append((",".join(scc), time.perf_counter() - scc_start))
-            results.update(scc_results)
-            for name in scc:
-                constraint_count += len(procedures[name].table)
-        self.stats["constraints"] = constraint_count
-        self.stats["procedures"] = len(procedures)
-        self.stats["scc_count"] = len(order)
-        self.stats["scc_seconds"] = scc_timings
-        self.stats["stage_seconds"] = stage_stats.to_json()
-        self.last_stage_stats = stage_stats
-        if scc_timings:
-            self.stats["max_scc_seconds"] = max(seconds for _, seconds in scc_timings)
-        if self.config.refine_parameters:
-            self._refine_parameters(procedures, results)
-        return results
-
-    def solve_single(self, procedure: ProcedureTypingInput) -> ProcedureResult:
-        """Convenience wrapper for a standalone procedure."""
-        return self.solve_program({procedure.name: procedure})[procedure.name]
-
-    # -- call graph ----------------------------------------------------------------------
-
-    def scc_order(
-        self, procedures: Mapping[str, ProcedureTypingInput]
-    ) -> List[List[str]]:
-        """Bottom-up (callee-first) list of SCCs of the call graph."""
-        return tarjan_sccs(call_edges(procedures))
 
     # -- per-SCC solving -----------------------------------------------------------------------
 
@@ -428,21 +385,6 @@ class Solver:
                 stats.graph_edges += len(graph)
         return shapes, graph, count
 
-    # -- REFINEPARAMETERS (Algorithm F.3) ------------------------------------------------------
-
-    def _refine_parameters(
-        self,
-        procedures: Mapping[str, ProcedureTypingInput],
-        results: Dict[str, ProcedureResult],
-    ) -> None:
-        """Specialize formal sketches to the most specific use seen at callsites."""
-        contributions: List[RefinementContribution] = []
-        for caller_name, caller in procedures.items():
-            contributions.extend(
-                collect_caller_contributions(caller, results.get(caller_name), results)
-            )
-        apply_refinement(results, contributions)
-
 
 # ---------------------------------------------------------------------------
 # REFINEPARAMETERS pieces (Algorithm F.3), usable SCC-by-SCC
@@ -548,16 +490,6 @@ def apply_refinement(
         for sketch in sketches[1:]:
             met = met.meet(sketch)
         result.formal_out_sketches[formal] = current.join(met)
-
-
-def call_edges(procedures: Mapping[str, ProcedureTypingInput]) -> Dict[str, Set[str]]:
-    """Call-graph edges between defined procedures, read off the callsites."""
-    edges: Dict[str, Set[str]] = {name: set() for name in procedures}
-    for name, proc in procedures.items():
-        for callsite in proc.callsites:
-            if callsite.callee in procedures:
-                edges[name].add(callsite.callee)
-    return edges
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ class EngineReport:
     engine: str
     per_program: Dict[str, ProgramMetrics] = dc_field(default_factory=dict)
     clusters: Dict[str, List[str]] = dc_field(default_factory=dict)
-    #: corpus-level cache/wave statistics when the suite ran through the batch
+    #: corpus-level cache statistics when the suite ran through the batch
     #: service API (a :class:`repro.service.CorpusReport`), else None.
     batch: Optional[object] = None
 

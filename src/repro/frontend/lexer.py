@@ -63,6 +63,8 @@ def tokenize(source: str) -> List[Token]:
         value = match.group()
         if kind == "ident" and value in KEYWORDS:
             kind = "keyword"
+        elif kind == "num" and len(value) > 1 and value[0] == "0" and value[1] not in "xX":
+            raise LexError(f"unsupported octal literal {value!r} at line {line}")
         tokens.append(Token(kind, value, match.start(), line))
     tokens.append(Token("eof", "", length, source.count("\n") + 1))
     return tokens

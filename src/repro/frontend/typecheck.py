@@ -305,7 +305,12 @@ class TypeChecker:
                 layout = self._resolve_struct(obj.pointee)
             else:
                 layout = self._resolve_struct(obj)
-            return layout.field_type(expr.field_name)
+            try:
+                return layout.field_type(expr.field_name)
+            except KeyError:
+                raise TypeCheckError(
+                    f"struct {layout.name} has no field {expr.field_name!r}"
+                ) from None
         if isinstance(expr, Index):
             base = self._check_expr(expr.base)
             self._check_expr(expr.index)

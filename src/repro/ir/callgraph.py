@@ -1,11 +1,8 @@
-"""Call graphs, their strongly-connected components, and SCC waves.
+"""Call graphs and their strongly-connected components.
 
 Type schemes are inferred bottom-up over the SCCs of the call graph (section
 4.2); this module wraps the program's direct-call edges and the Tarjan SCC
-computation shared with the core solver.  It also levels the SCC condensation
-DAG into *waves*: every SCC in wave ``k`` only calls into SCCs of waves
-``< k``, so all SCCs within one wave are independent (the service solves a
-program wave by wave, publishing each wave's summaries before the next).
+computation shared with the core solver.
 """
 
 from __future__ import annotations
@@ -13,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.solver import ProcedureTypingInput, call_edges, tarjan_sccs
+from ..core.solver import tarjan_sccs
 from .program import Program
 
 
@@ -21,15 +18,12 @@ from .program import Program
 class CallGraph:
     """Direct call graph over the procedures defined in a program.
 
-    The SCCs and waves are computed on first use and kept, so ``edges`` must
-    not change after that.
+    The SCCs are computed on first use and kept, so ``edges`` must not
+    change after that.
     """
 
     edges: Dict[str, Set[str]] = dc_field(default_factory=dict)
     _sccs: Optional[List[List[str]]] = dc_field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _waves: Optional[List[List[List[str]]]] = dc_field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -50,13 +44,6 @@ class CallGraph:
                 if callee in edges:
                     edges[name].add(callee)
         return cls(edges)
-
-    @classmethod
-    def from_typing_inputs(
-        cls, procedures: Mapping[str, ProcedureTypingInput]
-    ) -> "CallGraph":
-        """Call graph read off the callsites of generated typing inputs."""
-        return cls(call_edges(procedures))
 
     def callees(self, name: str) -> Set[str]:
         return set(self.edges.get(name, ()))
@@ -103,38 +90,6 @@ class CallGraph:
             for name in scc:
                 out[name] = key
         return out
-
-    def scc_waves(self) -> List[List[List[str]]]:
-        """Topological levelling of the SCC condensation DAG.
-
-        Returns a list of waves; each wave is a list of SCCs (in bottom-up
-        discovery order, so the result is deterministic), and every SCC only
-        calls into SCCs of strictly earlier waves.  Wave 0 holds the leaf
-        SCCs; independent subtrees share waves.
-        """
-        if self._waves is not None:
-            return self._waves
-        sccs = self.sccs_bottom_up()
-        index_of: Dict[str, int] = {}
-        for index, scc in enumerate(sccs):
-            for name in scc:
-                index_of[name] = index
-        depth: List[int] = [0] * len(sccs)
-        for index, scc in enumerate(sccs):
-            members = set(scc)
-            callee_depths = [
-                depth[index_of[callee]]
-                for name in scc
-                for callee in self.edges.get(name, ())
-                if callee not in members and callee in index_of
-            ]
-            # Bottom-up order guarantees callees were assigned depths already.
-            depth[index] = 1 + max(callee_depths) if callee_depths else 0
-        waves: List[List[List[str]]] = [[] for _ in range(max(depth, default=-1) + 1)]
-        for index, scc in enumerate(sccs):
-            waves[depth[index]].append(list(scc))
-        self._waves = waves
-        return waves
 
     def __len__(self) -> int:
         return len(self.edges)

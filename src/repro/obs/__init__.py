@@ -2,7 +2,7 @@
 
 Two stdlib-only pillars (see ``docs/observability.md``):
 
-* :mod:`repro.obs.trace` -- nested spans across solver stages, service waves,
+* :mod:`repro.obs.trace` -- nested spans across solver stages, service drivers,
   procpool workers (stitched through the JSON codec) and server verbs, with
   JSONL and Chrome trace-event exports;
 * :mod:`repro.obs.metrics` -- thread-safe counters/gauges/histograms with

@@ -6,9 +6,9 @@ the pipeline: per-function constraint generation (``typegen.constraints``),
 per-SCC solving and its stages (``solver.solve_scc``, ``solver.graph``,
 ``solver.saturate``, ``solver.simplify``, ``solver.sketch``), the service
 drivers (``service.analyze``, ``service.constraint_gen``, ``service.solve``,
-``service.invalidate``), bottom-up waves (``scheduler.wave``), corpus
-fan-out (``procpool.fanout``, ``procpool.analyze_program``) and the server's
-request verbs (``server.<verb>``).  The full span-name table lives in
+``service.invalidate``), corpus fan-out (``procpool.fanout``,
+``procpool.analyze_program``) and the server's request verbs
+(``server.<verb>``).  The full span-name table lives in
 ``docs/observability.md`` and ``docs/paper-map.md``.
 
 Design constraints, in order:

@@ -14,14 +14,13 @@ procedure, bottom-up type-scheme inference over call-graph SCCs, sketch
 solving, and the final heuristic conversion to C types.
 
 Since the service layer landed, :func:`analyze_program` routes through
-:class:`repro.service.AnalysisService`: the call-graph condensation is
-levelled into SCC waves, each SCC is solved piecewise via
+:class:`repro.service.AnalysisService`: the call graph's SCCs are solved one
+at a time, bottom-up, via
 :meth:`Solver.solve_scc <repro.core.solver.Solver.solve_scc>`, and -- when a
 :class:`~repro.service.ServiceConfig` enables it -- per-SCC summaries are
-cached in a content-addressed store, re-analysis after an edit re-solves only
-the invalidation cone, and independent SCCs solve in parallel.  The default
-configuration (no cache, serial) reproduces the historical single-shot
-behaviour exactly.  For many programs at once, see
+cached in a content-addressed store and re-analysis after an edit re-solves
+only the invalidation cone.  The default configuration (no cache, serial)
+reproduces the historical single-shot behaviour exactly.  For many programs at once, see
 :func:`repro.analyze_corpus`; for repeated re-analysis of an edited program,
 see :class:`repro.service.IncrementalSession`.
 """
@@ -171,7 +170,7 @@ class ProgramTypes:
     """Whole-program inference results -- what :func:`analyze_program` returns.
 
     Addressable by procedure name (``types["main"]``, ``"main" in types``);
-    ``stats`` carries solver/service accounting (cache hits, wave widths,
+    ``stats`` carries solver/service accounting (cache hits, per-SCC seconds,
     per-stage timings -- see :attr:`stage_seconds` and docs/operations.md).
     """
 

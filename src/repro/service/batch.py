@@ -7,7 +7,7 @@ SummaryStore` means every shared procedure is solved once for the whole
 corpus: its SCC key is identical across binaries, so every member after the
 first gets the summary for free.  :func:`analyze_corpus` is the entry point
 (also exported as ``repro.analyze_corpus``) and reports per-program statistics
--- cache hits, wave widths, wall time -- so the reuse is measurable.
+-- cache hits and misses, wall time -- so the reuse is measurable.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..core.lattice import TypeLattice
 from ..core.solver import SolveStats
 from ..ir.program import Program
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..typegen.externs import ExternSignature
 from .incremental import AnalysisService, ServiceConfig
-from .store import SummaryStore
 
 #: A corpus is a name -> program mapping or an iterable of (name, program)
 #: pairs; programs may be assembly text or parsed IR.
@@ -42,15 +39,10 @@ class ProgramReport:
     seconds: float
     cache_hits: int = 0
     cache_misses: int = 0
-    wave_widths: List[int] = dc_field(default_factory=list)
 
     @property
     def procedures(self) -> int:
         return int(self.types.stats.get("procedures", 0))
-
-    @property
-    def max_wave_width(self) -> int:
-        return max(self.wave_widths, default=0)
 
     @property
     def hit_rate(self) -> float:
@@ -93,19 +85,17 @@ class CorpusReport:
 
     def summary(self) -> str:
         """An aligned text table of the per-program statistics."""
-        header = f"{'program':<24} {'procs':>6} {'hits':>6} {'misses':>7} {'waves':>6} {'max_w':>6} {'seconds':>8}"
+        header = f"{'program':<24} {'procs':>6} {'hits':>6} {'misses':>7} {'seconds':>8}"
         lines = [header, "-" * len(header)]
         for report in self.reports.values():
             lines.append(
                 f"{report.name:<24} {report.procedures:>6} {report.cache_hits:>6} "
-                f"{report.cache_misses:>7} {len(report.wave_widths):>6} "
-                f"{report.max_wave_width:>6} {report.seconds:>8.3f}"
+                f"{report.cache_misses:>7} {report.seconds:>8.3f}"
             )
         lines.append("-" * len(header))
         lines.append(
             f"{'TOTAL':<24} {'':>6} {self.total_cache_hits:>6} {self.total_cache_misses:>7} "
-            f"{'':>6} {'':>6} {self.total_seconds:>8.3f}   "
-            f"(hit rate {self.hit_rate:.0%})"
+            f"{self.total_seconds:>8.3f}   (hit rate {self.hit_rate:.0%})"
         )
         return "\n".join(lines)
 
@@ -114,23 +104,24 @@ def analyze_corpus(
     programs: CorpusInput,
     service: Optional[AnalysisService] = None,
     config: Optional[ServiceConfig] = None,
-    lattice: Optional[TypeLattice] = None,
-    externs: Optional[Mapping[str, ExternSignature]] = None,
-    store: Optional[SummaryStore] = None,
 ) -> CorpusReport:
     """Analyze a corpus of programs against one shared summary store.
 
-    Pass an existing ``service`` (or ``store``) to warm-start from previous
-    runs; otherwise a fresh service (with an in-memory store) is created, so
-    reuse still happens *within* the corpus -- cluster members sharing
-    statically-linked code hit the cache for every shared SCC.
+    Pass an existing ``service`` to warm-start from previous runs; otherwise
+    a fresh service (built from ``config``, with an in-memory store) is
+    created, so reuse still happens *within* the corpus -- cluster members
+    sharing statically-linked code hit the cache for every shared SCC.
+    Program names must be unique: a name given twice raises ``ValueError``.
     """
+    items = list(programs.items() if isinstance(programs, Mapping) else programs)
+    seen = set()
+    for name, _ in items:
+        if name in seen:
+            raise ValueError(f"program name {name!r} appears more than once in the corpus")
+        seen.add(name)
     owned = service is None
     if service is None:
-        service = AnalysisService(
-            config=config, lattice=lattice, externs=externs, store=store
-        )
-    items = list(programs.items() if isinstance(programs, Mapping) else programs)
+        service = AnalysisService(config=config)
 
     reports: Dict[str, ProgramReport] = {}
     try:
@@ -145,7 +136,6 @@ def analyze_corpus(
                     cache_hits=warmed.cache_hits,
                     cache_misses=warmed.cache_misses,
                     stage_seconds=warmed.stage_stats,
-                    parallel=True,
                     executor="processes",
                     worker_stats={str(warmed.pid): warmed.stage_stats},
                 )
@@ -161,7 +151,6 @@ def analyze_corpus(
                 seconds=elapsed,
                 cache_hits=int(types.stats.get("cache_hits", 0)),
                 cache_misses=int(types.stats.get("cache_misses", 0)),
-                wave_widths=list(types.stats.get("dag_wave_widths", ())),
             )
     finally:
         if owned:
@@ -176,7 +165,8 @@ def analyze_corpus(
 class _PrewarmedProgram:
     """What corpus fan-out brings back for one program (see ``_prewarm_corpus``)."""
 
-    inputs: Dict[str, object]  # name -> ProcedureTypingInput, worker-generated
+    #: name -> ProcedureTypingInput, for the SCCs the worker's store missed.
+    inputs: Dict[str, object]
     cache_hits: int
     cache_misses: int
     stage_stats: Dict[str, object]  # worker SolveStats.to_json()
@@ -205,13 +195,14 @@ def _prewarm_corpus(
 ) -> Dict[str, _PrewarmedProgram]:
     """Fan the corpus out over the process pool; returns per-program context.
 
-    Workers run parse + constraint generation + bottom-up SCC solving for
-    whole programs and ship back (a) every SCC's summary payload, admitted
-    here into the service's store, and (b) the typing inputs in the integer
-    codec.  Programs whose chunk failed (worker crash, undecodable reply) are
-    simply absent from the result and fall back to the in-process path.
-    Under tracing, every worker's spans are adopted beneath one
-    ``procpool.fanout`` span.
+    Workers probe their own store and run constraint generation and
+    bottom-up SCC solving for what it missed, whole programs at a time, and
+    ship back (a) every SCC's summary payload, admitted here into the
+    service's store, and (b) the typing inputs they generated, in the
+    integer codec.  Programs whose chunk failed (worker crash, undecodable
+    reply) are simply absent from the result and fall back to the
+    in-process path.  Under tracing, every worker's spans are adopted
+    beneath one ``procpool.fanout`` span.
     """
     from .procpool import CHUNKS_PER_WORKER, _TableReader, decode_input, encode_corpus_task
 

@@ -18,10 +18,13 @@ so that three things become possible:
   top-down via ``CallGraph.callers``);
 * **corpus fan-out** -- with ``executor="processes"``,
   :func:`~repro.service.batch.analyze_corpus` solves whole programs on the
-  warm :class:`~repro.service.procpool.ProcPool` and replays them here
-  against the pre-warmed store.  One program always solves in-process: its
-  SCCs are drained wave by wave (``CallGraph.scc_waves``), publishing each
-  wave's summaries before the next wave starts.
+  warm :class:`~repro.service.procpool.ProcPool`, whose workers each run an
+  ``AnalysisService`` of their own, and replays them here against the
+  pre-warmed store.
+
+:meth:`AnalysisService.solve_inputs` is the one bottom-up SCC loop: it
+solves the SCCs the store missed in bottom-up order and publishes each
+summary before the next SCC starts.
 
 Warm-or-cold, in-process or fanned out, the service produces results
 string-equal to a plain :func:`repro.analyze_program` run: the final-results
@@ -114,14 +117,23 @@ class ServiceConfig:
 
 @dataclass
 class _StoreProbe:
-    """One run's call graph and summary-store lookups (see ``_probe``)."""
+    """One run's SCCs and summary-store lookups (see ``_probe``)."""
 
-    callgraph: CallGraph
+    #: the call graph's SCCs, bottom-up.
     sccs: List[List[str]]
     #: content-transitive store key per SCC (empty with the cache off).
     keys: Dict[Tuple[str, ...], str] = dc_field(default_factory=dict)
     #: the SCCs the store served, with their summaries.
     cached: Dict[Tuple[str, ...], SCCSummary] = dc_field(default_factory=dict)
+
+    def known(self) -> Dict[str, ProcedureSummary]:
+        """Every store-served procedure, by its stored summary: its formals
+        display it and give its callers their ``CalleeInfo``."""
+        return {
+            name: summary.procedures[name]
+            for members, summary in self.cached.items()
+            for name in members
+        }
 
 
 @dataclass
@@ -134,6 +146,9 @@ class _Solved:
     results: Dict[str, Union[ProcedureResult, ProcedureSummary]]
     #: the REFINEPARAMETERS contributions each procedure makes as a caller.
     contributions: Dict[str, Sequence[RefinementContribution]]
+    #: every SCC's summary, served or published this run (empty with the
+    #: cache off); a corpus fan-out worker ships these to its parent.
+    summaries: Dict[Tuple[str, ...], SCCSummary]
 
 
 @dataclass(frozen=True)
@@ -285,10 +300,11 @@ class AnalysisService:
 
         Stages: parse, call graph, store probe, constraint generation for the
         SCCs the store cannot serve, solve, display.  ``inputs`` optionally
-        supplies precomputed typing inputs (skipping constraint generation);
-        the corpus fan-out path uses it with inputs a worker generated and
-        shipped back, paired with a store pre-warmed by that worker's
-        summaries, so this call reduces to decode + display.
+        supplies precomputed typing inputs (skipping constraint generation
+        for the procedures they cover); the corpus fan-out path uses it with
+        the inputs a worker generated and shipped back, paired with a store
+        pre-warmed by that worker's summaries, so this call reduces to
+        decode + display.
         """
         return self._analyze(source, inputs)
 
@@ -316,13 +332,7 @@ class AnalysisService:
 
             with tracer.span("service.probe"):
                 probe = self._probe(program, version)
-            # A store-served procedure is known by its summary's formals alone:
-            # they display it and give its callers their CalleeInfo.
-            known = {
-                name: summary.procedures[name]
-                for members, summary in probe.cached.items()
-                for name in members
-            }
+            known = probe.known()
 
             start = time.perf_counter()
             if inputs is None:
@@ -330,6 +340,25 @@ class AnalysisService:
                     inputs = generate_program_constraints(
                         program, self.extern_table, known=known, sccs=probe.sccs
                     )
+            elif any(
+                name not in inputs
+                for scc in probe.sccs
+                if tuple(scc) not in probe.cached
+                for name in scc
+            ):
+                # Shipped inputs cover only what the worker's store missed; an
+                # SCC it served that this store has since evicted is
+                # generated here, next to the inputs it was shipped.
+                with tracer.span("service.constraint_gen"):
+                    inputs = {
+                        **inputs,
+                        **generate_program_constraints(
+                            program,
+                            self.extern_table,
+                            known=ChainMap(inputs, known),
+                            sccs=probe.sccs,
+                        ),
+                    }
             constraint_time = time.perf_counter() - start
 
             solve_start = time.perf_counter()
@@ -366,7 +395,7 @@ class AnalysisService:
             callgraph = version.callgraph
         else:
             callgraph = CallGraph.from_program(program)
-        probe = _StoreProbe(callgraph, callgraph.sccs_bottom_up())
+        probe = _StoreProbe(callgraph.sccs_bottom_up())
         if self.store is None or not self.config.use_cache:
             return probe
         # Recomputed per call (a few cheap hashes) so that mutating the solver
@@ -404,7 +433,6 @@ class AnalysisService:
         the service statistics.
         """
         sccs, keys, cached = probe.sccs, probe.keys, probe.cached
-        waves = probe.callgraph.scc_waves()
         solver = Solver(self.lattice, self.extern_schemes, self.config.solver)
 
         # A served procedure's summary stands in for its result: solving its
@@ -420,51 +448,37 @@ class AnalysisService:
         refine = self.config.solver.refine_parameters
         stage_stats = SolveStats()
         use_store = self.store is not None and self.config.use_cache
+        summaries: Dict[Tuple[str, ...], SCCSummary] = dict(cached) if use_store else {}
 
-        def solve(scc: Sequence[str]):
-            scc_results = solver.solve_scc(scc, inputs, working, stats=stage_stats)
-            if not refine:
-                return scc_results, {}
-            # Same-SCC callees shadow, earlier waves fall through; no copy.
-            merged = ChainMap(scc_results, working)
-            contributions = {}
-            for index, name in enumerate(scc):
-                if index:  # between members; the caller's SCC checkpoint ends the last
-                    checkpoint()
-                contributions[name] = collect_caller_contributions(
-                    inputs[name], scc_results[name], merged
-                )
-            return scc_results, contributions
-
-        # Bottom-up over the condensation's waves: every SCC of a wave only
-        # depends on earlier waves, whose summaries are published (to
-        # ``working`` and the store) before the wave starts.
-        missing_waves = [
-            [scc for scc in wave if tuple(scc) not in cached] for wave in waves
-        ]
-        missing_waves = [wave for wave in missing_waves if wave]
-        tracer = get_tracer()
+        # Bottom-up: every SCC's callees are solved (or served) before it, and
+        # each summary is published -- to ``working`` and the store -- before
+        # the next SCC starts.
         scc_seconds: List[Tuple[str, float]] = []
-        for index, wave in enumerate(missing_waves):
-            wave_results = []
-            with tracer.span(
-                "scheduler.wave", index=index, width=len(wave), executor="serial"
-            ):
-                for scc in wave:
-                    start = time.perf_counter()
-                    wave_results.append((scc, solve(scc)))
-                    scc_seconds.append((",".join(scc), time.perf_counter() - start))
-                    checkpoint()
-            for scc, (scc_results, contributions) in wave_results:
-                working.update(scc_results)
-                for name in scc:
-                    contributions_of[name] = list(contributions.get(name, ()))
-                if use_store:
-                    self.store.put(
-                        keys[tuple(scc)],
-                        summarize_scc(scc, inputs, scc_results, contributions),
+        for scc in sccs:
+            if tuple(scc) in cached:
+                continue
+            start = time.perf_counter()
+            scc_results = solver.solve_scc(scc, inputs, working, stats=stage_stats)
+            contributions: Dict[str, List[RefinementContribution]] = {}
+            if refine:
+                # Same-SCC callees shadow, earlier SCCs fall through; no copy.
+                merged = ChainMap(scc_results, working)
+                for index, name in enumerate(scc):
+                    if index:  # between members; the SCC's checkpoint ends the last
+                        checkpoint()
+                    contributions[name] = collect_caller_contributions(
+                        inputs[name], scc_results[name], merged
                     )
-                    checkpoint()
+            scc_seconds.append((",".join(scc), time.perf_counter() - start))
+            checkpoint()
+            working.update(scc_results)
+            for name in scc:
+                contributions_of[name] = contributions.get(name, [])
+            if use_store:
+                summary = summarize_scc(scc, inputs, scc_results, contributions)
+                summaries[tuple(scc)] = summary
+                self.store.put(keys[tuple(scc)], summary)
+                checkpoint()
 
         registry = get_registry()
         registry.record_stage_stats(stage_stats.to_json())
@@ -494,18 +508,8 @@ class AnalysisService:
             "cache_misses": len(sccs) - len(cached),
             "solved_procedures": sorted(solved),
             "cached_procedures": sorted(reused),
-            "dag_wave_widths": [len(wave) for wave in waves],
-            "wave_count": len(missing_waves),
-            "wave_widths": [len(wave) for wave in missing_waves],
-            "max_wave_width": max(map(len, missing_waves), default=0),
-            "mean_wave_width": (
-                sum(map(len, missing_waves)) / len(missing_waves)
-                if missing_waves
-                else 0.0
-            ),
             "scc_seconds": scc_seconds,
-            # Corpus fan-out overwrites these for the programs a worker solved.
-            "parallel": False,
+            # Corpus fan-out overwrites this for the programs a worker solved.
             "executor": "serial",
             "worker_failed": 0,
             "requeued_sccs": [],
@@ -523,7 +527,7 @@ class AnalysisService:
             stats["scc_store_keys"] = {
                 "|".join(scc): keys[tuple(scc)] for scc in sccs
             }
-        return _Solved(solved_results, contributions_of), stats
+        return _Solved(solved_results, contributions_of, summaries), stats
 
     def _refine_and_display(
         self,

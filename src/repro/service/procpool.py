@@ -12,12 +12,12 @@ the service runs with ``executor="processes"``:
   flat int arrays) and per-stage
   :class:`~repro.core.solver.SolveStats` come back as JSON text.  Worker
   processes never unpickle live solver objects;
-* **warm workers** -- each worker builds its :class:`~repro.core.solver.
-  Solver`, lattice and extern schemes once (from a JSON environment payload)
-  and keeps its own :class:`~repro.service.store.SummaryStore` (a memory
-  tier that persists across tasks, plus the shared disk tier when one is
-  configured), so a summary any process already published is reused instead
-  of re-solved;
+* **warm workers** -- each worker builds one
+  :class:`~repro.service.AnalysisService` once (from a JSON environment
+  payload) and runs its probe and ``solve_inputs`` per program, the same
+  bottom-up loop as an in-process analysis.  Its store (a memory tier that
+  persists across tasks, plus the shared disk tier when one is configured)
+  serves any summary a process already published instead of re-solving it;
 * **chunked dispatch** -- one IPC message carries a *chunk* of programs,
   ``CHUNKS_PER_WORKER`` chunks per worker, amortizing serialization and queue
   latency while leaving the pool slack to rebalance skewed programs;
@@ -25,10 +25,10 @@ the service runs with ``executor="processes"``:
   the chunks still in flight; their programs are analyzed in-process by the
   caller, and the pool is rebuilt lazily on next use.
 
-A single program is never split across processes: solving one program's SCC
-waves on 2 workers measured 0.70x serial on the fig7 suite and a median
-below 1x on single programs of 100-800 procedures (IPC and codec cost more
-than the per-SCC solves they overlap).
+A single program is never split across processes: solving one program's
+independent SCCs on 2 workers measured 0.70x serial on the fig7 suite and a
+median below 1x on single programs of 100-800 procedures (IPC and codec cost
+more than the per-SCC solves they overlap).
 
 The parent-facing entry point is :class:`ProcPool` (one long-lived pool per
 :class:`~repro.service.AnalysisService`, keyed by its environment payload).
@@ -40,36 +40,21 @@ import json
 import os
 import threading
 import time
-from collections import ChainMap
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.intern import ConstraintTable, StringTable
 from ..core.labels import parse_label
 from ..core.lattice import TypeLattice
-from ..core.solver import (
-    Callsite,
-    ProcedureResult,
-    ProcedureTypingInput,
-    SolveStats,
-    Solver,
-    SolverConfig,
-    collect_caller_contributions,
-)
+from ..core.solver import Callsite, ProcedureTypingInput, SolveStats, SolverConfig
 from ..core.variables import parse_dtv
 from ..obs.metrics import get_registry
 from ..obs.trace import Tracer, get_tracer, tracing
-from .store import (
-    STORE_FORMAT,
-    SummaryStore,
-    deserialize_summary,
-    environment_fingerprint,
-    program_fingerprints,
-    scc_summary_keys,
-    serialize_summary,
-    summarize_scc,
-)
+from .store import STORE_FORMAT, serialize_summary
+
+if TYPE_CHECKING:
+    from .incremental import AnalysisService
 
 #: bump when the environment/task payload layout changes so a stale worker
 #: (from a hot-reloaded parent) can never misinterpret a task.  v2 introduced
@@ -86,9 +71,9 @@ START_METHOD = "spawn"
 #: program solve times are skewed.
 CHUNKS_PER_WORKER = 2
 
-#: test-only fault injection: a worker about to solve an SCC containing this
-#: procedure hard-exits (crash) or raises (soft failure).  Used by the
-#: fan-out fallback tests; unset in production.
+#: test-only fault injection: a worker whose store missed an SCC containing
+#: this procedure hard-exits (crash) or raises (soft failure) before solving
+#: it.  Used by the fan-out fallback tests; unset in production.
 CRASH_ENV = "REPRO_PROCPOOL_TEST_CRASH"
 FAIL_ENV = "REPRO_PROCPOOL_TEST_FAIL"
 
@@ -232,14 +217,29 @@ def decode_input(
 # ---------------------------------------------------------------------------
 
 
-class _WorkerState:
-    """Everything one worker builds once and reuses for every task."""
+def _worker_service(env: Mapping[str, object]) -> "AnalysisService":
+    """The service one worker builds once and reuses for every task."""
+    from ..typegen.externs import ExternSignature
+    from .incremental import AnalysisService, ServiceConfig
 
-    def __init__(self, env: Mapping[str, object]) -> None:
-        from ..typegen.externs import ExternSignature, extern_schemes
-
-        self.lattice = TypeLattice.from_json(env["lattice"])
-        self.extern_table = {
+    config = ServiceConfig(
+        solver=SolverConfig(
+            precise_bounds=env["solver"]["precise_bounds"],
+            max_scheme_depth=env["solver"]["max_scheme_depth"],
+            refine_parameters=env["solver"]["refine_parameters"],
+            polymorphic=env["solver"]["polymorphic"],
+        ),
+        # A small memory tier that persists across this worker's tasks
+        # (chunks of cluster binaries reuse each other's shared-library SCCs
+        # here without a parent round-trip), plus the disk tier, when one is
+        # configured, shared with every other process.
+        cache_capacity=256,
+        cache_dir=env.get("cache_dir"),
+    )
+    return AnalysisService(
+        config,
+        lattice=TypeLattice.from_json(env["lattice"]),
+        externs={
             name: ExternSignature(
                 name=name,
                 stack_params=sig["stack_params"],
@@ -249,45 +249,33 @@ class _WorkerState:
                 quantified=tuple(sig["quantified"]),
             )
             for name, sig in env["externs"].items()
-        }
-        config = SolverConfig(
-            precise_bounds=env["solver"]["precise_bounds"],
-            max_scheme_depth=env["solver"]["max_scheme_depth"],
-            refine_parameters=env["solver"]["refine_parameters"],
-            polymorphic=env["solver"]["polymorphic"],
-        )
-        self.solver = Solver(self.lattice, extern_schemes(self.extern_table), config)
-        self.config = config
-        self.refine = config.refine_parameters
-        cache_dir = env.get("cache_dir")
-        # Always keep a store: the disk tier (when configured) is shared with
-        # every other process, and the small memory tier persists across this
-        # worker's tasks -- chunks of cluster binaries reuse each other's
-        # shared-library SCCs here without any parent round-trip.
-        self.store = SummaryStore(capacity=256, cache_dir=cache_dir)
+        },
+    )
 
 
-_STATE: Optional[_WorkerState] = None
+_SERVICE: Optional["AnalysisService"] = None
 
 
 def _init_worker(env_json: str) -> None:
-    """Process-pool initializer: build the per-worker solver environment."""
-    global _STATE
+    """Process-pool initializer: build the per-worker analysis service."""
+    global _SERVICE
     env = json.loads(env_json)
     if env.get("format") != PROCPOOL_FORMAT:
         raise RuntimeError(
             f"procpool environment format {env.get('format')!r} != {PROCPOOL_FORMAT!r}"
         )
-    _STATE = _WorkerState(env)
+    _SERVICE = _worker_service(env)
 
 
-def _check_fault_injection(scc: Sequence[str]) -> None:
-    """Test-only hooks: hard-crash or soft-fail when solving a marked SCC."""
+def _check_fault_injection(sccs: Sequence[Sequence[str]]) -> None:
+    """Test-only hooks: hard-crash or soft-fail when a marked procedure is
+    in one of the SCCs about to be solved."""
+    names = {name for scc in sccs for name in scc}
     crash = os.environ.get(CRASH_ENV)
-    if crash and crash in scc:
+    if crash and crash in names:
         os._exit(13)
     fail = os.environ.get(FAIL_ENV)
-    if fail and fail in scc:
+    if fail and fail in names:
         raise RuntimeError(f"injected worker failure for {fail!r}")
 
 
@@ -300,8 +288,8 @@ def _worker_solve_chunk(task_json: str) -> str:
     :meth:`Tracer.adopt` to stitch; it is installed as the process tracer for
     the chunk so the solver's own stage spans nest underneath.
     """
-    state = _STATE
-    if state is None:  # pragma: no cover - initializer contract violation
+    service = _SERVICE
+    if service is None:  # pragma: no cover - initializer contract violation
         raise RuntimeError("worker used before initialization")
     task = json.loads(task_json)
     if task.get("format") != PROCPOOL_FORMAT:
@@ -310,11 +298,11 @@ def _worker_solve_chunk(task_json: str) -> str:
         )
     trace_ctx = task.get("trace")
     if trace_ctx is None:
-        reply = _analyze_programs(state, task["programs"])
+        reply = _analyze_programs(service, task["programs"])
     else:
         tracer = Tracer(trace_id=trace_ctx["trace_id"])
         with tracing(tracer), tracer.attach(trace_ctx):
-            reply = _analyze_programs(state, task["programs"])
+            reply = _analyze_programs(service, task["programs"])
         reply["spans"] = tracer.spans()
     return json.dumps(reply, sort_keys=True, separators=(",", ":"))
 
@@ -324,12 +312,13 @@ def _worker_solve_chunk(task_json: str) -> str:
 # ---------------------------------------------------------------------------
 #
 # A task ships *whole programs* (as their canonical assembly text) and each
-# worker runs the full front half of the service pipeline -- parse,
-# constraint generation, bottom-up SCC solving -- returning the per-SCC
-# summary payloads plus the typing inputs in the integer codec.  The parent
-# admits the payloads into its store and replays ``analyze`` per program with
-# the shipped inputs: every SCC hits the warm store, so the parent pays only
-# the decode + display boundary while the heavy lifting ran in parallel.
+# worker runs the front half of its service's pipeline -- parse, store probe,
+# constraint generation and bottom-up solving for the SCCs its store missed
+# -- returning every SCC's summary payload plus the generated typing inputs
+# in the integer codec.  The parent admits the payloads into its store and
+# replays ``analyze`` per program with the shipped inputs: every SCC hits the
+# warm store, so the parent pays only the decode + display boundary while
+# the heavy lifting ran in parallel.
 
 
 def encode_corpus_task(
@@ -352,20 +341,18 @@ def encode_corpus_task(
 
 
 def _analyze_programs(
-    state: "_WorkerState", programs: Sequence[Sequence[str]]
+    service: "AnalysisService", programs: Sequence[Sequence[str]]
 ) -> Dict[str, object]:
-    """The worker body: full per-program solve, summaries shipped back.
+    """The worker body: the service's probe and solve per program.
 
-    Per SCC the worker probes its own store first (its memory tier persists
-    across tasks, and the disk tier, when configured, is shared with every
-    other process), else solves, collects REFINEPARAMETERS contributions and
-    publishes the summary there.
+    The worker's store serves what it can (its memory tier persists across
+    tasks, and the disk tier, when configured, is shared with every other
+    process); constraints are generated and solved for the rest only.  Every
+    SCC's summary goes back, with the inputs generated here.
     """
     from ..ir.asmparser import parse_program
-    from ..ir.callgraph import CallGraph
     from ..typegen.abstract_interp import generate_program_constraints
 
-    env_fp = environment_fingerprint(state.lattice, state.extern_table, state.config)
     tracer = get_tracer()
     table = StringTable()
     entries: List[Dict[str, object]] = []
@@ -373,61 +360,35 @@ def _analyze_programs(
         start = time.perf_counter()
         with tracer.span("procpool.analyze_program", program=name):
             program = parse_program(text)
-            inputs = generate_program_constraints(program, state.extern_table)
-            callgraph = CallGraph.from_typing_inputs(inputs)
-            sccs = callgraph.sccs_bottom_up()
-            keys = scc_summary_keys(
-                sccs, callgraph.edges, program_fingerprints(program), env_fp
+            probe = service._probe(program)
+            _check_fault_injection(
+                [scc for scc in probe.sccs if tuple(scc) not in probe.cached]
             )
-            stats = SolveStats()
-            working: Dict[str, ProcedureResult] = {}
-            hits = 0
-            summaries: List[List[object]] = []
-            for scc in sccs:
-                key = keys[tuple(scc)]
-                payload = state.store.get_payload(key)
-                if payload is not None:
-                    hits += 1
-                    summary = deserialize_summary(payload, state.lattice)
-                    working.update(
-                        (pname, procedure.to_result())
-                        for pname, procedure in summary.procedures.items()
-                    )
-                else:
-                    _check_fault_injection(scc)
-                    scc_results = state.solver.solve_scc(
-                        scc, inputs, working, stats=stats
-                    )
-                    if state.refine:
-                        merged = ChainMap(scc_results, working)
-                        contributions = {
-                            pname: collect_caller_contributions(
-                                inputs[pname], scc_results[pname], merged
-                            )
-                            for pname in scc
-                        }
-                    else:
-                        contributions = {}
-                    working.update(scc_results)
-                    payload = serialize_summary(
-                        summarize_scc(scc, inputs, scc_results, contributions)
-                    )
-                    state.store.admit_payload(key, payload, write_disk=True)
-                summaries.append([key, payload])
+            inputs = generate_program_constraints(
+                program,
+                service.extern_table,
+                known=probe.known(),
+                sccs=probe.sccs,
+            )
+            solved, stats = service.solve_inputs(program, inputs, probe)
         codec_start = time.perf_counter()
+        summaries = [
+            [probe.keys[tuple(scc)], serialize_summary(solved.summaries[tuple(scc)])]
+            for scc in probe.sccs
+        ]
         encoded_inputs = {
             pname: encode_input(proc, table.intern) for pname, proc in inputs.items()
         }
-        codec_seconds = time.perf_counter() - codec_start
+        stage_seconds = stats["stage_seconds"]
+        stage_seconds["codec_seconds"] = time.perf_counter() - codec_start
         entries.append(
             {
                 "name": name,
                 "summaries": summaries,
                 "inputs": encoded_inputs,
-                "stats": stats.to_json(),
-                "cache_hits": hits,
-                "cache_misses": len(sccs) - hits,
-                "codec_seconds": codec_seconds,
+                "stats": stage_seconds,
+                "cache_hits": stats["cache_hits"],
+                "cache_misses": stats["cache_misses"],
                 "seconds": time.perf_counter() - start,
             }
         )
@@ -494,12 +455,6 @@ class ProcPool:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ProcPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- dispatch --------------------------------------------------------------
 

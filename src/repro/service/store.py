@@ -479,8 +479,7 @@ class SummaryStore:
     disk write); payloads admitted from the disk tier, a worker process or
     :meth:`admit_payload` are decoded by the first :meth:`get` and replaced
     by the decoded summary, so a repeat hit decodes nothing.
-    :meth:`get_payload` -- the form procpool workers use -- serializes a
-    decoded entry on demand.  Cached summaries are shared, never copied:
+    :meth:`get_payload` serializes a decoded entry on demand.  Cached summaries are shared, never copied:
     callers must not mutate them (see the module docstring).
 
     ``cache_dir`` mounts the on-disk JSON tier (:class:`DiskStoreBackend`);
@@ -572,10 +571,9 @@ class SummaryStore:
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """Look up the *JSON payload* of a summary, recording hit/miss.
 
-        This is the transfer format of the process-pool backend: a worker
-        that finds the key in the shared disk tier returns the payload
-        verbatim, so a hit never pays deserialize-then-reserialize on its way
-        to the parent.  A decoded entry is serialized on demand.
+        A payload entry (from the disk tier or :meth:`admit_payload`) is
+        returned verbatim, without decoding it; a decoded entry is
+        serialized on demand.
         """
         entry = self._lookup(key)
         if isinstance(entry, SCCSummary):

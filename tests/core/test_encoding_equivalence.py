@@ -225,7 +225,7 @@ def test_solver_releases_the_encoding():
         formal_ins=(parse_dtv("f.in_stack0"),),
         formal_outs=(parse_dtv("f.out_eax"),),
     )
-    result = solver.solve_single(proc)
+    result = solver.solve_scc([proc.name], {proc.name: proc}, {})[proc.name]
     assert result.shapes.encoding is None
     assert result.shapes._cells is None
     assert result.shapes.lookup(parse_dtv("x.load")) is not None

@@ -71,7 +71,7 @@ def result():
         formal_outs=(OUT_EAX,),
     )
     solver = Solver(default_lattice())
-    return solver.solve_single(proc)
+    return solver.solve_scc([proc.name], {proc.name: proc}, {})[proc.name]
 
 
 def test_parameter_sketch_is_recursive(result):

@@ -8,6 +8,7 @@ from repro.core import (
     DerivedTypeVariable,
     LoadLabel,
     ProcedureTypingInput,
+    SolveStats,
     Solver,
     SolverConfig,
     default_lattice,
@@ -30,6 +31,18 @@ def _proc(name, lines, ins=(), outs=(), callsites=()):
         formal_outs=tuple(DerivedTypeVariable(name, (out_label(loc),)) for loc in outs),
         callsites=tuple(callsites),
     )
+
+
+def _solve(solver, procedures):
+    """Solve ``procedures`` SCC by SCC, bottom-up over their callsites."""
+    edges = {
+        name: {c.callee for c in proc.callsites if c.callee in procedures}
+        for name, proc in procedures.items()
+    }
+    results = {}
+    for scc in tarjan_sccs(edges):
+        results.update(solver.solve_scc(scc, procedures, results))
+    return results
 
 
 def test_tarjan_scc_order_is_callee_first():
@@ -63,7 +76,7 @@ def test_callee_tag_flows_to_caller():
         outs=["eax"],
         callsites=[Callsite("get_fd", "get_fd$1")],
     )
-    results = Solver(default_lattice()).solve_program({"get_fd": callee, "caller": caller})
+    results = _solve(Solver(default_lattice()), {"get_fd": callee, "caller": caller})
     out_sketch = results["caller"].formal_out_sketches[parse_dtv("caller.out_eax")]
     root = out_sketch.node(out_sketch.root)
     assert "#FileDescriptor" in (root.lower, root.upper)
@@ -93,7 +106,7 @@ def test_polymorphic_callsites_do_not_interfere():
         callsites=[Callsite("id", "id$a"), Callsite("id", "id$b")],
     )
     solver = Solver(default_lattice())
-    results = solver.solve_program({"id": identity, "caller": caller})
+    results = _solve(solver, {"id": identity, "caller": caller})
     out = results["caller"].formal_out_sketches[parse_dtv("caller.out_eax")]
     # x should be int; with monomorphic treatment it would be joined with str.
     assert out.node(out.root).lower == "int"
@@ -113,8 +126,8 @@ def test_monomorphic_configuration_merges_callsites():
         callsites=[Callsite("id", "id$a"), Callsite("id", "id$b")],
     )
     config = SolverConfig(polymorphic=False, refine_parameters=False)
-    results = Solver(default_lattice(), config=config).solve_program(
-        {"id": identity, "caller": caller}
+    results = _solve(
+        Solver(default_lattice(), config=config), {"id": identity, "caller": caller}
     )
     out = results["caller"].formal_out_sketches[parse_dtv("caller.out_eax")]
     # both callsites collapse onto one type: join(int, str) = TOP in this lattice
@@ -135,7 +148,7 @@ def test_recursive_procedure_gets_recursive_sketch():
         outs=["eax"],
         callsites=[Callsite("walk", "walk$self")],
     )
-    results = Solver(default_lattice()).solve_program({"walk": walker})
+    results = _solve(Solver(default_lattice()), {"walk": walker})
     sketch = results["walk"].formal_in_sketches[parse_dtv("walk.in_stack0")]
     assert sketch.is_recursive()
 
@@ -151,7 +164,7 @@ def test_extern_scheme_used_when_provided():
         callsites=[Callsite("close", "close$1")],
     )
     solver = Solver(default_lattice(), extern_schemes())
-    results = solver.solve_program({"caller": caller})
+    results = _solve(solver, {"caller": caller})
     in_sketch = results["caller"].formal_in_sketches[parse_dtv("caller.in_stack0")]
     assert in_sketch.node(in_sketch.root).upper == "#FileDescriptor"
 
@@ -163,16 +176,17 @@ def test_unknown_extern_is_harmless():
         ins=["stack0"],
         callsites=[Callsite("mystery", "mystery$1")],
     )
-    results = Solver(default_lattice()).solve_program({"caller": caller})
+    results = _solve(Solver(default_lattice()), {"caller": caller})
     assert "caller" in results
 
 
 def test_solver_stats_populated():
     proc = _proc("f", ["f.in_stack0 <= f.out_eax"], ins=["stack0"], outs=["eax"])
-    solver = Solver(default_lattice())
-    solver.solve_program({"f": proc})
-    assert solver.stats["procedures"] == 1
-    assert solver.stats["constraints"] == 1
+    stats = SolveStats()
+    Solver(default_lattice()).solve_scc(["f"], {"f": proc}, {}, stats=stats)
+    assert stats.sccs_timed == 1
+    assert stats.graph_nodes > 0
+    assert stats.total_seconds > 0
 
 
 def test_scheme_roundtrips_through_instantiation():
@@ -183,7 +197,7 @@ def test_scheme_roundtrips_through_instantiation():
         ins=["stack0"],
         outs=["eax"],
     )
-    results = Solver(default_lattice()).solve_program({"get": callee})
+    results = _solve(Solver(default_lattice()), {"get": callee})
     scheme = results["get"].scheme
     instantiated = scheme.instantiate_as("get$99")
     from repro.core import infer_shapes

@@ -1,8 +1,7 @@
-"""CallGraph: caller queries, SCC orders, invalidation cones, wave levelling."""
+"""CallGraph: caller queries, SCC orders, invalidation cones."""
 
 from repro.ir.asmparser import parse_program
 from repro.ir.callgraph import CallGraph
-from repro.typegen.abstract_interp import generate_program_constraints
 
 
 def _chain_program():
@@ -96,38 +95,3 @@ def test_scc_of_maps_members_to_components():
     assert scc_of["ping"] == scc_of["pong"]
     assert set(scc_of["ping"]) == {"ping", "pong"}
     assert scc_of["leaf"] == ("leaf",)
-
-
-def test_scc_waves_level_the_condensation():
-    graph = CallGraph.from_program(_chain_program())
-    waves = graph.scc_waves()
-    level = {}
-    for depth, wave in enumerate(waves):
-        for scc in wave:
-            for name in scc:
-                level[name] = depth
-    # leaf, the ping/pong cycle and isolated have no defined callees: wave 0.
-    assert level["leaf"] == 0
-    assert level["ping"] == level["pong"] == 0
-    assert level["isolated"] == 0
-    assert level["helper"] == 1
-    assert level["main"] == 2
-    # Each wave only calls into strictly earlier waves.
-    for caller, callees in graph.edges.items():
-        for callee in callees:
-            if level[callee] == level[caller]:
-                # Only within one SCC (the recursive pair).
-                assert {caller, callee} <= {"ping", "pong"}
-            else:
-                assert level[callee] < level[caller]
-    # All procedures appear exactly once across the waves.
-    flat = [name for wave in waves for scc in wave for name in scc]
-    assert sorted(flat) == sorted(graph.edges)
-
-
-def test_callgraph_from_typing_inputs_matches_program_graph():
-    program = _chain_program()
-    inputs = generate_program_constraints(program)
-    from_inputs = CallGraph.from_typing_inputs(inputs)
-    from_program = CallGraph.from_program(program)
-    assert from_inputs.edges == from_program.edges

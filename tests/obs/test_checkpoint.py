@@ -111,14 +111,14 @@ def test_cold_analysis_checkpoints_every_unit(recorder, asm):
     assert sites["_solve_constraints"] == 4 * solved
     # ... then one before each member's scheme (the first ends the bounds).
     assert sites["solve_scc"] == procedures
-    # Between members' caller contributions; then the SCC and its store put.
-    assert sites["solve"] == procedures - solved
-    assert sites["solve_inputs"] == 2 * solved
+    # Between members' caller contributions, then after the SCC and after
+    # its store put.
+    assert sites["solve_inputs"] == (procedures - solved) + 2 * solved
     assert sites["_refine_and_display"] == len(types.functions)
     # The inner loops checkpoint by work done, not per unit.
     expected = {
         "parse_program", "program_fingerprints", "_probe", "generate_program_constraints",
-        "_solve_constraints", "solve_scc", "solve", "solve_inputs",
+        "_solve_constraints", "solve_scc", "solve_inputs",
         "_refine_and_display",
     }
     assert set(sites) - expected <= {"_push", "constant_bound_ids", "apply_refinement"}

@@ -128,18 +128,18 @@ def test_attach_none_is_a_no_op():
 
 def test_adopt_merges_worker_spans_verbatim():
     parent = Tracer()
-    with parent.span("scheduler.wave") as wave:
+    with parent.span("procpool.fanout") as fanout:
         shipped = parent.current_context()
     # Simulate the worker process: its own tracer, same trace id, parented
-    # under the shipped wave span -- exactly what procpool does.
+    # under the shipped fan-out span -- exactly what procpool does.
     worker = Tracer(trace_id=shipped["trace_id"])
     with worker.attach(shipped):
-        with worker.span("procpool.solve_scc", scc="f"):
+        with worker.span("procpool.analyze_program", program="f"):
             pass
     assert parent.adopt(worker.spans()) == 1
     spans = {span["name"]: span for span in parent.spans()}
-    assert spans["procpool.solve_scc"]["parent_id"] == wave.span_id
-    assert spans["procpool.solve_scc"]["trace_id"] == parent.trace_id
+    assert spans["procpool.analyze_program"]["parent_id"] == fanout.span_id
+    assert spans["procpool.analyze_program"]["trace_id"] == parent.trace_id
 
 
 # ---------------------------------------------------------------------------

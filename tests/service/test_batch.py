@@ -1,10 +1,13 @@
 """Batch API: corpus analysis over one shared summary store."""
 
+import pytest
+
 from repro import analyze_corpus, analyze_program
 from repro.eval.harness import run_engine, run_suite_batched
 from repro.eval.workloads import family_workloads
 from repro.baselines import RetypdEngine
 from repro.gen import generate_family
+from repro.ir.callgraph import CallGraph
 from repro.service import AnalysisService
 
 
@@ -39,8 +42,7 @@ def test_corpus_per_program_stats():
     report = analyze_corpus([(w.name, w.program) for w in workloads])
     for member in report:
         assert member.procedures > 0
-        assert member.wave_widths, "wave widths must be recorded per program"
-        assert member.max_wave_width >= 1
+        assert member.cache_hits + member.cache_misses >= 1
         assert member.seconds >= 0
     summary = report.summary()
     assert "TOTAL" in summary and workloads[0].name in summary
@@ -91,9 +93,9 @@ def test_corpus_on_the_process_backend_matches_serial():
 
 
 def test_corpus_fanout_prewarms_every_program_and_stays_byte_identical():
-    """Program-grain fan-out: workers solve whole programs and ship summaries
-    plus typing inputs back; the parent replay must be byte-identical to the
-    serial corpus run."""
+    """Program-grain fan-out: workers solve whole programs and ship every
+    SCC's summary plus the typing inputs of the SCCs their store missed; the
+    parent replay must be byte-identical to the serial corpus run."""
     from repro.gen import result_fingerprint
     from repro.service import ServiceConfig
     from repro.service import batch as batch_mod
@@ -110,8 +112,15 @@ def test_corpus_fanout_prewarms_every_program_and_stays_byte_identical():
         assert set(prewarmed) == set(programs)
         for workload in workloads:
             entry = prewarmed[workload.name]
-            assert set(entry.inputs) == set(workload.program.procedures)
-            assert entry.cache_hits + entry.cache_misses > 0
+            sccs = CallGraph.from_program(workload.program).sccs_bottom_up()
+            generated = [scc for scc in sccs if set(scc) <= set(entry.inputs)]
+            # Inputs come whole SCCs at a time, exactly for the misses.
+            assert sum(map(len, generated)) == len(entry.inputs)
+            assert len(generated) == entry.cache_misses
+            assert entry.cache_hits + entry.cache_misses == len(sccs)
+            # Every SCC's summary, hit or solved, was admitted here.
+            probe = service._probe(workload.program)
+            assert len(probe.cached) == len(sccs)
         report = analyze_corpus(programs, service=service)
     finally:
         service.close()
@@ -144,4 +153,26 @@ def test_corpus_fanout_falls_back_to_in_process_analysis(monkeypatch):
     for name in programs:
         assert result_fingerprint(report[name].types) == result_fingerprint(
             serial[name].types
+        )
+
+
+def _duplicate_name_corpus():
+    """Six pairs over two programs, one name given twice (once per program)."""
+    from repro.frontend import compile_c
+
+    deref = compile_c("int f(int *p) { return *p; }").program
+    add = compile_c("int f(int a, int b) { return a + b; }").program
+    return [("x", deref), ("dup", deref), ("y", add), ("z", deref), ("dup", add), ("w", add)]
+
+
+@pytest.mark.parametrize("executor", ["serial", "processes"])
+def test_corpus_rejects_a_repeated_program_name(executor):
+    """A name given twice would keep one report and drop the other (and, on
+    the process backend, display one program with the other's inputs)."""
+    from repro.service import ServiceConfig
+
+    with pytest.raises(ValueError, match="'dup'"):
+        analyze_corpus(
+            _duplicate_name_corpus(),
+            config=ServiceConfig(executor=executor, max_workers=2),
         )

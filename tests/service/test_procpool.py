@@ -32,6 +32,7 @@ from repro.core.solver import (
 )
 from repro.core.variables import parse_dtv
 from repro.frontend import compile_c
+from repro.ir.asmparser import parse_program
 from repro.service import AnalysisService, ServiceConfig
 from repro.service import procpool
 from repro.service.store import (
@@ -42,8 +43,7 @@ from repro.service.store import (
 )
 from repro.typegen.externs import ensure_lattice_tags, extern_schemes, standard_externs
 
-# A program with a wide first wave (every helper is a leaf) plus a diamond
-# on top.
+# A program with many independent leaves plus a diamond on top.
 SOURCE = """
 struct box { int value; int fd; };
 
@@ -304,6 +304,97 @@ def test_worker_reuses_shared_disk_tier_without_resolving(tmp_path):
     assert entry["cache_misses"] == 0, "expected shared-disk-tier hits, not re-solves"
     assert entry["cache_hits"] == len(entry["summaries"]) > 0
     assert entry["stats"]["sccs_timed"] == 0  # cache hits contribute no core work
+
+
+def _worker_reply(service, programs):
+    """Run one chunk through the worker functions in this process, with the
+    environment ``service`` would ship to its pool."""
+    procpool._init_worker(
+        procpool.encode_environment(
+            service.lattice, service.extern_table, service.config.solver, None
+        )
+    )
+    task = procpool.encode_corpus_task([(name, str(p)) for name, p in programs])
+    return json.loads(procpool._worker_solve_chunk(task))
+
+
+def _decoded_inputs(reply, entry):
+    reader = procpool._TableReader(reply["strings"])
+    return {
+        name: procpool.decode_input(name, encoded, reader)
+        for name, encoded in entry["inputs"].items()
+    }
+
+
+def test_worker_ships_the_summaries_an_in_process_service_publishes(monkeypatch):
+    """Each reply's summary payloads equal, key for key, what an in-process
+    service publishes for the same programs: one bottom-up loop, one call
+    graph, one set of keys."""
+    corpus = _corpus()
+    reference = AnalysisService()
+    published = {}
+    real_put = reference.store.put
+
+    def put(key, summary):
+        published[key] = json.loads(json.dumps(serialize_summary(summary)))
+        return real_put(key, summary)
+
+    monkeypatch.setattr(reference.store, "put", put)
+    keys = {
+        name: reference.analyze(program).stats["scc_store_keys"]
+        for name, program in corpus.items()
+    }
+
+    reply = _worker_reply(reference, corpus.items())
+    assert [entry["name"] for entry in reply["programs"]] == list(corpus)
+    for entry in reply["programs"]:
+        assert entry["stats"]["codec_seconds"] > 0  # the reply's encode
+        shipped = {key: payload for key, payload in entry["summaries"]}
+        assert len(shipped) == len(entry["summaries"])
+        assert set(shipped) == set(keys[entry["name"]].values())
+        for key, payload in shipped.items():
+            assert payload == published[key], key
+    # The twin shares every SCC but its top's cone: the worker's own store
+    # served those, so it generated inputs for the rest only.
+    box, twin = reply["programs"]
+    assert box["cache_hits"] == 0 and set(box["inputs"]) == set(corpus["box"].procedures)
+    assert twin["cache_hits"] > 0
+    assert len(twin["inputs"]) == twin["cache_misses"] < len(corpus["twin"].procedures)
+
+
+def test_worker_ships_every_summary_of_a_program_larger_than_its_store():
+    """300 leaf SCCs against the worker's 256-entry memory tier: every
+    summary still goes back, and the parent replay reproduces the serial
+    answer from them."""
+    program = parse_program(
+        "\n".join(f"leaf{i}:\n    mov eax, {i}\n    ret" for i in range(300))
+    )
+    reply = _worker_reply(AnalysisService(), [("wide", program)])
+    (entry,) = reply["programs"]
+    assert entry["cache_misses"] == len({key for key, _ in entry["summaries"]}) == 300
+
+    parent = AnalysisService()
+    for key, payload in entry["summaries"]:
+        parent.store.admit_payload(key, payload, write_disk=False)
+    types = parent.analyze(program, inputs=_decoded_inputs(reply, entry))
+    assert types.stats["sccs_solved"] == 0
+    assert _canonical_bytes(types) == _canonical_bytes(analyze_program(program))
+
+
+def test_parent_replay_generates_what_neither_inputs_nor_store_cover():
+    """A worker ships inputs only for the SCCs its store missed; SCCs it
+    served that the parent's store no longer holds are generated and solved
+    in the parent, byte-identical."""
+    corpus = _corpus()
+    reply = _worker_reply(AnalysisService(), corpus.items())
+    twin = reply["programs"][1]
+    assert twin["cache_hits"] > 0
+    parent = AnalysisService(ServiceConfig(cache_capacity=2))
+    for key, payload in twin["summaries"]:
+        parent.store.admit_payload(key, payload, write_disk=False)
+    types = parent.analyze(corpus["twin"], inputs=_decoded_inputs(reply, twin))
+    assert types.stats["sccs_solved"] > twin["cache_misses"]
+    assert _canonical_bytes(types) == _baseline({"twin": corpus["twin"]})["twin"]
 
 
 def test_worker_rejects_mismatched_task_format():

@@ -1,7 +1,7 @@
-"""Wave scheduling: levelling invariants and the service's bottom-up wave loop.
+"""The service's bottom-up SCC loop.
 
-A single program solves in-process, wave by wave over the call-graph
-condensation; each wave's summaries are published before the next starts.
+A single program solves in-process, one SCC at a time in bottom-up order;
+each SCC's summary is published before the next SCC starts.
 """
 
 from repro.core.solver import Solver
@@ -44,79 +44,48 @@ def _asm_diamond():
     )
 
 
-def test_wave_levelling_respects_dependencies():
-    graph = CallGraph.from_program(_asm_diamond())
-    waves = graph.scc_waves()
-    wave_of = {}
-    for level, wave in enumerate(waves):
-        for scc in wave:
-            for name in scc:
-                wave_of[name] = level
-    # Every callee strictly below its caller.
-    for caller, callees in graph.edges.items():
-        for callee in callees:
-            assert wave_of[callee] < wave_of[caller]
-    assert wave_of["leaf1"] == wave_of["leaf2"] == 0
-    assert wave_of["mid1"] == wave_of["mid2"] == 1
-    assert wave_of["top"] == 2
-    assert [len(w) for w in waves] == [2, 2, 1]
-
-
-def test_wave_levelling_handles_cycles():
-    program = parse_program(
-        """
-        a:
-            call b
-            ret
-        b:
-            call a
-            ret
-        c:
-            call a
-            ret
-        """
-    )
-    graph = CallGraph.from_program(program)
-    waves = graph.scc_waves()
-    assert [sorted(scc) for scc in waves[0]] == [["a", "b"]]
-    assert waves[1] == [["c"]]
-
-
-def test_after_wave_runs_between_waves(monkeypatch):
-    """Every SCC of a wave sees the previous waves' summaries in the store."""
+def test_each_scc_sees_its_callees_summaries_before_it_is_solved(monkeypatch):
+    """The bottom-up loop publishes every SCC's summary to the store before
+    the next SCC is solved, so each SCC sees its callees' summaries."""
     service = AnalysisService()
-    published = []
+    events = []
     real_put = service.store.put
     real_solve = Solver.solve_scc
 
     def put(key, summary):
-        published.extend(summary.members)
+        events.append(("put", tuple(summary.members)))
         return real_put(key, summary)
 
     def solve_scc(self, scc, *args, **kwargs):
-        published.append(f"solving {','.join(scc)}")
+        events.append(("solve", tuple(scc)))
         return real_solve(self, scc, *args, **kwargs)
 
     monkeypatch.setattr(service.store, "put", put)
     monkeypatch.setattr(Solver, "solve_scc", solve_scc)
-    service.analyze(_asm_diamond())
-    assert published == [
-        "solving leaf1", "solving leaf2", "leaf1", "leaf2",
-        "solving mid1", "solving mid2", "mid1", "mid2",
-        "solving top", "top",
-    ]
+    program = _asm_diamond()
+    service.analyze(program)
+
+    graph = CallGraph.from_program(program)
+    order = [tuple(scc) for scc in graph.sccs_bottom_up()]
+    # Solved in bottom-up order, each published before the next starts.
+    assert events == [(kind, scc) for scc in order for kind in ("solve", "put")]
+    published = set()
+    for kind, scc in events:
+        if kind == "put":
+            published.update(scc)
+            continue
+        callees = {callee for name in scc for callee in graph.edges[name]} - set(scc)
+        assert callees <= published, f"{scc} solved before its callees {callees - published}"
 
 
 def test_schedule_stats_shape():
-    stats = AnalysisService(ServiceConfig(use_cache=False)).analyze(_asm_diamond()).stats
-    assert stats["wave_count"] == 3
-    assert stats["wave_widths"] == [2, 2, 1]
-    assert stats["max_wave_width"] == 2
-    assert abs(stats["mean_wave_width"] - 5 / 3) < 1e-9
+    program = _asm_diamond()
+    stats = AnalysisService(ServiceConfig(use_cache=False)).analyze(program).stats
     assert [name for name, _ in stats["scc_seconds"]] == [
-        "leaf1", "leaf2", "mid1", "mid2", "top"
+        ",".join(scc) for scc in CallGraph.from_program(program).sccs_bottom_up()
     ]
-    assert stats["executor"] == "serial" and not stats["parallel"]
+    assert stats["sccs_solved"] == stats["scc_count"] == 5
+    assert stats["executor"] == "serial"
     assert stats["worker_failed"] == 0 and stats["requeued_sccs"] == []
 
 
@@ -128,4 +97,4 @@ def test_processes_without_a_remote_runner_degrades_to_serial():
         types = service.analyze(_asm_diamond())
         assert service.procpool_snapshot() == {}
     assert types.stats["executor"] == "serial"
-    assert types.stats["wave_widths"] == [2, 2, 1]
+    assert types.stats["sccs_solved"] == 5
