@@ -161,11 +161,11 @@ def test_suite_workload_speedup():
 
 
 def test_noop_obs_overhead_gate():
-    """Disabled-observability gate: the null tracer/registry must cost < 2%.
+    """Disabled-observability gate: the null tracer must cost < 2%.
 
     The solver, typegen and service layers are permanently instrumented with
-    ``get_tracer().span(...)`` / ``get_registry().counter(...)`` calls that
-    hit shared no-op singletons unless a caller opts in.  There is no
+    ``get_tracer().span(...)`` calls that hit a shared no-op tracer unless a
+    caller opts in.  There is no
     un-instrumented build to diff against, so the gate projects the overhead:
     run one analysis under a real tracer to count how many spans the workload
     emits, measure the null-path unit cost in a tight loop, and require

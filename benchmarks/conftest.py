@@ -30,6 +30,9 @@ SCALING_SIZES = tuple(
 #: untraced passes over the Figure 11 sweep; each point keeps its median time.
 TIMING_REPEATS = 5
 
+#: traced passes over the Figure 12 sweep; each point keeps its median peak.
+MEMORY_REPEATS = 3
+
 
 def write_result(name: str, content: str) -> str:
     os.makedirs(RESULTS_DIR, exist_ok=True)
@@ -92,7 +95,21 @@ def scaling_points(scaling_workloads):
 
 @pytest.fixture(scope="session")
 def memory_points(scaling_workloads):
-    """Figure 12 peak traced memory over the same sweep, in its own pass."""
+    """Figure 12 peak traced memory over the same sweep, in passes of its own.
+
+    One pass's peaks move 5-20% between runs of the same tree, so each point
+    is the median peak of :data:`MEMORY_REPEATS` traced passes, as Figure 11
+    takes the median time.
+    """
     from repro.eval.scaling import measure_scaling
 
-    return measure_scaling(scaling_workloads, measure_memory=True)
+    passes = [
+        measure_scaling(scaling_workloads, measure_memory=True)
+        for _ in range(MEMORY_REPEATS)
+    ]
+    return [
+        dataclasses.replace(
+            runs[0], peak_memory_bytes=statistics.median(p.peak_memory_bytes for p in runs)
+        )
+        for runs in zip(*passes)
+    ]

@@ -65,9 +65,9 @@ class SolveStats:
     #: process-backend codec overhead: a corpus fan-out worker's encode of
     #: its reply (summaries and typing inputs).  Kept out of
     #: ``total_seconds`` -- it is transport overhead around the solve, not a
-    #: solve stage -- but merged, serialized and folded into the metrics
-    #: registry like the stages so the stats verbs show where backend
-    #: overhead actually goes.
+    #: solve stage -- but merged and serialized like the stages, so the
+    #: per-worker records of the ``stats`` verb show where backend overhead
+    #: actually goes.
     codec_seconds: float = 0.0
     graph_nodes: int = 0
     graph_edges: int = 0
@@ -209,6 +209,10 @@ class ProcedureResult:
         return None
 
 
+#: maximum label depth explored when serializing schemes.
+MAX_SCHEME_DEPTH = 6
+
+
 @dataclass
 class SolverConfig:
     """Tunable knobs for the inference pipeline."""
@@ -217,8 +221,6 @@ class SolverConfig:
     #: (direction-aware); when False, the coarser per-class bounds of the
     #: Steensgaard quotient are kept.
     precise_bounds: bool = True
-    #: maximum label depth explored when serializing schemes.
-    max_scheme_depth: int = 6
     #: run the REFINEPARAMETERS specialization pass (Algorithm F.3).
     refine_parameters: bool = True
     #: instantiate callee schemes polymorphically (fresh existentials per
@@ -280,7 +282,7 @@ class Solver:
                     checkpoint()
                     proc = procedures[name]
                     scheme = scheme_from_shapes(
-                        proc, shapes, self.lattice, max_depth=self.config.max_scheme_depth
+                        proc, shapes, self.lattice, max_depth=MAX_SCHEME_DEPTH
                     )
                     in_sketches = {
                         dtv: shapes.sketch_for(dtv)

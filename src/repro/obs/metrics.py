@@ -1,14 +1,15 @@
-"""Thread-safe metrics: counters, gauges, fixed-bucket latency histograms.
+"""Metric rows and their two renderings: a JSON snapshot and Prometheus text.
 
-One :class:`MetricsRegistry` holds every instrument, keyed by metric name plus
-a sorted label set (``server_requests_total{verb="analyze"}``).  The process
-default is :data:`NULL_REGISTRY` -- every instrument lookup returns one shared
-no-op object, so the instrumentation seams baked into the server, store,
-registry and procpool cost almost nothing until :func:`install_default` (or
-:func:`set_registry`) swaps in a real registry.  The server does exactly that
-on construction, which is what feeds its ``metrics`` verb (JSON snapshot or
-Prometheus text exposition; see ``docs/protocol.md`` and
-``docs/observability.md``).
+Nothing here holds state.  Each count lives with the object that owns the
+event it counts (the server's per-verb counters, the program registry, the
+summary store, the process pool, the service's lifetime ``SolveStats``), and
+the server's ``metrics`` verb reads them into *rows* when it is called (see
+``docs/protocol.md`` and ``docs/observability.md``).  A row is
+``(name, labels, kind, value)``: ``labels`` a mapping, ``kind`` one of
+``"counter"``, ``"gauge"`` or ``"histogram"``, and ``value`` a number or,
+for a histogram, a :class:`Histogram`.  :func:`snapshot` renders rows as the
+``repro-metrics-v1`` JSON layout and :func:`render_prometheus` as the text
+exposition.
 
 Histograms use fixed bucket upper bounds (default: latency-shaped, 1ms..10s)
 and estimate quantiles by walking the cumulative counts to the containing
@@ -16,18 +17,12 @@ bucket, then interpolating linearly inside it -- the observed min and max
 bound the open-ended edge buckets, so estimates never leave the observed
 range.  That gives p50/p95/p99 with bounded error and O(buckets) memory,
 which is what the SLO work needs from ``BENCH_server.json``.
-
-:meth:`MetricsRegistry.record_stage_stats` folds the solver's existing
-:class:`~repro.core.solver.SolveStats` record into the registry
-(``solver_stage_seconds_total{stage=...}`` and friends) so the per-stage
-telemetry keeps flowing through its existing call sites while also appearing
-in the unified snapshot.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 #: stamped into snapshots; bump on layout change.
 METRICS_FORMAT = "repro-metrics-v1"
@@ -37,60 +32,6 @@ METRICS_FORMAT = "repro-metrics-v1"
 DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A value that goes up and down (queue depth, in-flight count)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -202,43 +143,10 @@ class Histogram:
         return snap
 
 
-class _NullInstrument:
-    """Shared stand-in for every instrument when metrics are disabled."""
-
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> None:
-        return None
-
-    def percentiles(self) -> Dict[str, None]:
-        return {"p50": None, "p95": None, "p99": None}
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"type": "null"}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
 LabelPairs = Tuple[Tuple[str, str], ...]
 
-
-def _key(name: str, labels: Mapping[str, object]) -> Tuple[str, LabelPairs]:
-    return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
+#: one metric sample: (name, labels, "counter" | "gauge" | "histogram", value).
+Row = Tuple[str, Mapping[str, object], str, Union[float, Histogram]]
 
 
 def _render_key(name: str, labels: LabelPairs) -> str:
@@ -248,155 +156,46 @@ def _render_key(name: str, labels: LabelPairs) -> str:
     return f"{name}{{{inner}}}"
 
 
-class MetricsRegistry:
-    """Get-or-create instrument store with JSON and Prometheus views."""
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._metrics: Dict[Tuple[str, LabelPairs], object] = {}
-
-    def _get(self, factory, name: str, labels: Mapping[str, object]):
-        key = _key(name, labels)
-        with self._lock:
-            instrument = self._metrics.get(key)
-            if instrument is None:
-                instrument = self._metrics[key] = factory()
-            return instrument
-
-    def counter(self, name: str, **labels: object) -> Counter:
-        instrument = self._get(Counter, name, labels)
-        if not isinstance(instrument, Counter):
-            raise TypeError(f"{name} is already a {type(instrument).__name__}")
-        return instrument
-
-    def gauge(self, name: str, **labels: object) -> Gauge:
-        instrument = self._get(Gauge, name, labels)
-        if not isinstance(instrument, Gauge):
-            raise TypeError(f"{name} is already a {type(instrument).__name__}")
-        return instrument
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels: object
-    ) -> Histogram:
-        instrument = self._get(lambda: Histogram(buckets), name, labels)
-        if not isinstance(instrument, Histogram):
-            raise TypeError(f"{name} is already a {type(instrument).__name__}")
-        return instrument
-
-    def record_stage_stats(self, stage_stats: Mapping[str, object]) -> None:
-        """Fold one :meth:`SolveStats.to_json` record into the registry.
-
-        Stage seconds land in ``solver_stage_seconds_total{stage=...}``; the
-        SCC and failure tallies in ``solver_sccs_solved_total`` /
-        ``solver_worker_failed_total``.  Additive, so per-request records
-        accumulate into process-lifetime totals.
-        """
-        for stage in ("shapes", "graph", "saturate", "simplify", "sketch", "codec"):
-            seconds = float(stage_stats.get(f"{stage}_seconds", 0.0) or 0.0)
-            if seconds:
-                self.counter("solver_stage_seconds_total", stage=stage).inc(seconds)
-        sccs = int(stage_stats.get("sccs_timed", 0) or 0)
-        if sccs:
-            self.counter("solver_sccs_solved_total").inc(sccs)
-        failed = int(stage_stats.get("worker_failed", 0) or 0)
-        if failed:
-            self.counter("solver_worker_failed_total").inc(failed)
-
-    def snapshot(self) -> Dict[str, object]:
-        """Every instrument, keyed by its rendered name, sorted."""
-        with self._lock:
-            items = sorted(self._metrics.items())
-        return {
-            "format": METRICS_FORMAT,
-            "metrics": {
-                _render_key(name, labels): instrument.snapshot()
-                for (name, labels), instrument in items
-            },
-        }
-
-    def render_prometheus(self) -> str:
-        """Prometheus text exposition (counters/gauges/histogram series)."""
-        with self._lock:
-            items = sorted(self._metrics.items())
-        types_emitted = set()
-        lines: List[str] = []
-        for (name, labels), instrument in items:
-            if isinstance(instrument, Histogram):
-                if name not in types_emitted:
-                    lines.append(f"# TYPE {name} histogram")
-                    types_emitted.add(name)
-                snap = instrument.snapshot()
-                cumulative = 0
-                for bucket in snap["buckets"]:
-                    cumulative += bucket["count"]
-                    le = bucket["le"] if bucket["le"] != "+inf" else "+Inf"
-                    pairs = labels + (("le", str(le)),)
-                    lines.append(f"{_render_key(name + '_bucket', pairs)} {cumulative}")
-                lines.append(f"{_render_key(name + '_sum', labels)} {snap['sum']}")
-                lines.append(f"{_render_key(name + '_count', labels)} {snap['count']}")
-            else:
-                kind = "counter" if isinstance(instrument, Counter) else "gauge"
-                if name not in types_emitted:
-                    lines.append(f"# TYPE {name} {kind}")
-                    types_emitted.add(name)
-                lines.append(f"{_render_key(name, labels)} {instrument.value}")
-        return "\n".join(lines) + ("\n" if lines else "")
+def _sorted_rows(rows: Iterable[Row]) -> List[Tuple[str, LabelPairs, str, object]]:
+    """Rows with their labels as sorted string pairs, ordered by (name, labels)."""
+    keyed = [
+        (name, tuple(sorted((k, str(v)) for k, v in labels.items())), kind, value)
+        for name, labels, kind, value in rows
+    ]
+    keyed.sort(key=lambda row: row[:2])
+    return keyed
 
 
-class NullRegistry:
-    """The default registry: every instrument is one shared no-op."""
-
-    enabled = False
-
-    def counter(self, name: str, **labels: object) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: object) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS, **labels: object
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def record_stage_stats(self, stage_stats: Mapping[str, object]) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"format": METRICS_FORMAT, "metrics": {}}
-
-    def render_prometheus(self) -> str:
-        return ""
+def snapshot(rows: Iterable[Row]) -> Dict[str, object]:
+    """The ``repro-metrics-v1`` JSON layout: every row keyed by its rendered name."""
+    metrics: Dict[str, object] = {}
+    for name, labels, kind, value in _sorted_rows(rows):
+        key = _render_key(name, labels)
+        if kind == "histogram":
+            metrics[key] = value.snapshot()
+        else:
+            metrics[key] = {"type": kind, "value": float(value)}
+    return {"format": METRICS_FORMAT, "metrics": metrics}
 
 
-NULL_REGISTRY = NullRegistry()
-
-_registry: object = NULL_REGISTRY
-
-
-def get_registry():
-    """The process-wide registry (default: :data:`NULL_REGISTRY`, a no-op)."""
-    return _registry
-
-
-def set_registry(registry) -> object:
-    """Install ``registry`` (``None`` restores the null registry); returns the previous one."""
-    global _registry
-    previous = _registry
-    _registry = registry if registry is not None else NULL_REGISTRY
-    return previous
-
-
-def install_default() -> MetricsRegistry:
-    """Ensure the process default is a real registry and return it.
-
-    Idempotent: a real registry already installed is kept (servers sharing a
-    process share one registry -- snapshots are process-wide, so tests assert
-    deltas, not absolute counts).
-    """
-    global _registry
-    if not getattr(_registry, "enabled", False):
-        _registry = MetricsRegistry()
-    return _registry
+def render_prometheus(rows: Iterable[Row]) -> str:
+    """Prometheus text exposition (counters/gauges/histogram series)."""
+    types_emitted = set()
+    lines: List[str] = []
+    for name, labels, kind, value in _sorted_rows(rows):
+        if name not in types_emitted:
+            lines.append(f"# TYPE {name} {kind}")
+            types_emitted.add(name)
+        if kind != "histogram":
+            lines.append(f"{_render_key(name, labels)} {float(value)}")
+            continue
+        snap = value.snapshot()
+        cumulative = 0
+        for bucket in snap["buckets"]:
+            cumulative += bucket["count"]
+            le = bucket["le"] if bucket["le"] != "+inf" else "+Inf"
+            pairs = labels + (("le", str(le)),)
+            lines.append(f"{_render_key(name + '_bucket', pairs)} {cumulative}")
+        lines.append(f"{_render_key(name + '_sum', labels)} {snap['sum']}")
+        lines.append(f"{_render_key(name + '_count', labels)} {snap['count']}")
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -35,11 +35,20 @@ solves, followers share its result (``server_coalesced_total``).  Per
 connection, requests are handled strictly in order and each response is
 drained before the next request is read, so one slow client gets
 backpressure instead of an unbounded output buffer.
+
+Observability: every count lives with the object that owns its event.  The
+server keeps its own per-verb request, error, shed and latency counters; the
+``metrics`` verb reads those, the program registry, the summary store, the
+process pool and the service's lifetime ``SolveStats`` into metric rows when
+it is called (:meth:`TypeQueryServer._metric_rows`), so its numbers are this
+server's alone and agree with the ``stats`` verb by construction.  The
+counters change only on the event-loop thread and need no lock.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextvars
 import itertools
 import logging
@@ -48,11 +57,11 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..ir.asmparser import AsmSyntaxError, parse_program
-from ..obs.metrics import install_default
+from ..obs.metrics import Histogram, Row
 from ..obs.trace import get_tracer
 from ..service.incremental import AnalysisService, IncrementalSession, ServiceConfig
 from ..service.store import environment_fingerprint
@@ -158,18 +167,29 @@ class TypeQueryServer:
         self._running_started: Dict[int, float] = {}
         self._job_ids = itertools.count(1)
         self.coalesced_total = 0
-        self.shed_total = 0
-        # The daemon is the long-lived owner of observability: ensure the
-        # process default is a real registry so every layer's counters land
-        # where the ``metrics`` verb can serve them.
-        self.metrics = install_default()
+        #: successful replies by verb, error replies by (verb, code), sheds
+        #: by reason, and per-verb latency: the only copy of each count.
+        self._requests: "collections.Counter[str]" = collections.Counter()
+        self._errors: "collections.Counter[Tuple[str, str]]" = collections.Counter()
+        self._sheds: "collections.Counter[str]" = collections.Counter()
+        self._latency: Dict[str, Histogram] = collections.defaultdict(Histogram)
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
         self._started = 0.0
         self._stopping: Optional[asyncio.Event] = None
-        self.requests_served = 0
-        self.errors_returned = 0
         self.connections_accepted = 0
+
+    @property
+    def requests_served(self) -> int:
+        return sum(self._requests.values())
+
+    @property
+    def errors_returned(self) -> int:
+        return sum(self._errors.values())
+
+    @property
+    def shed_total(self) -> int:
+        return sum(self._sheds.values())
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -234,7 +254,7 @@ class TypeQueryServer:
                 except (asyncio.LimitOverrunError, ValueError):
                     # The line overran the StreamReader limit; framing is lost,
                     # so answer once and hang up.
-                    self.errors_returned += 1
+                    self._errors["unknown", ErrorCode.TOO_LARGE] += 1
                     writer.write(
                         protocol.encode(
                             protocol.make_error(
@@ -293,24 +313,17 @@ class TypeQueryServer:
             span = tracer.start_span(f"server.{op}")
             token = _REQUEST_SPAN.set(tracer.context_for(span))
             result = await self._dispatch(op, params)
-            self.requests_served += 1
-            self.metrics.counter("server_requests_total", verb=op).inc()
-            self.metrics.histogram("server_request_seconds", verb=op).observe(
-                time.perf_counter() - start
-            )
+            self._requests[op] += 1
+            self._latency[op].observe(time.perf_counter() - start)
             if isinstance(result, bytes):  # already encoded: a whole-program query
                 return protocol.encode_response(request_id, result)
             return protocol.encode(protocol.make_response(request_id, result))
         except ProtocolError as exc:
-            self.errors_returned += 1
-            self.metrics.counter("server_errors_total", verb=op, code=exc.code).inc()
+            self._errors[op, exc.code] += 1
             return protocol.encode(protocol.make_error(request_id, exc.code, exc.message))
         except Exception as exc:  # noqa: BLE001 - the daemon must not die
             logger.exception("internal error handling request")
-            self.errors_returned += 1
-            self.metrics.counter(
-                "server_errors_total", verb=op, code=ErrorCode.INTERNAL_ERROR
-            ).inc()
+            self._errors[op, ErrorCode.INTERNAL_ERROR] += 1
             return protocol.encode(
                 protocol.make_error(
                     request_id, ErrorCode.INTERNAL_ERROR, f"{type(exc).__name__}: {exc}"
@@ -346,8 +359,7 @@ class TypeQueryServer:
         return (queued + 1) / slots * service
 
     def _shed(self, reason: str, message: str) -> ProtocolError:
-        self.shed_total += 1
-        self.metrics.counter("server_shed_total", reason=reason).inc()
+        self._sheds[reason] += 1
         return ProtocolError(ErrorCode.OVERLOADED, message)
 
     async def _run_gated(self, fn: Callable[[], object]) -> object:
@@ -360,7 +372,7 @@ class TypeQueryServer:
         request never sits in the queue and tail latency under overload is
         bounded by the wait cap, not the queue depth.
 
-        Accounting invariant: ``_pending``/``_running`` (and the
+        Accounting invariant: ``_pending``/``_running`` (read by the
         ``server_gate_pending``/``server_gate_inflight`` gauges) move up and
         down exactly once each on every exit path -- success, a raising
         pooled job, or the awaiting client disconnecting while queued
@@ -391,21 +403,18 @@ class TypeQueryServer:
         else:
             work = fn
         self._pending += 1
-        self.metrics.gauge("server_gate_pending").set(self._pending)
         try:
             async with self._gate:
                 job = next(self._job_ids)
                 started = time.monotonic()
                 self._running += 1
                 self._running_started[job] = started
-                self.metrics.gauge("server_gate_inflight").set(self._running)
                 try:
                     loop = asyncio.get_running_loop()
                     result = await loop.run_in_executor(self._executor, work)
                 finally:
                     self._running -= 1
                     self._running_started.pop(job, None)
-                    self.metrics.gauge("server_gate_inflight").set(self._running)
                 # Reached only on success: failed jobs (parse errors return
                 # in microseconds) must not feed the service-time estimate.
                 elapsed = time.monotonic() - started
@@ -416,7 +425,6 @@ class TypeQueryServer:
                 return result
         finally:
             self._pending -= 1
-            self.metrics.gauge("server_gate_pending").set(self._pending)
 
     @staticmethod
     def _attached_call(tracer, context, fn: Callable[[], object]) -> object:
@@ -477,7 +485,6 @@ class TypeQueryServer:
             if existing is None:
                 break  # no flight to join: become the leader below
             self.coalesced_total += 1
-            self.metrics.counter("server_coalesced_total").inc()
             try:
                 return program_id, await asyncio.shield(existing), False
             except asyncio.CancelledError:
@@ -600,7 +607,42 @@ class TypeQueryServer:
         fmt = params.get("format", "json")
         if not isinstance(fmt, str):
             raise ProtocolError(ErrorCode.INVALID_PARAMS, "format must be a string")
-        return protocol.metrics_payload(self.metrics, fmt)
+        return protocol.metrics_payload(self._metric_rows(), fmt)
+
+    def _metric_rows(self) -> List[Row]:
+        """This server's metric rows, read from the owner of each count."""
+        rows: List[Row] = []
+        for verb, count in self._requests.items():
+            rows.append(("server_requests_total", {"verb": verb}, "counter", count))
+        for verb, latency in self._latency.items():
+            rows.append(("server_request_seconds", {"verb": verb}, "histogram", latency))
+        for (verb, code), count in self._errors.items():
+            rows.append(("server_errors_total", {"verb": verb, "code": code}, "counter", count))
+        for reason, count in self._sheds.items():
+            rows.append(("server_shed_total", {"reason": reason}, "counter", count))
+        registry = self.registry.snapshot()
+        store = self.service.store.stats
+        pool = self.service.procpool_snapshot()
+        solved = self.service.solve_stats()
+        rows += [
+            ("server_coalesced_total", {}, "counter", self.coalesced_total),
+            ("server_gate_pending", {}, "gauge", self._pending),
+            ("server_gate_inflight", {}, "gauge", self._running),
+            ("server_sessions_open", {}, "gauge", len(self._sessions)),
+            ("registry_hits_total", {}, "counter", registry["hits"]),
+            ("registry_misses_total", {}, "counter", registry["misses"]),
+            ("store_hits_total", {}, "counter", store.hits),
+            ("store_misses_total", {}, "counter", store.misses),
+            ("procpool_chunks_dispatched_total", {}, "counter", pool.get("chunks_dispatched", 0)),
+            ("procpool_chunks_failed_total", {}, "counter", pool.get("chunks_failed", 0)),
+            ("procpool_sccs_requeued_total", {}, "counter", pool.get("sccs_requeued", 0)),
+            ("procpool_worker_busy_seconds_total", {}, "counter", pool.get("busy_seconds", 0)),
+            ("solver_sccs_solved_total", {}, "counter", solved.sccs_timed),
+        ]
+        for stage in ("shapes", "graph", "saturate", "simplify", "sketch"):
+            seconds = getattr(solved, f"{stage}_seconds")
+            rows.append(("solver_stage_seconds_total", {"stage": stage}, "counter", seconds))
+        return rows
 
     async def _op_analyze(self, params: Dict[str, object]) -> Dict[str, object]:
         program_id, types, cached = await self._intake(params)
@@ -695,8 +737,6 @@ class TypeQueryServer:
         except BaseException:
             self._sessions.pop(session_id, None)
             raise
-        finally:
-            self.metrics.gauge("server_sessions_open").set(len(self._sessions))
         payload["session_id"] = session_id
         return payload
 
@@ -749,7 +789,6 @@ class TypeQueryServer:
     async def _op_session_close(self, params: Dict[str, object]) -> Dict[str, object]:
         session_id = protocol.require_str(params, "session_id")
         state = self._sessions.pop(session_id, None)
-        self.metrics.gauge("server_sessions_open").set(len(self._sessions))
         if state is None:
             raise ProtocolError(
                 ErrorCode.UNKNOWN_SESSION, f"no open session {session_id!r}"

@@ -160,7 +160,7 @@ class _VerbMixin:
         return self.request("stats", {"program_id": program_id})
 
     def metrics(self, format: Optional[str] = None):
-        """The process metrics registry: per-verb request counters, latency
+        """The server's metrics: per-verb request counters, latency
         histograms with p50/p95/p99, gate gauges, store/registry hit rates.
         ``format="prometheus"`` returns the text exposition instead of the
         structured JSON snapshot (see docs/observability.md)."""

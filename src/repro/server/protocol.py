@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 from typing import Dict, Mapping, Optional, Tuple
 
+from ..obs.metrics import render_prometheus, snapshot
+
 #: bump on incompatible message-shape changes; servers reject other versions.
 PROTOCOL_VERSION = 1
 
@@ -289,12 +291,14 @@ def stats_payload(types, program_id: str) -> Dict[str, object]:
     }
 
 
-def metrics_payload(registry, fmt: str = "json") -> Dict[str, object]:
-    """The ``metrics`` result: the process metrics registry, rendered.
+def metrics_payload(rows, fmt: str = "json") -> Dict[str, object]:
+    """The ``metrics`` result: one server's metric rows, rendered.
 
-    ``"json"`` returns the structured snapshot (counters/gauges/histograms
-    with p50/p95/p99, keyed by rendered metric name); ``"prometheus"`` returns
-    the text exposition in a ``text`` field for scrapers.
+    ``rows`` are ``(name, labels, kind, value)`` tuples (see
+    :mod:`repro.obs.metrics`).  ``"json"`` returns the structured snapshot
+    (counters/gauges/histograms with p50/p95/p99, keyed by rendered metric
+    name); ``"prometheus"`` returns the text exposition in a ``text`` field
+    for scrapers.
     """
     if fmt not in METRICS_FORMATS:
         raise ProtocolError(
@@ -302,8 +306,8 @@ def metrics_payload(registry, fmt: str = "json") -> Dict[str, object]:
             f"unknown metrics format {fmt!r} (expected one of {sorted(METRICS_FORMATS)})",
         )
     if fmt == "prometheus":
-        return {"format": "prometheus", "text": registry.render_prometheus()}
-    return registry.snapshot()
+        return {"format": "prometheus", "text": render_prometheus(rows)}
+    return snapshot(rows)
 
 
 def procedure_payload(types, program_id: str, procedure: str) -> Dict[str, object]:

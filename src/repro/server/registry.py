@@ -33,8 +33,6 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
 
-from ..obs.metrics import get_registry as _metrics_registry
-
 
 class _Entry:
     """One analyzed program and, once a whole-program query asked, its reply."""
@@ -77,11 +75,7 @@ class ProgramRegistry:
             else:
                 self._entries.move_to_end(program_id)
                 self.hits += 1
-        if entry is None:
-            _metrics_registry().counter("registry_misses_total").inc()
-            return None
-        _metrics_registry().counter("registry_hits_total").inc()
-        return entry.types
+        return None if entry is None else entry.types
 
     def reply(self, program_id: str, types, build: Callable[[object], bytes]) -> bytes:
         """The encoded whole-program reply for ``types``, built on first use.

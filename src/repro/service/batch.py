@@ -18,9 +18,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..core.solver import SolveStats
 from ..ir.program import Program
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .incremental import AnalysisService, ServiceConfig
+from .procpool import ProcPool
 
 #: A corpus is a name -> program mapping or an iterable of (name, program)
 #: pairs; programs may be assembly text or parsed IR.
@@ -125,8 +125,8 @@ def analyze_corpus(
 
     reports: Dict[str, ProgramReport] = {}
     try:
-        fanout = _use_corpus_fanout(service, items)
-        prewarmed = _prewarm_corpus(service, items) if fanout else {}
+        pool = service._ensure_procpool() if _use_corpus_fanout(service, items) else None
+        prewarmed = _prewarm_corpus(service, pool, items) if pool is not None else {}
         for name, source in items:
             start = time.perf_counter()
             warmed = prewarmed.get(name)
@@ -143,8 +143,8 @@ def analyze_corpus(
             else:
                 types = service.analyze(source)
                 elapsed = time.perf_counter() - start
-                if fanout:
-                    _mark_requeued(types.stats)
+                if pool is not None:
+                    _mark_requeued(types.stats, pool)
             reports[name] = ProgramReport(
                 name=name,
                 types=types,
@@ -191,9 +191,9 @@ def _use_corpus_fanout(service: AnalysisService, items: List[Tuple[str, object]]
 
 
 def _prewarm_corpus(
-    service: AnalysisService, items: List[Tuple[str, object]]
+    service: AnalysisService, pool: ProcPool, items: List[Tuple[str, object]]
 ) -> Dict[str, _PrewarmedProgram]:
-    """Fan the corpus out over the process pool; returns per-program context.
+    """Fan the corpus out over ``pool``; returns per-program context.
 
     Workers probe their own store and run constraint generation and
     bottom-up SCC solving for what it missed, whole programs at a time, and
@@ -206,7 +206,6 @@ def _prewarm_corpus(
     """
     from .procpool import CHUNKS_PER_WORKER, _TableReader, decode_input, encode_corpus_task
 
-    pool = service._ensure_procpool()
     chunk_count = max(1, min(len(items), pool.max_workers * CHUNKS_PER_WORKER))
     chunks = [items[index::chunk_count] for index in range(chunk_count)]
     tracer = get_tracer()
@@ -225,7 +224,6 @@ def _prewarm_corpus(
         replies = pool.submit_chunks(payloads)
 
     prewarmed: Dict[str, _PrewarmedProgram] = {}
-    busy = get_registry().counter("procpool_worker_busy_seconds_total")
     for reply in replies:
         if reply is None:
             continue
@@ -245,8 +243,7 @@ def _prewarm_corpus(
                 continue  # parent re-analyzes this program in process
             stage_stats = dict(entry.get("stats", {}))
             seconds = float(entry.get("seconds", 0.0))
-            busy.inc(seconds)
-            pool.record_worker_stats(pid, SolveStats.from_json(stage_stats))
+            pool.record_worker_stats(pid, SolveStats.from_json(stage_stats), seconds)
             prewarmed[entry["name"]] = _PrewarmedProgram(
                 inputs=inputs,
                 cache_hits=int(entry.get("cache_hits", 0)),
@@ -258,10 +255,9 @@ def _prewarm_corpus(
     return prewarmed
 
 
-def _mark_requeued(stats: Dict[str, object]) -> None:
+def _mark_requeued(stats: Dict[str, object], pool: ProcPool) -> None:
     """Mark a program its worker failed: the SCCs solved here were requeued."""
     requeued = [scc for scc, _ in stats["scc_seconds"]]
     stats["worker_failed"] = stats["stage_seconds"]["worker_failed"] = len(requeued)
     stats["requeued_sccs"] = requeued
-    if requeued:
-        get_registry().counter("procpool_sccs_requeued_total").inc(len(requeued))
+    pool.record_requeued(len(requeued))

@@ -57,7 +57,6 @@ from ..core.solver import (
 from ..ir.asmparser import ParsedChunk, ParseTable, parse_program
 from ..ir.callgraph import CallGraph
 from ..ir.program import Program
-from ..obs.metrics import get_registry
 from ..obs.trace import checkpoint, get_tracer
 from ..typegen.abstract_interp import Formals, generate_program_constraints
 from ..typegen.externs import (
@@ -235,6 +234,18 @@ class AnalysisService:
         # several request threads, and racing lazy inits would leak a pool
         # (spawned workers and all) that close() could never reach.
         self._procpool_lock = threading.Lock()
+        #: every SCC this service solved in-process, merged over its life
+        #: (the server's ``solver_*`` metric rows).  Executor threads run
+        #: analyses concurrently, so merges and reads take the lock.
+        self._solve_stats = SolveStats()
+        self._solve_stats_lock = threading.Lock()
+
+    def solve_stats(self) -> SolveStats:
+        """A copy of the lifetime ``SolveStats`` of this service's own solves."""
+        total = SolveStats()
+        with self._solve_stats_lock:
+            total.merge(self._solve_stats)
+        return total
 
     # -- process-pool lifecycle --------------------------------------------------
 
@@ -480,13 +491,8 @@ class AnalysisService:
                 self.store.put(keys[tuple(scc)], summary)
                 checkpoint()
 
-        registry = get_registry()
-        registry.record_stage_stats(stage_stats.to_json())
-        if cached:
-            registry.counter("service_scc_cache_hits_total").inc(len(cached))
-        misses = len(sccs) - len(cached)
-        if misses:
-            registry.counter("service_scc_cache_misses_total").inc(misses)
+        with self._solve_stats_lock:
+            self._solve_stats.merge(stage_stats)
 
         # Deterministic final ordering: the display layer names structs in
         # conversion order, so results must surface bottom-up like the plain

@@ -49,7 +49,6 @@ from ..core.labels import parse_label
 from ..core.lattice import TypeLattice
 from ..core.solver import Callsite, ProcedureTypingInput, SolveStats, SolverConfig
 from ..core.variables import parse_dtv
-from ..obs.metrics import get_registry
 from ..obs.trace import Tracer, get_tracer, tracing
 from .store import STORE_FORMAT, serialize_summary
 
@@ -59,8 +58,9 @@ if TYPE_CHECKING:
 #: bump when the environment/task payload layout changes so a stale worker
 #: (from a hot-reloaded parent) can never misinterpret a task.  v2 introduced
 #: the integer-table codec; v3 dropped the per-SCC wave tasks, so every task
-#: is a chunk of whole programs; v4 ships each input's constraint table.
-PROCPOOL_FORMAT = "retypd-procpool-v4"
+#: is a chunk of whole programs; v4 ships each input's constraint table; v5
+#: dropped the solver's scheme depth, now a constant.
+PROCPOOL_FORMAT = "retypd-procpool-v5"
 
 #: multiprocessing start method; ``spawn`` is deliberate -- the parent may be
 #: a threaded asyncio daemon, and forking a threaded process is undefined
@@ -112,7 +112,6 @@ def encode_environment(
             },
             "solver": {
                 "precise_bounds": solver_config.precise_bounds,
-                "max_scheme_depth": solver_config.max_scheme_depth,
                 "refine_parameters": solver_config.refine_parameters,
                 "polymorphic": solver_config.polymorphic,
             },
@@ -225,7 +224,6 @@ def _worker_service(env: Mapping[str, object]) -> "AnalysisService":
     config = ServiceConfig(
         solver=SolverConfig(
             precise_bounds=env["solver"]["precise_bounds"],
-            max_scheme_depth=env["solver"]["max_scheme_depth"],
             refine_parameters=env["solver"]["refine_parameters"],
             polymorphic=env["solver"]["polymorphic"],
         ),
@@ -425,6 +423,11 @@ class ProcPool:
         self.worker_stats: Dict[int, SolveStats] = {}
         self.chunks_dispatched = 0
         self.chunks_failed = 0
+        #: worker-side wall time of every program a worker analyzed.
+        self.busy_seconds = 0.0
+        #: SCCs the caller solved in-process because their program's worker
+        #: failed.
+        self.sccs_requeued = 0
         self.pools_built = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -500,18 +503,25 @@ class ProcPool:
         with self._lock:
             self.chunks_dispatched += dispatched
             self.chunks_failed += failed
-        registry = get_registry()
-        if dispatched:
-            registry.counter("procpool_chunks_dispatched_total").inc(dispatched)
-        if failed:
-            registry.counter("procpool_chunks_failed_total").inc(failed)
 
-    def record_worker_stats(self, pid: int, stats: SolveStats) -> None:
+    def record_worker_stats(self, pid: int, stats: SolveStats, seconds: float) -> None:
+        """Merge one program's worker ``SolveStats`` and its wall time."""
         with self._lock:
             self.worker_stats.setdefault(pid, SolveStats()).merge(stats)
+            self.busy_seconds += seconds
+
+    def record_requeued(self, sccs: int) -> None:
+        with self._lock:
+            self.sccs_requeued += sccs
 
     def snapshot(self) -> Dict[str, object]:
-        """Pool-level counters for the server's ``stats`` verb."""
+        """Pool-level counters, read by the server's ``stats`` and ``metrics`` verbs.
+
+        ``chunks_dispatched``/``chunks_failed`` count IPC chunks,
+        ``busy_seconds`` the workers' per-program analysis time and
+        ``sccs_requeued`` the SCCs solved in-process after a worker failed;
+        ``workers`` is the cumulative per-worker ``SolveStats`` merge.
+        """
         with self._lock:
             return {
                 "max_workers": self.max_workers,
@@ -519,6 +529,8 @@ class ProcPool:
                 "pools_built": self.pools_built,
                 "chunks_dispatched": self.chunks_dispatched,
                 "chunks_failed": self.chunks_failed,
+                "busy_seconds": self.busy_seconds,
+                "sccs_requeued": self.sccs_requeued,
                 "workers": {
                     str(pid): stats.to_json()
                     for pid, stats in sorted(self.worker_stats.items())

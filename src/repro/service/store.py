@@ -41,6 +41,7 @@ from ..core.lattice import TypeLattice
 from ..core.schemes import TypeScheme
 from ..core.sketches import Sketch
 from ..core.solver import (
+    MAX_SCHEME_DEPTH,
     ProcedureResult,
     ProcedureTypingInput,
     RefinementContribution,
@@ -48,7 +49,6 @@ from ..core.solver import (
 )
 from ..core.variables import DerivedTypeVariable, parse_dtv
 from ..ir.program import Procedure, Program, instruction_line
-from ..obs.metrics import get_registry
 from ..obs.trace import checkpoint, get_tracer
 from ..typegen.externs import ExternSignature
 
@@ -113,9 +113,10 @@ def externs_fingerprint(externs: Mapping[str, ExternSignature]) -> str:
 
 
 def solver_config_fingerprint(config: SolverConfig) -> str:
+    # The scheme depth keeps its slot so keys match those of earlier stores.
     return stable_hash(
         config.precise_bounds,
-        config.max_scheme_depth,
+        MAX_SCHEME_DEPTH,
         config.refine_parameters,
         config.polymorphic,
     )
@@ -478,9 +479,9 @@ class SummaryStore:
     payload.  :meth:`put` admits the summary itself (serialized only for a
     disk write); payloads admitted from the disk tier, a worker process or
     :meth:`admit_payload` are decoded by the first :meth:`get` and replaced
-    by the decoded summary, so a repeat hit decodes nothing.
-    :meth:`get_payload` serializes a decoded entry on demand.  Cached summaries are shared, never copied:
-    callers must not mutate them (see the module docstring).
+    by the decoded summary, so a repeat hit decodes nothing.  Cached
+    summaries are shared, never copied: callers must not mutate them (see
+    the module docstring).
 
     ``cache_dir`` mounts the on-disk JSON tier (:class:`DiskStoreBackend`);
     without it the store is memory-only.  A disk hit is promoted into the
@@ -532,11 +533,6 @@ class SummaryStore:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
-        registry = get_registry()
-        if entry is None:
-            registry.counter("store_misses_total").inc()
-        else:
-            registry.counter("store_hits_total").inc()
         return entry
 
     def _admit(self, key: str, entry: _Entry) -> None:
@@ -567,18 +563,6 @@ class SummaryStore:
                 self._memory[key] = summary
         checkpoint()
         return summary
-
-    def get_payload(self, key: str) -> Optional[Dict[str, object]]:
-        """Look up the *JSON payload* of a summary, recording hit/miss.
-
-        A payload entry (from the disk tier or :meth:`admit_payload`) is
-        returned verbatim, without decoding it; a decoded entry is
-        serialized on demand.
-        """
-        entry = self._lookup(key)
-        if isinstance(entry, SCCSummary):
-            return serialize_summary(entry)
-        return entry
 
     def put(self, key: str, summary: SCCSummary) -> None:
         """Admit a freshly-solved SCC summary (serialized only for a disk write)."""

@@ -6,9 +6,12 @@
   exist;
 * every intra-repo markdown link (``[text](target)``) must resolve;
 * the docs the README promises actually exist and are linked;
-* every span name the code opens has a row in ``docs/observability.md``.
+* every span name the code opens has a row in ``docs/observability.md``;
+* the metric table of ``docs/observability.md`` names exactly the metric
+  families the server's ``metrics`` verb emits.
 """
 
+import asyncio
 import importlib
 import os
 import re
@@ -32,6 +35,10 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)#][^)]*)\)")
 _SPAN_OPEN = re.compile(r"\.span\(\s*\"([a-z_]+\.[a-z_]+)\"")
 #: first-column span names of the observability span table
 _SPAN_ROW = re.compile(r"^\| `([a-z_]+\.[a-z_<>]+)` \|", re.MULTILINE)
+#: first cells of the observability metric table (one or more metric names)
+_METRIC_CELL = re.compile(r"^\| (`[a-z_]+(?:\{[a-z,]+\})?`.*?) \| (?:counter|gauge|histogram) \|", re.MULTILINE)
+#: a metric family name in backticks, labels stripped
+_METRIC_NAME = re.compile(r"`([a-z_]+)(?:\{[a-z,]+\})?`")
 
 
 def _read(path):
@@ -121,3 +128,33 @@ def test_every_span_the_code_opens_is_in_the_span_table():
                 opened.update(_SPAN_OPEN.findall(_read(os.path.join(root, name))))
     assert {"service.display", "typegen.interface"} <= opened
     assert opened <= documented, f"undocumented spans: {sorted(opened - documented)}"
+
+
+def test_metric_table_names_exactly_the_emitted_families():
+    """A documented metric the server never emits, or an undocumented one, fails.
+
+    One ping (a request and its latency), one unknown-program query (an
+    error) and one analyze shed by ``max_pending=0`` (a shed) give every
+    per-server counter an entry; the owner-read rows are always present.
+    """
+    from repro.server import ServerConfig, TypeQueryServer, protocol
+
+    async def emitted():
+        server = TypeQueryServer(ServerConfig(port=0, max_pending=0))
+        await server.start()
+        try:
+            for op, params in (
+                ("ping", {}),
+                ("query", {"program_id": "none"}),
+                ("analyze", {"source": "f:\n    ret\n"}),
+            ):
+                await server._respond(protocol.encode(protocol.make_request(op, params, 1)))
+            return {name for name, _, _, _ in server._metric_rows()}
+        finally:
+            await server.aclose()
+
+    text = _read(os.path.join(DOCS, "observability.md"))
+    documented = {
+        name for cell in _METRIC_CELL.findall(text) for name in _METRIC_NAME.findall(cell)
+    }
+    assert documented == asyncio.run(emitted())

@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, quantile estimation, rendering.
+"""Metric rows: histogram quantile estimation and the two renderings.
 
 The histogram's percentile math is property-tested: whatever latencies go
 in, the estimates must stay inside the observed range, respect quantile
@@ -7,68 +7,18 @@ invariants `BENCH_server.json` and the server's ``metrics`` verb rely on.
 """
 
 import math
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    METRICS_FORMAT,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    install_default,
-    set_registry,
-)
+from repro.obs import METRICS_FORMAT, Histogram
+from repro.obs.metrics import render_prometheus, snapshot
 
 latencies = st.lists(
     st.floats(min_value=1e-6, max_value=100.0, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=200,
 )
-
-
-# ---------------------------------------------------------------------------
-# Counter / gauge basics
-# ---------------------------------------------------------------------------
-
-
-def test_counter_accumulates_and_rejects_negative():
-    counter = Counter()
-    counter.inc()
-    counter.inc(2.5)
-    assert counter.value == 3.5
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-    assert counter.snapshot() == {"type": "counter", "value": 3.5}
-
-
-def test_gauge_moves_both_ways():
-    gauge = Gauge()
-    gauge.set(4)
-    gauge.inc()
-    gauge.dec(2)
-    assert gauge.value == 3
-    assert gauge.snapshot() == {"type": "gauge", "value": 3}
-
-
-def test_counter_thread_safety():
-    counter = Counter()
-
-    def bump():
-        for _ in range(1000):
-            counter.inc()
-
-    threads = [threading.Thread(target=bump) for _ in range(8)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert counter.value == 8000
 
 
 # ---------------------------------------------------------------------------
@@ -201,63 +151,77 @@ def test_histogram_overflow_bucket():
 
 
 # ---------------------------------------------------------------------------
-# Registry semantics
+# Rendering rows
 # ---------------------------------------------------------------------------
 
 
-def test_registry_get_or_create_is_identity_per_label_set():
-    registry = MetricsRegistry()
-    a = registry.counter("requests_total", verb="analyze")
-    b = registry.counter("requests_total", verb="analyze")
-    c = registry.counter("requests_total", verb="query")
-    assert a is b and a is not c
-    a.inc()
-    snap = registry.snapshot()
+def test_snapshot_keys_rows_by_rendered_name():
+    latency = Histogram()
+    latency.observe(0.2)
+    rows = [
+        ("requests_total", {"verb": "query"}, "counter", 0),
+        ("requests_total", {"verb": "analyze"}, "counter", 1),
+        ("errors_total", {"verb": "query", "code": "unknown_program"}, "counter", 2),
+        ("queue_depth", {}, "gauge", 3),
+        ("latency_seconds", {"verb": "analyze"}, "histogram", latency),
+    ]
+    snap = snapshot(rows)
     assert snap["format"] == METRICS_FORMAT
-    assert snap["metrics"]['requests_total{verb="analyze"}']["value"] == 1
-    assert snap["metrics"]['requests_total{verb="query"}']["value"] == 0
+    metrics = snap["metrics"]
+    # Sorted by name, then by label pairs; labels render sorted by key.
+    assert list(metrics) == [
+        'errors_total{code="unknown_program",verb="query"}',
+        'latency_seconds{verb="analyze"}',
+        "queue_depth",
+        'requests_total{verb="analyze"}',
+        'requests_total{verb="query"}',
+    ]
+    assert metrics['requests_total{verb="analyze"}'] == {"type": "counter", "value": 1.0}
+    assert metrics['requests_total{verb="query"}'] == {"type": "counter", "value": 0.0}
+    assert metrics["queue_depth"] == {"type": "gauge", "value": 3.0}
+    assert metrics['latency_seconds{verb="analyze"}'] == latency.snapshot()
+    assert snapshot([]) == {"format": METRICS_FORMAT, "metrics": {}}
+    assert render_prometheus([]) == ""
 
 
-def test_registry_rejects_kind_mismatch():
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(TypeError):
-        registry.gauge("x")
-    with pytest.raises(TypeError):
-        registry.histogram("x")
+def test_service_folds_solve_stats_into_lifetime_totals():
+    """Concurrent analyses on one service each merge their record exactly once."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
 
+    from repro.gen import GenProfile, generate_program
+    from repro.service import AnalysisService, ServiceConfig
 
-def test_registry_folds_solve_stats():
-    registry = MetricsRegistry()
-    registry.record_stage_stats(
-        {
-            "shapes_seconds": 0.125,
-            "graph_seconds": 0.5,
-            "saturate_seconds": 1.0,
-            "simplify_seconds": 0.0,
-            "sketch_seconds": 0.25,
-            "sccs_timed": 7,
-            "worker_failed": 2,
-        }
-    )
-    registry.record_stage_stats({"graph_seconds": 0.5, "sccs_timed": 3})
-    metrics = registry.snapshot()["metrics"]
-    assert metrics['solver_stage_seconds_total{stage="shapes"}']["value"] == 0.125
-    assert metrics['solver_stage_seconds_total{stage="graph"}']["value"] == 1.0
-    assert metrics['solver_stage_seconds_total{stage="saturate"}']["value"] == 1.0
-    assert 'solver_stage_seconds_total{stage="simplify"}' not in metrics
-    assert metrics["solver_sccs_solved_total"]["value"] == 10
-    assert metrics["solver_worker_failed_total"]["value"] == 2
+    programs = [generate_program(seed, GenProfile.smoke()).compile().program for seed in (3, 4)]
+    service = AnalysisService(ServiceConfig(use_cache=False))  # every analysis solves
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = list(pool.map(service.analyze, programs * 6, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    total = service.solve_stats()
+    assert total.sccs_timed == sum(r.stats["stage_seconds"]["sccs_timed"] for r in runs) > 0
+    for stage in ("shapes", "graph", "saturate", "simplify", "sketch"):
+        assert getattr(total, f"{stage}_seconds") == pytest.approx(
+            sum(r.stats["stage_seconds"][f"{stage}_seconds"] for r in runs)
+        )
+    # A copy: callers cannot disturb the service's record.
+    total.sccs_timed = 0
+    assert service.solve_stats().sccs_timed > 0
 
 
 def test_prometheus_rendering_is_cumulative():
-    registry = MetricsRegistry()
-    registry.counter("requests_total", verb="analyze").inc(3)
-    hist = registry.histogram("latency_seconds", buckets=(0.1, 1.0))
+    hist = Histogram(buckets=(0.1, 1.0))
     hist.observe(0.05)
     hist.observe(0.5)
     hist.observe(5.0)
-    text = registry.render_prometheus()
+    rows = [
+        ("requests_total", {"verb": "analyze"}, "counter", 3),
+        ("latency_seconds", {}, "histogram", hist),
+    ]
+    text = render_prometheus(rows)
     assert "# TYPE requests_total counter" in text
     assert 'requests_total{verb="analyze"} 3.0' in text
     assert "# TYPE latency_seconds histogram" in text
@@ -266,28 +230,3 @@ def test_prometheus_rendering_is_cumulative():
     assert 'latency_seconds_bucket{le="1.0"} 2' in text
     assert 'latency_seconds_bucket{le="+Inf"} 3' in text
     assert "latency_seconds_count 3" in text
-
-
-# ---------------------------------------------------------------------------
-# Process default: the null registry and install_default
-# ---------------------------------------------------------------------------
-
-
-def test_null_registry_is_inert():
-    assert NULL_REGISTRY.enabled is False
-    instrument = NULL_REGISTRY.counter("anything", verb="x")
-    instrument.inc()
-    instrument.observe(1.0)
-    assert instrument is NULL_REGISTRY.histogram("other")
-    assert NULL_REGISTRY.snapshot() == {"format": METRICS_FORMAT, "metrics": {}}
-    assert NULL_REGISTRY.render_prometheus() == ""
-
-
-def test_install_default_is_idempotent():
-    previous = set_registry(None)  # force the null default
-    try:
-        first = install_default()
-        assert first.enabled and get_registry() is first
-        assert install_default() is first  # a real registry is kept
-    finally:
-        set_registry(previous)

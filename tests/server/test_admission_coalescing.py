@@ -207,8 +207,6 @@ def test_coalescing_one_solve_byte_identical_replies():
 
         with TypeQueryClient(host, port) as observer:
             after = observer.metrics()
-            # The metrics registry is process-wide (shared by every server in
-            # the test process), so compare snapshots, not absolutes.
             delta = _counter_value(after, "server_coalesced_total") - _counter_value(
                 before, "server_coalesced_total"
             )

@@ -1,10 +1,11 @@
 """The ``metrics`` verb over a real socket, and the admission-gate gauges.
 
-The metrics registry is process-wide and shared by every server in the test
-process, so these tests assert *deltas* between snapshots (or lower bounds),
-never absolute counts.
+Each server reads its own counters, so two servers in one process never see
+each other's requests.
 """
 
+import json
+import socket
 import threading
 import time
 
@@ -94,6 +95,54 @@ def test_metrics_verb_counts_errors_by_code():
             after = client.metrics()
     key = 'server_errors_total{code="unknown_program",verb="query"}'
     assert counter_value(after, key) == counter_value(before, key) + 1
+
+
+def family_total(snapshot, name):
+    """Sum of every row of one counter family (``name`` or ``name{...}``)."""
+    return sum(
+        entry["value"]
+        for key, entry in snapshot["metrics"].items()
+        if key == name or key.startswith(name + "{")
+    )
+
+
+def test_stats_totals_equal_the_metric_rows():
+    """``stats`` and ``metrics`` count each request, error and shed once.
+
+    An oversized line is answered ``too_large`` before its verb is known, so
+    it lands in ``server_errors_total{verb="unknown",code="too_large"}``.
+    """
+    with running_server(max_request_bytes=4096) as (host, port, _):
+        with socket.create_connection((host, port), timeout=30) as sock:
+            handle = sock.makefile("rwb")
+            handle.write(b'{"v": 1, "id": 1, "op": "ping", "pad": "' + b"x" * 8192 + b'"}\n')
+            handle.flush()
+            assert json.loads(handle.readline())["error"]["code"] == "too_large"
+        with TypeQueryClient(host, port) as client:
+            with pytest.raises(TypeQueryError):
+                client.query("no-such-program-id")
+            client.analyze("f:\n    mov eax, 1\n    ret\n")
+            stats = client.stats()
+            snap = client.metrics()
+
+    too_large = 'server_errors_total{code="too_large",verb="unknown"}'
+    assert counter_value(snap, too_large) == 1
+    assert stats["errors_returned"] == family_total(snap, "server_errors_total") == 2
+    # The snapshot also counts the ``stats`` request answered before it.
+    assert stats["requests_served"] + 1 == family_total(snap, "server_requests_total") == 2
+    assert stats["shed_total"] == family_total(snap, "server_shed_total") == 0
+
+
+def test_metrics_are_per_server():
+    with running_server() as (host_a, port_a, _), running_server() as (host_b, port_b, _):
+        with TypeQueryClient(host_a, port_a) as client:
+            client.analyze("f:\n    mov eax, 1\n    ret\n")
+            assert counter_value(client.metrics(), 'server_requests_total{verb="analyze"}') == 1
+        with TypeQueryClient(host_b, port_b) as client:
+            other = client.metrics()
+    assert counter_value(other, 'server_requests_total{verb="analyze"}') == 0
+    assert counter_value(other, "store_misses_total") == 0
+    assert counter_value(other, "solver_sccs_solved_total") == 0
 
 
 # ---------------------------------------------------------------------------

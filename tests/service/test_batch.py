@@ -108,7 +108,7 @@ def test_corpus_fanout_prewarms_every_program_and_stays_byte_identical():
     try:
         items = list(programs.items())
         assert batch_mod._use_corpus_fanout(service, items)
-        prewarmed = batch_mod._prewarm_corpus(service, items)
+        prewarmed = batch_mod._prewarm_corpus(service, service._ensure_procpool(), items)
         assert set(prewarmed) == set(programs)
         for workload in workloads:
             entry = prewarmed[workload.name]

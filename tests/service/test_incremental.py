@@ -17,7 +17,7 @@ from repro.ir import AsmSyntaxError
 from repro.ir.instructions import Nop
 from repro.ir.program import Procedure, Program
 from repro.service import AnalysisService, IncrementalSession, ServiceConfig
-from repro.service.store import SummaryStore
+from repro.service.store import SummaryStore, serialize_summary
 
 # A call DAG with a diamond and an unrelated component:
 #
@@ -257,7 +257,9 @@ def test_edit_sweep_generates_only_what_it_solves():
 def _stored_payloads(service, types):
     """Canonical JSON of every summary ``types`` was built from, by store key."""
     return {
-        key: json.dumps(service.store.get_payload(key), sort_keys=True)
+        key: json.dumps(
+            serialize_summary(service.store.get(key, service.lattice)), sort_keys=True
+        )
         for key in types.stats["scc_store_keys"].values()
     }
 

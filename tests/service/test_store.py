@@ -403,14 +403,14 @@ def test_put_admits_the_summary_without_decoding(analyzed):
     assert store.stats.decodes == 0
 
 
-def test_get_payload_of_decoded_entry_equals_admitted_payload(analyzed):
+def test_decoded_entry_serializes_to_the_admitted_payload(analyzed):
     lattice = analyzed.display.lattice
     for name in ("total", "push_front"):
         admitted = json.loads(json.dumps(serialize_summary(_summary_for(analyzed, name))))
         store = SummaryStore(capacity=8)
         store.admit_payload("k", admitted)
         assert isinstance(store.get("k", lattice), SCCSummary)
-        assert _canonical(store.get_payload("k")) == _canonical(admitted)
+        assert _canonical(serialize_summary(store.get("k", lattice))) == _canonical(admitted)
         assert store.stats.decodes == 1
 
 

@@ -11,13 +11,22 @@ import threading
 
 import pytest
 
-from repro.service.store import STORE_FORMAT, SummaryStore
+from repro.core.lattice import default_lattice
+from repro.service.store import STORE_FORMAT, SummaryStore, serialize_summary
 
 BACKENDS = ["memory", "disk"]
+
+LATTICE = default_lattice()
 
 
 def _payload(tag="x"):
     return {"format": STORE_FORMAT, "members": [tag], "procedures": {}}
+
+
+def _read(store, key):
+    """``store.get`` of ``key``, serialized back to its payload (``None`` on a miss)."""
+    summary = store.get(key, LATTICE)
+    return None if summary is None else serialize_summary(summary)
 
 
 @pytest.fixture(params=BACKENDS)
@@ -39,9 +48,9 @@ class TestBackendConformance:
     def test_round_trip_within_one_instance(self, store_env):
         _, make = store_env
         store = make()
-        assert store.get_payload("k" * 64) is None
+        assert _read(store, "k" * 64) is None
         store.admit_payload("k" * 64, _payload("a"))
-        assert store.get_payload("k" * 64) == _payload("a")
+        assert _read(store, "k" * 64) == _payload("a")
         assert ("k" * 64) in store
 
     def test_cross_instance_visibility(self, store_env):
@@ -49,7 +58,7 @@ class TestBackendConformance:
         writer = make()
         writer.admit_payload("c" * 64, _payload("shared"))
         reader = make()
-        found = reader.get_payload("c" * 64)
+        found = _read(reader, "c" * 64)
         if kind == "memory":
             assert found is None  # memory-only stores are per-instance by design
         else:
@@ -58,11 +67,11 @@ class TestBackendConformance:
     def test_stats_accounting(self, store_env):
         kind, make = store_env
         store = make()
-        store.get_payload("m" * 64)
+        _read(store, "m" * 64)
         assert store.stats.misses == 1
         store.admit_payload("m" * 64, _payload())
         assert store.stats.puts == 1
-        store.get_payload("m" * 64)
+        _read(store, "m" * 64)
         assert store.stats.hits == 1
         assert store.stats.memory_hits == 1  # served from the LRU, not the tier
         if kind == "memory":
@@ -70,10 +79,10 @@ class TestBackendConformance:
         # A fresh facade over the same tier records a disk hit and promotes
         # the entry into its own memory tier.
         fresh = make()
-        assert fresh.get_payload("m" * 64) == _payload()
+        assert _read(fresh, "m" * 64) == _payload()
         assert fresh.stats.disk_hits == 1
         assert fresh.stats.memory_hits == 0
-        fresh.get_payload("m" * 64)
+        _read(fresh, "m" * 64)
         assert fresh.stats.memory_hits == 1  # promotion worked
 
     def test_concurrent_get_admit(self, store_env):
@@ -86,7 +95,7 @@ class TestBackendConformance:
                 for i in range(30):
                     key = f"{tag}{i % 7}".ljust(64, "f")
                     store.admit_payload(key, _payload(f"{tag}{i}"))
-                    got = store.get_payload(key)
+                    got = _read(store, key)
                     assert got is not None and got["format"] == STORE_FORMAT
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
@@ -111,6 +120,6 @@ def test_disk_backend_quarantines_corruption(tmp_path):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("{ not json")
     fresh = SummaryStore(capacity=8, cache_dir=str(tmp_path))
-    assert fresh.get_payload("q" * 64) is None
+    assert _read(fresh, "q" * 64) is None
     assert fresh.stats.quarantined == 1
     assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
